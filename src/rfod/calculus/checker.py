@@ -4,23 +4,30 @@ A derivation is a tree (shared subtrees allowed) of rule applications.
 ``check`` walks it bottom-up, validates every node under a theory
 configuration and a domain declaration table, and reports the first
 failure, the open assumptions, and the axioms used.
+
+The definitory equations are defined once, in ``rules``.  The checker
+validates an equation step by recomputing it with the ``rules`` rewrite
+and comparing the result with the other side up to alpha-equivalence.
+The step's own parameters pass through unchanged; only the missing ones
+are inferred, by reading them off the two sides.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..errors import RuleError
+from ..errors import DomainError, RuleError
 from ..syntax.ast import (
-    ContextVar, DomainTable, Eq, Exists, Forall, Formula, Member, Or,
-    Sequent, Sharp, Var, alpha_eq, alpha_eq_all, free_vars, is_closed,
+    ContextVar, DomainTable, Eq, Exists, Formula, Member, Sequent, Sharp,
+    Var, alpha_eq, alpha_eq_all, is_closed,
     is_singleton_literal, sharp_domain_name, term_state,
 )
 from ..syntax.printer import render_sequent
 from ..syntax.subst import subst_formula, subst_sequent
 from .rules import (
-    AXIOMS, BACKWARD, EQUATIONS, FORWARD, RuleId, TheoryConfig, Verdict,
-    _element_matches, _DECOMPOSE, dualize, flatten_or,
+    AXIOMS, BACKWARD, FORWARD, RuleId, TheoryConfig, Verdict,
+    _CONNECTIVE_AT, _DECOMPOSE, _element_matches, _require, compose_equality,
+    dualize, flatten_or,
 )
 
 
@@ -81,225 +88,106 @@ class CheckReport:
 
 # ---------------------------------------------------------------------------
 # node validation
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise RuleError(message)
-
+#
+# Every validator takes the arguments of validate_step, which has already
+# checked the number of premises.
 
 def _conc_of(premises) -> list:
     return [p.conclusion if isinstance(p, Derivation) else p for p in premises]
 
 
-def _validate_equation(conclusion: Sequent, rule: RuleId, direction: str,
+#: the pieces a backward step may conclude, by its pick parameter
+_PICK = {None: slice(None), "left": slice(1), "right": slice(-1, None)}
+
+
+def _validate_equation(c: Sequent, rule: RuleId, direction: str,
                        premises: Sequence[Sequent], params: dict,
-                       cfg: TheoryConfig) -> None:
-    if direction == FORWARD:
-        # the conclusion carries the connective: decomposing it must give
-        # back exactly the stated premises
-        attempts = _decompose_attempts(conclusion, rule, params, cfg, premises)
-        for attempt in attempts:
-            if len(attempt) == len(premises) and alpha_eq_all(attempt, premises):
-                return
-        raise RuleError("premises are not the decomposition of the conclusion")
-    _require(direction == BACKWARD, f"equation needs a direction, got {direction!r}")
-    _require(len(premises) == 1, "backward equation step takes one premise")
-    attempts = _decompose_attempts(premises[0], rule, params, cfg, [conclusion])
-    pick = params.get("pick")
-    for attempt in attempts:
-        if pick == "left" and alpha_eq(attempt[0], conclusion):
-            return
-        if pick == "right" and alpha_eq(attempt[-1], conclusion):
-            return
-        if pick is None and any(alpha_eq(s, conclusion) for s in attempt):
-            return
-    raise RuleError("conclusion is not among the decompositions of the premise")
+                       cfg: TheoryConfig, table: DomainTable) -> None:
+    """Recompute the step with ``rules`` and compare it with the other side.
 
-
-def _decompose_attempts(s: Sequent, rule: RuleId, params: dict,
-                        cfg: TheoryConfig, targets: Sequence[Sequent]) -> list:
-    """Decompositions of s to compare against targets.
-
-    Explicit parameters give a single attempt.  Without them the principal
-    position and the fresh variable are inferred by trying the finitely
-    many candidates suggested by the targets.
+    The connective side is decomposed, except for the equality equation,
+    whose connective side (the one with the antecedent z = t) is composed:
+    a script does not record which occurrences of t were abstracted.
     """
-    decomp = _DECOMPOSE[rule]
-    attempts = []
-    for p in _candidate_params(s, rule, params, targets):
+    equality = rule is RuleId.EQ_EQUALITY
+    on_conclusion = (direction == FORWARD) != equality
+    connective, plain = (c, premises[0]) if on_conclusion else (premises[0], c)
+    picked = _PICK.get(params.get("pick"))
+    failure = None
+    recomputed = False
+    for p in _completions(rule, connective, plain, params) or [params]:
         try:
-            attempts.append(decomp(s, p, cfg))
-        except RuleError:
+            if equality:
+                pieces = [compose_equality(connective, p)]
+            else:
+                pieces = _DECOMPOSE[rule](connective, p, cfg)
+        except RuleError as exc:
+            failure = failure or exc
             continue
-    if not attempts:
-        # surface the parameterised error directly
-        attempts.append(decomp(s, params, cfg))
-    return attempts
+        recomputed = True
+        if on_conclusion:
+            if alpha_eq_all(pieces, premises):
+                return
+        elif picked and any(alpha_eq(piece, c) for piece in pieces[picked]):
+            return
+    if failure is not None and not recomputed:
+        raise failure
+    raise RuleError(f"the sides of the step do not match {rule.value}")
 
 
-def _candidate_params(s: Sequent, rule: RuleId, params: dict,
-                      targets: Sequence[Sequent]) -> list:
+def _completions(rule: RuleId, connective: Sequent, plain: Sequent,
+                 params: dict) -> list:
+    """The step's parameters, each missing one read off the two sides: the
+    connective's position and, for the binders, the fresh variable of a
+    membership on the plain side (for the existential also the positions of
+    that membership and of the body).  One parameter set per reading."""
+    options = [params]
+    at = _CONNECTIVE_AT.get(rule)
+    if at is not None and at[0] not in params:
+        key, side, cls = at
+        options = [dict(params, **{key: i})
+                   for i, f in enumerate(getattr(connective, side))
+                   if isinstance(f, cls)]
+    ant = plain.antecedent
+    if rule is RuleId.EQ_EXISTS_L:
+        options = _fill(options, "member", lambda o: [
+            i for i in range(len(ant) - 1, -1, -1) if _member_var(ant, i)])
+        options = _fill(options, "body", lambda o: sorted(
+            (i for i in range(len(ant)) if i != o["member"]),
+            key=lambda i: i != o["member"] - 1))
+        options = _fill(options, "var",
+                        lambda o: _member_var(ant, o["member"]))
+    elif rule is RuleId.EQ_FORALL_R or rule is RuleId.EQ_BOWTIE_R:
+        options = _fill(options, "var", lambda o: list(dict.fromkeys(
+            v for i in range(len(ant) - 1, -1, -1)
+            for v in _member_var(ant, i))))
+    return options
+
+
+def _member_var(ant: tuple, i: int) -> list:
+    """The variable z of a membership z in D at position i, if there is one."""
+    if (0 <= i < len(ant) and isinstance(ant[i], Member)
+            and isinstance(ant[i].term, Var)):
+        return [ant[i].term.name]
+    return []
+
+
+def _fill(options: list, key: str, values) -> list:
+    """Each option lacking key, once for every value in values(option)."""
     out = []
-    if rule is RuleId.EQ_BOWTIE_R:
-        if "var" in params:
-            return [params]
-        # fresh variables introduced by the plain side: memberships that do
-        # not occur in the connective side
-        have = free_vars(s)
-        names = []
-        for t in targets:
-            for item in t.antecedent:
-                if (isinstance(item, Member) and isinstance(item.term, Var)
-                        and item.term.name not in have):
-                    names.append(item.term.name)
-        for name in dict.fromkeys(names):
-            out.append(dict(params, var=name))
-        out.append(params)
-        return out
-    if rule is RuleId.EQ_OR_L and "index" not in params:
-        hits = [i for i, f in enumerate(s.antecedent) if isinstance(f, Or)]
-        out = [dict(params, index=i) for i in hits]
-        out.append(params)
-        return out
-    return [params]
-
-
-def _validate_equality_node(conclusion: Sequent, direction: str,
-                            premises: Sequence[Sequent], params: dict) -> None:
-    """Leibniz equation, validated by substitution.
-
-    The equality-free sequent is the composed side; the decomposed side
-    carries a fresh z and the antecedent equality z = t.  Whatever the
-    occurrence selection was, eliminating the equality must reproduce the
-    composed side exactly.
-    """
-    _require(len(premises) == 1, "equality step takes one premise")
-    premise = premises[0]
-    if direction == BACKWARD:
-        plain, enriched = premise, conclusion
-    else:
-        _require(direction == FORWARD, "equality step needs a direction")
-        plain, enriched = conclusion, premise
-    indices = ([params["index"]] if "index" in params else
-               range(len(enriched.antecedent) - 1, -1, -1))
-    for j in indices:
-        if not 0 <= j < len(enriched.antecedent):
-            continue
-        item = enriched.antecedent[j]
-        if not (isinstance(item, Eq) and isinstance(item.left, Var)):
-            continue
-        z, t = item.left.name, item.right
-        if isinstance(t, Var) and t.name == z:
-            continue
-        if z in free_vars(plain):
-            continue  # z must be chosen new
-        rest = Sequent(enriched.antecedent[:j] + enriched.antecedent[j + 1:],
-                       enriched.succedent)
-        if alpha_eq(subst_sequent(rest, z, t), plain):
-            return
-    raise RuleError("eliminating the antecedent equality does not "
-                    "reproduce the other side")
-
-
-def _validate_exists_node(conclusion: Sequent, direction: str,
-                          premises: Sequence[Sequent], params: dict) -> None:
-    """Existential equation; the fresh body and membership may sit anywhere
-    in the plain side's antecedent (the duality step produces them in
-    membership-first order)."""
-    _require(len(premises) == 1, "existential step takes one premise")
-    premise = premises[0]
-    if direction == FORWARD:
-        quantified, plain = conclusion, premise
-    else:
-        _require(direction == BACKWARD, "existential step needs a direction")
-        quantified, plain = premise, conclusion
-    _require(alpha_eq_all(quantified.succedent, plain.succedent),
-             "existential step keeps the succedent")
-    _require(len(plain.antecedent) == len(quantified.antecedent) + 1,
-             "plain side has the body and membership in place of the "
-             "existential formula")
-    ex_indices = ([params["index"]] if "index" in params else
-                  [j for j, f in enumerate(quantified.antecedent)
-                   if isinstance(f, Exists)])
-    mem_indices = ([params["member"]] if "member" in params else
-                   [i for i, f in enumerate(plain.antecedent)
-                    if isinstance(f, Member) and isinstance(f.term, Var)])
-    for j in ex_indices:
-        ex = quantified.antecedent[j]
-        if not isinstance(ex, Exists):
-            continue
-        without_ex = quantified.antecedent[:j] + quantified.antecedent[j + 1:]
-        for im in mem_indices:
-            mem = plain.antecedent[im]
-            if not (isinstance(mem, Member) and isinstance(mem.term, Var)):
-                continue
-            if mem.domain != ex.domain:
-                continue
-            z = mem.term.name
-            if z in free_vars(quantified):
-                continue  # z must be fresh for the quantified side
-            body = subst_formula(ex.body, ex.var, Var(z))
-            body_indices = ([params["body"]] if "body" in params else
-                            range(len(plain.antecedent)))
-            for ib in body_indices:
-                if ib == im or not 0 <= ib < len(plain.antecedent):
-                    continue
-                if not (isinstance(plain.antecedent[ib], Formula)
-                        and alpha_eq(plain.antecedent[ib], body)):
-                    continue
-                rest = tuple(f for i, f in enumerate(plain.antecedent)
-                             if i not in (im, ib))
-                if alpha_eq_all(rest, without_ex):
-                    return
-    raise RuleError("plain side does not open the existential formula")
-
-
-def _validate_forall_node(conclusion: Sequent, direction: str,
-                          premises: Sequence[Sequent], params: dict,
-                          cfg: TheoryConfig) -> None:
-    _require(len(premises) == 1, "quantifier step takes one premise")
-    premise = premises[0]
-    if direction == FORWARD:
-        quantified, plain = conclusion, premise
-    else:
-        _require(direction == BACKWARD, "quantifier step needs a direction")
-        quantified, plain = premise, conclusion
-    if not cfg.right_contexts_in_forall and len(quantified.succedent) != 1:
-        raise RuleError(
-            "universal quantifier takes no right context in basic mode "
-            "(enable classical right contexts)")
-    _require(len(plain.antecedent) == len(quantified.antecedent) + 1,
-             "plain side must add exactly one membership")
-    _require(len(plain.succedent) == len(quantified.succedent),
-             "quantifier step keeps the succedent arity")
-    mem = plain.antecedent[-1]
-    _require(isinstance(mem, Member) and isinstance(mem.term, Var),
-             "plain side must end with a variable membership")
-    z = mem.term.name
-    _require(alpha_eq_all(plain.antecedent[:-1], quantified.antecedent),
-             "contexts differ")
-    _require(z not in free_vars(quantified),
-             f"variable {z} is not fresh: it occurs in the quantified side")
-    slots = params.get("slot")
-    candidates = [slots] if slots is not None else range(len(quantified.succedent))
-    for k in candidates:
-        q = quantified.succedent[k]
-        if not isinstance(q, Forall):
-            continue
-        if q.domain != mem.domain:
-            continue
-        rest_ok = all(alpha_eq(plain.succedent[i], quantified.succedent[i])
-                      for i in range(len(quantified.succedent)) if i != k)
-        if not rest_ok:
-            continue
-        if alpha_eq(plain.succedent[k], subst_formula(q.body, q.var, Var(z))):
-            return
-    raise RuleError("no universal slot matches the instantiated premise")
+    for o in options:
+        if key in o:
+            out.append(o)
+        else:
+            out.extend(dict(o, **{key: v}) for v in values(o))
+    return out
 
 
 # -- one-directional rules ---------------------------------------------------
 
-def _validate_identity(c: Sequent) -> None:
+def _validate_identity(c: Sequent, rule: RuleId, direction: Optional[str],
+                       premises: Sequence[Sequent], params: dict,
+                       cfg: TheoryConfig, table: DomainTable) -> None:
     _require(len(c.antecedent) == 1 and len(c.succedent) == 1,
              "identity is A |- A")
     a, b = c.antecedent[0], c.succedent[0]
@@ -308,7 +196,9 @@ def _validate_identity(c: Sequent) -> None:
     _require(alpha_eq(a, b), "identity needs the same formula on both sides")
 
 
-def _validate_reflexivity(c: Sequent) -> None:
+def _validate_reflexivity(c: Sequent, rule: RuleId, direction: Optional[str],
+                          premises: Sequence[Sequent], params: dict,
+                          cfg: TheoryConfig, table: DomainTable) -> None:
     _require(len(c.antecedent) == 0, "reflexivity has no premises on the left")
     _require(len(c.succedent) == 1 and isinstance(c.succedent[0], Eq),
              "reflexivity concludes |- t = t")
@@ -316,8 +206,9 @@ def _validate_reflexivity(c: Sequent) -> None:
     _require(eq.left == eq.right, "reflexivity needs both sides equal")
 
 
-def _validate_cut(c: Sequent, premises: Sequence[Sequent], params: dict) -> None:
-    _require(len(premises) == 2, "cut takes two premises")
+def _validate_cut(c: Sequent, rule: RuleId, direction: Optional[str],
+                  premises: Sequence[Sequent], params: dict,
+                  cfg: TheoryConfig, table: DomainTable) -> None:
     left, right = premises
     _require(len(left.succedent) == 1 and isinstance(left.succedent[0], Formula),
              "first cut premise must conclude a single formula")
@@ -326,9 +217,8 @@ def _validate_cut(c: Sequent, premises: Sequence[Sequent], params: dict) -> None
              "cut formula does not match the first premise")
     _require(alpha_eq_all(right.succedent, c.succedent),
              "cut keeps the succedent of the second premise")
-    indices = ([params["index"]] if "index" in params else
-               [j for j, item in enumerate(right.antecedent)
-                if isinstance(item, Formula) and alpha_eq(item, cut_formula)])
+    indices = ([params["index"]] if "index" in params
+               else range(len(right.antecedent)))
     for j in indices:
         if not (0 <= j < len(right.antecedent)):
             continue
@@ -342,9 +232,9 @@ def _validate_cut(c: Sequent, premises: Sequence[Sequent], params: dict) -> None
     raise RuleError("conclusion does not splice the cut premises")
 
 
-def _validate_subst(c: Sequent, premises: Sequence[Sequent],
-                    params: dict) -> None:
-    _require(len(premises) == 1, "substitution takes one premise")
+def _validate_subst(c: Sequent, rule: RuleId, direction: Optional[str],
+                    premises: Sequence[Sequent], params: dict,
+                    cfg: TheoryConfig, table: DomainTable) -> None:
     premise = premises[0]
     pairs = []
     if "var" in params and "term" in params:
@@ -370,12 +260,12 @@ def _validate_subst(c: Sequent, premises: Sequence[Sequent],
     raise RuleError("conclusion is not a substitution instance of the premise")
 
 
-def _validate_f_subst(c: Sequent, premises: Sequence[Sequent], params: dict,
-                      cfg: TheoryConfig, table: Optional[DomainTable]) -> None:
+def _validate_f_subst(c: Sequent, rule: RuleId, direction: Optional[str],
+                      premises: Sequence[Sequent], params: dict,
+                      cfg: TheoryConfig, table: DomainTable) -> None:
     if not cfg.singleton_axioms:
         raise RuleError("forgetful substitution is disabled: it rests on "
                         "the singleton axioms (singleton_axioms off)")
-    _require(len(premises) == 1, "forgetful substitution takes one premise")
     premise = premises[0]
     pairs = []
     if "var" in params and "state" in params:
@@ -388,7 +278,6 @@ def _validate_f_subst(c: Sequent, premises: Sequence[Sequent], params: dict,
                 pairs.append((pm.term.name, term_state(pc.term)))
     _require(bool(pairs), "cannot determine the forgetful substitution; "
                           "pass var=<v> state=<s>")
-    tbl = table or DomainTable()
     for v, s in pairs:
         mem_domains = [i.domain for i in premise.antecedent
                        if isinstance(i, Member) and isinstance(i.term, Var)
@@ -396,9 +285,9 @@ def _validate_f_subst(c: Sequent, premises: Sequence[Sequent], params: dict,
         if not mem_domains:
             continue
         domain_name = mem_domains[-1]
-        if domain_name not in tbl:
+        if domain_name not in table:
             raise RuleError(f"domain {domain_name} is not declared")
-        if s not in tbl.resolve(domain_name).labels:
+        if s not in table.resolve(domain_name).labels:
             raise RuleError(
                 f"state {s} is not an outcome of domain {domain_name}")
         if alpha_eq(subst_sequent(premise, v, Sharp(s), mode="forgetful"), c):
@@ -407,9 +296,9 @@ def _validate_f_subst(c: Sequent, premises: Sequence[Sequent], params: dict,
                     "of the premise")
 
 
-def _validate_exists_r(c: Sequent, premises: Sequence[Sequent],
-                       params: dict) -> None:
-    _require(len(premises) == 1, "existential introduction takes one premise")
+def _validate_exists_r(c: Sequent, rule: RuleId, direction: Optional[str],
+                       premises: Sequence[Sequent], params: dict,
+                       cfg: TheoryConfig, table: DomainTable) -> None:
     premise = premises[0]
     _require(len(c.succedent) == 1 and isinstance(c.succedent[0], Exists),
              "conclusion must be a single existential formula")
@@ -424,17 +313,10 @@ def _validate_exists_r(c: Sequent, premises: Sequence[Sequent],
     _require(same_ctx or extended,
              "conclusion context must extend the premise by at most the "
              "witness membership")
-    if "term" in params:
-        witnesses = [params["term"]]
-    else:
-        witnesses = [i.term for i in c.antecedent
-                     if isinstance(i, Member) and i.domain == ex.domain]
+    witnesses = [i.term for i in c.antecedent
+                 if isinstance(i, Member) and i.domain == ex.domain
+                 and ("term" not in params or i.term == params["term"])]
     for t in witnesses:
-        has_membership = any(
-            isinstance(i, Member) and i.domain == ex.domain and i.term == t
-            for i in c.antecedent)
-        if not has_membership:
-            continue
         if extended:
             last = c.antecedent[-1]
             if not (isinstance(last, Member) and last.domain == ex.domain
@@ -445,9 +327,9 @@ def _validate_exists_r(c: Sequent, premises: Sequence[Sequent],
     raise RuleError("no witness membership matches the premise formula")
 
 
-def _validate_weaken_l(c: Sequent, premises: Sequence[Sequent],
-                       params: dict) -> None:
-    _require(len(premises) == 1, "weakening takes one premise")
+def _validate_weaken_l(c: Sequent, rule: RuleId, direction: Optional[str],
+                       premises: Sequence[Sequent], params: dict,
+                       cfg: TheoryConfig, table: DomainTable) -> None:
     premise = premises[0]
     _require(alpha_eq_all(c.succedent, premise.succedent),
              "weakening keeps the succedent")
@@ -467,21 +349,18 @@ def _validate_weaken_l(c: Sequent, premises: Sequence[Sequent],
     raise RuleError("conclusion is not a one-formula weakening of the premise")
 
 
-def _validate_dualize(c: Sequent, premises: Sequence[Sequent]) -> None:
-    _require(len(premises) == 1, "dualize takes one premise")
+def _validate_dualize(c: Sequent, rule: RuleId, direction: Optional[str],
+                      premises: Sequence[Sequent], params: dict,
+                      cfg: TheoryConfig, table: DomainTable) -> None:
     _require(alpha_eq(dualize(premises[0]), c),
              "conclusion is not the dual of the premise")
 
 
 # -- axioms -------------------------------------------------------------------
 
-def _resolve(table: Optional[DomainTable], name: str):
-    table = table or DomainTable()
-    return table.resolve(name)
-
-
-def _validate_ax_singleton(c: Sequent, cfg: TheoryConfig,
-                           table: Optional[DomainTable]) -> None:
+def _validate_ax_singleton(c: Sequent, rule: RuleId, direction: Optional[str],
+                           premises: Sequence[Sequent], params: dict,
+                           cfg: TheoryConfig, table: DomainTable) -> None:
     if not cfg.singleton_axioms:
         raise RuleError("singleton axiom is disabled (singleton_axioms off)")
     _require(len(c.antecedent) == 1 and len(c.succedent) == 1,
@@ -490,7 +369,7 @@ def _validate_ax_singleton(c: Sequent, cfg: TheoryConfig,
     _require(isinstance(mem, Member) and isinstance(mem.term, Var),
              "singleton axiom needs a variable membership on the left")
     _require(isinstance(eq, Eq), "singleton axiom concludes an equality")
-    domain = _resolve(table, mem.domain)
+    domain = table.resolve(mem.domain)
     _require(domain.kind == "singleton" or is_singleton_literal(mem.domain),
              f"domain {mem.domain} is not a singleton")
     _require(isinstance(eq.left, Var) and eq.left.name == mem.term.name,
@@ -499,14 +378,15 @@ def _validate_ax_singleton(c: Sequent, cfg: TheoryConfig,
              f"equality right side does not name the element of {mem.domain}")
 
 
-def _validate_ax_focus(c: Sequent, cfg: TheoryConfig,
-                       table: Optional[DomainTable]) -> None:
+def _validate_ax_focus(c: Sequent, rule: RuleId, direction: Optional[str],
+                       premises: Sequence[Sequent], params: dict,
+                       cfg: TheoryConfig, table: DomainTable) -> None:
     _require(len(c.antecedent) == 1 and len(c.succedent) == 1,
              "focus axiom is z in D |- z = t1 \\/ ... \\/ z = tm")
     mem, disj = c.antecedent[0], c.succedent[0]
     _require(isinstance(mem, Member) and isinstance(mem.term, Var),
              "focus axiom needs a variable membership on the left")
-    domain = _resolve(table, mem.domain)
+    domain = table.resolve(mem.domain)
     if not cfg.is_focused(mem.domain, table):
         raise RuleError(f"domain {mem.domain} is not declared focused "
                         f"(focus axiom unavailable)")
@@ -523,18 +403,21 @@ def _validate_ax_focus(c: Sequent, cfg: TheoryConfig,
                  "disjuncts must name the elements in declared order")
 
 
-def _validate_ax_member(c: Sequent, table: Optional[DomainTable]) -> None:
+def _validate_ax_member(c: Sequent, rule: RuleId, direction: Optional[str],
+                        premises: Sequence[Sequent], params: dict,
+                        cfg: TheoryConfig, table: DomainTable) -> None:
     _require(len(c.antecedent) == 0 and len(c.succedent) == 1,
              "membership fact is |- t in D")
     mem = c.succedent[0]
     _require(isinstance(mem, Member), "membership fact concludes t in D")
-    domain = _resolve(table, mem.domain)
+    domain = table.resolve(mem.domain)
     _require(any(_element_matches(mem.term, e) for e in domain.elements),
              f"term does not name an element of {mem.domain}")
 
 
-def _validate_ax_sharp_member(c: Sequent, cfg: TheoryConfig,
-                              table: Optional[DomainTable]) -> None:
+def _validate_ax_sharp_member(c: Sequent, rule: RuleId, direction: Optional[str],
+                              premises: Sequence[Sequent], params: dict,
+                              cfg: TheoryConfig, table: DomainTable) -> None:
     if not cfg.singleton_axioms:
         raise RuleError("sharp membership facts are disabled "
                         "(singleton_axioms off)")
@@ -543,18 +426,51 @@ def _validate_ax_sharp_member(c: Sequent, cfg: TheoryConfig,
     mem = c.succedent[0]
     _require(isinstance(mem, Member), "sharp membership fact concludes #s in D^f")
     _require(is_closed(mem.term), "sharp membership needs a closed term")
-    table = table or DomainTable()
     try:
         labels = table.sharp_labels(mem.domain)
-    except Exception as exc:
+    except DomainError as exc:
         raise RuleError(str(exc))
     state = term_state(mem.term)
     _require(state in labels,
              f"state {state} is not an outcome of the set behind {mem.domain}")
 
 
+def _validate_hypothesis(c: Sequent, rule: RuleId, direction: Optional[str],
+                         premises: Sequence[Sequent], params: dict,
+                         cfg: TheoryConfig,
+                         table: DomainTable) -> None:
+    """Any sequent may be assumed; ``check`` lists it as open."""
+
+
 # ---------------------------------------------------------------------------
 # dispatch
+
+#: rule -> (validator, number of premises); for an equation the number is
+#: that of a forward step, and a backward step always has one premise
+_RULES = {
+    RuleId.EQ_FORALL_R: (_validate_equation, 1),
+    RuleId.EQ_AND_R: (_validate_equation, 2),
+    RuleId.EQ_STAR_R: (_validate_equation, 1),
+    RuleId.EQ_BOT_R: (_validate_equation, 1),
+    RuleId.EQ_OR_L: (_validate_equation, 2),
+    RuleId.EQ_EXISTS_L: (_validate_equation, 1),
+    RuleId.EQ_EQUALITY: (_validate_equation, 1),
+    RuleId.EQ_BOWTIE_R: (_validate_equation, 1),
+    RuleId.IDENTITY: (_validate_identity, 0),
+    RuleId.REFLEXIVITY: (_validate_reflexivity, 0),
+    RuleId.CUT: (_validate_cut, 2),
+    RuleId.SUBST: (_validate_subst, 1),
+    RuleId.F_SUBST: (_validate_f_subst, 1),
+    RuleId.EXISTS_R: (_validate_exists_r, 1),
+    RuleId.WEAKEN_L: (_validate_weaken_l, 1),
+    RuleId.DUALIZE: (_validate_dualize, 1),
+    RuleId.AX_SINGLETON: (_validate_ax_singleton, 0),
+    RuleId.AX_FOCUS: (_validate_ax_focus, 0),
+    RuleId.AX_MEMBER: (_validate_ax_member, 0),
+    RuleId.AX_SHARP_MEMBER: (_validate_ax_sharp_member, 0),
+    RuleId.HYPOTHESIS: (_validate_hypothesis, 0),
+}
+
 
 def validate_step(conclusion: Sequent, rule: RuleId, direction: Optional[str],
                   premises: Sequence[Sequent], params: Optional[dict] = None,
@@ -563,58 +479,18 @@ def validate_step(conclusion: Sequent, rule: RuleId, direction: Optional[str],
     """Raise RuleError unless the step is a valid application."""
     params = params or {}
     cfg = cfg or TheoryConfig()
+    table = table or DomainTable()
     premises = _conc_of(premises)
-    if rule in EQUATIONS:
-        _require(direction in (FORWARD, BACKWARD),
-                 f"{rule.value} needs direction forward|backward")
-        if rule is RuleId.EQ_EQUALITY:
-            _validate_equality_node(conclusion, direction, premises, params)
-        elif rule is RuleId.EQ_FORALL_R:
-            _validate_forall_node(conclusion, direction, premises, params, cfg)
-        elif rule is RuleId.EQ_EXISTS_L:
-            _validate_exists_node(conclusion, direction, premises, params)
-        else:
-            _validate_equation(conclusion, rule, direction, premises, params, cfg)
-        return
-    if rule is RuleId.IDENTITY:
-        _premise_len(premises, 0, rule)
-        _validate_identity(conclusion)
-    elif rule is RuleId.REFLEXIVITY:
-        _premise_len(premises, 0, rule)
-        _validate_reflexivity(conclusion)
-    elif rule is RuleId.CUT:
-        _validate_cut(conclusion, premises, params)
-    elif rule is RuleId.SUBST:
-        _validate_subst(conclusion, premises, params)
-    elif rule is RuleId.F_SUBST:
-        _validate_f_subst(conclusion, premises, params, cfg, table)
-    elif rule is RuleId.EXISTS_R:
-        _validate_exists_r(conclusion, premises, params)
-    elif rule is RuleId.WEAKEN_L:
-        _validate_weaken_l(conclusion, premises, params)
-    elif rule is RuleId.DUALIZE:
-        _validate_dualize(conclusion, premises)
-    elif rule is RuleId.AX_SINGLETON:
-        _premise_len(premises, 0, rule)
-        _validate_ax_singleton(conclusion, cfg, table)
-    elif rule is RuleId.AX_FOCUS:
-        _premise_len(premises, 0, rule)
-        _validate_ax_focus(conclusion, cfg, table)
-    elif rule is RuleId.AX_MEMBER:
-        _premise_len(premises, 0, rule)
-        _validate_ax_member(conclusion, table)
-    elif rule is RuleId.AX_SHARP_MEMBER:
-        _premise_len(premises, 0, rule)
-        _validate_ax_sharp_member(conclusion, cfg, table)
-    elif rule is RuleId.HYPOTHESIS:
-        _premise_len(premises, 0, rule)
-    else:  # pragma: no cover - exhaustive enum
-        raise RuleError(f"unknown rule {rule!r}")
-
-
-def _premise_len(premises, n: int, rule: RuleId):
-    _require(len(premises) == n,
-             f"{rule.value} takes {n} premise(s), got {len(premises)}")
+    validator, count = _RULES[rule]
+    if validator is _validate_equation:
+        if direction == BACKWARD:
+            count = 1
+        elif direction != FORWARD:
+            raise RuleError(f"{rule.value} needs direction forward|backward")
+    if len(premises) != count:
+        raise RuleError(f"{rule.value} takes {count} premise(s), "
+                        f"got {len(premises)}")
+    validator(conclusion, rule, direction, premises, params, cfg, table)
 
 
 def rule_step(conclusion: Sequent, rule: RuleId, premises: Sequence[Sequent],

@@ -7,22 +7,23 @@ equation is the one exception to that reading: Leibniz rewriting consumes
 the equality, so its composed side is the equality-free sequent and
 ``backward`` is the step that abstracts a term into a fresh variable.
 
-Validation is parameter-tolerant: explicit parameters are honoured when
-present, otherwise the checker infers the principal positions by trying
-the finitely many candidates.
+The ``decompose_*`` and ``compose_*`` functions are the only definition
+of the eight equations: ``equation_step`` applies them, and the checker
+validates an equation step by recomputing it with them.  The checker
+passes the step's parameters through unchanged and infers only the
+missing ones, so each parameter means the same thing in both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from ..errors import FragmentError, RuleError
 from ..syntax.ast import (
-    And, Atom, Bot, Bowtie, ContextVar, Correlated, DomainTable, Eq, Exists,
-    Forall, Formula, Member, Neq, Or, Sequent, Sharp, Star, Term, Var,
-    alpha_eq, alpha_eq_all, bound_vars, free_vars, is_closed,
-    is_singleton_literal, sharp_domain_name, term_state,
+    And, Atom, Bot, Bowtie, Correlated, DomainTable, Eq, Exists, Forall,
+    Formula, Member, Neq, Or, Sequent, Star, Term, Var, alpha_eq,
+    alpha_eq_all, bound_vars, free_vars, is_singleton_literal, term_state,
 )
 from ..syntax.printer import render_sequent
 from ..syntax.subst import (
@@ -126,32 +127,32 @@ def _single_formula_slot(s: Sequent, side: str = "succedent") -> Formula:
     return item
 
 
-def _find_slot(s: Sequent, cls, params: Optional[dict], key: str = "slot") -> int:
+#: where an equation's connective sits: the parameter naming its position,
+#: the side, and the connective's class (the other equations have it in a
+#: fixed place)
+_CONNECTIVE_AT = {
+    RuleId.EQ_FORALL_R: ("slot", "succedent", Forall),
+    RuleId.EQ_STAR_R: ("slot", "succedent", Star),
+    RuleId.EQ_OR_L: ("index", "antecedent", Or),
+    RuleId.EQ_EXISTS_L: ("index", "antecedent", Exists),
+    RuleId.EQ_EQUALITY: ("index", "antecedent", Eq),
+}
+
+
+def _find_connective(s: Sequent, rule: RuleId, params: Optional[dict]) -> int:
+    key, side, cls = _CONNECTIVE_AT[rule]
+    items = getattr(s, side)
     if params and key in params:
         k = params[key]
-        _require(0 <= k < len(s.succedent), f"slot {k} out of range")
-        _require(isinstance(s.succedent[k], cls),
-                 f"slot {k} is not a {cls.__name__}")
+        if not 0 <= k < len(items):
+            raise RuleError(f"{side} position {k} out of range")
+        if not isinstance(items[k], cls):
+            raise RuleError(f"{side} item {k} is not a {cls.__name__}")
         return k
-    hits = [i for i, f in enumerate(s.succedent) if isinstance(f, cls)]
-    _require(len(hits) >= 1, f"no {cls.__name__} slot in succedent")
-    _require(len(hits) == 1,
-             f"ambiguous {cls.__name__} slot, pass {key}=<index>")
-    return hits[0]
-
-
-def _find_antecedent(s: Sequent, cls, params: Optional[dict],
-                     key: str = "index") -> int:
-    if params and key in params:
-        j = params[key]
-        _require(0 <= j < len(s.antecedent), f"antecedent index {j} out of range")
-        _require(isinstance(s.antecedent[j], cls),
-                 f"antecedent item {j} is not a {cls.__name__}")
-        return j
-    hits = [i for i, f in enumerate(s.antecedent) if isinstance(f, cls)]
-    _require(len(hits) >= 1, f"no {cls.__name__} item in antecedent")
-    _require(len(hits) == 1,
-             f"ambiguous {cls.__name__} item, pass {key}=<index>")
+    hits = [i for i, f in enumerate(items) if isinstance(f, cls)]
+    if len(hits) != 1:
+        raise RuleError(f"no {cls.__name__} item in {side}" if not hits else
+                        f"ambiguous {cls.__name__} item, pass {key}=<index>")
     return hits[0]
 
 
@@ -189,9 +190,7 @@ def bot_label(domain: str) -> str:
     """Falsum label carried from an incompatible observable's domain name."""
     if len(domain) > 2 and domain.startswith("DU"):
         return domain[2:].lstrip("_") or domain
-    if len(domain) > 1 and domain.startswith("D"):
-        return domain[1:].lstrip("_") or domain
-    return domain
+    return correlation_label(domain)
 
 
 def flatten_or(f: Formula) -> list:
@@ -205,18 +204,18 @@ def flatten_or(f: Formula) -> list:
 
 
 def build_or(parts: Sequence[Formula]) -> Formula:
-    parts = list(parts)
-    f = parts[-1]
-    for p in reversed(parts[:-1]):
-        f = Or(p, f)
-    return f
+    return _right_spine(Or, parts)
 
 
 def build_and(parts: Sequence[Formula]) -> Formula:
+    return _right_spine(And, parts)
+
+
+def _right_spine(cls, parts: Sequence[Formula]) -> Formula:
     parts = list(parts)
     f = parts[-1]
     for p in reversed(parts[:-1]):
-        f = And(p, f)
+        f = cls(p, f)
     return f
 
 
@@ -226,6 +225,16 @@ def _element_matches(term: Term, element: Term) -> bool:
     if term == element:
         return True
     return isinstance(term, Var) and term.name == term_state(element)
+
+
+def _bound_membership(s: Sequent, params: dict) -> int:
+    """Position of the membership z in D that a composition binds."""
+    m = params.get("member", len(s.antecedent) - 1)
+    _require(0 <= m < len(s.antecedent), "no antecedent membership to bind")
+    mem = s.antecedent[m]
+    _require(isinstance(mem, Member) and isinstance(mem.term, Var),
+             "the bound membership must be of the form z in D")
+    return m
 
 
 def _forall_guard(side: Sequent, cfg: TheoryConfig):
@@ -240,7 +249,7 @@ def _forall_guard(side: Sequent, cfg: TheoryConfig):
 
 def decompose_forall(s: Sequent, params: Optional[dict],
                      cfg: TheoryConfig) -> list:
-    k = _find_slot(s, Forall, params)
+    k = _find_connective(s, RuleId.EQ_FORALL_R, params)
     _forall_guard(s, cfg)
     q = s.succedent[k]
     z = _fresh_choice(s, params)
@@ -252,11 +261,8 @@ def decompose_forall(s: Sequent, params: Optional[dict],
 def compose_forall(s: Sequent, params: Optional[dict],
                    cfg: TheoryConfig) -> Sequent:
     params = params or {}
-    m = params.get("member", len(s.antecedent) - 1)
-    _require(0 <= m < len(s.antecedent), "no antecedent membership to bind")
+    m = _bound_membership(s, params)
     mem = s.antecedent[m]
-    _require(isinstance(mem, Member) and isinstance(mem.term, Var),
-             "the bound membership must be of the form z in D")
     z = mem.term.name
     ant = s.antecedent[:m] + s.antecedent[m + 1:]
     candidates = [params["slot"]] if "slot" in params else [
@@ -299,7 +305,7 @@ def compose_and(premises: Sequence[Sequent]) -> Sequent:
 
 
 def decompose_star(s: Sequent, params: Optional[dict]) -> list:
-    k = _find_slot(s, Star, params)
+    k = _find_connective(s, RuleId.EQ_STAR_R, params)
     f = s.succedent[k]
     succ = s.succedent[:k] + (f.left, f.right) + s.succedent[k + 1:]
     return [Sequent(s.antecedent, succ)]
@@ -335,7 +341,7 @@ def compose_bot(s: Sequent, params: Optional[dict]) -> Sequent:
 
 
 def decompose_or(s: Sequent, params: Optional[dict]) -> list:
-    j = _find_antecedent(s, Or, params)
+    j = _find_connective(s, RuleId.EQ_OR_L, params)
     f = s.antecedent[j]
     return [Sequent(s.antecedent[:j] + (f.left,) + s.antecedent[j + 1:],
                     s.succedent),
@@ -365,12 +371,22 @@ def compose_or(premises: Sequence[Sequent], params: Optional[dict]) -> Sequent:
 
 
 def decompose_exists(s: Sequent, params: Optional[dict]) -> list:
-    j = _find_antecedent(s, Exists, params)
+    """Open the existential at ``index``; ``member`` and ``body`` place the
+    new membership and the body in the plain side's antecedent (by default
+    the body takes the existential's place and the membership follows)."""
+    j = _find_connective(s, RuleId.EQ_EXISTS_L, params)
     q = s.antecedent[j]
     z = _fresh_choice(s, params)
-    body = subst_formula(q.body, q.var, Var(z))
-    ant = (s.antecedent[:j] + (body, Member(Var(z), q.domain))
-           + s.antecedent[j + 1:])
+    params = params or {}
+    im = params.get("member", j + 1)
+    ib = params.get("body", im - 1)
+    size = len(s.antecedent) + 1
+    _require(0 <= im < size and 0 <= ib < size and im != ib,
+             "member and body need two distinct positions in the antecedent")
+    opened = {im: Member(Var(z), q.domain),
+              ib: subst_formula(q.body, q.var, Var(z))}
+    rest = iter(s.antecedent[:j] + s.antecedent[j + 1:])
+    ant = tuple(opened[i] if i in opened else next(rest) for i in range(size))
     return [Sequent(ant, s.succedent)]
 
 
@@ -452,11 +468,8 @@ def compose_bowtie(s: Sequent, params: Optional[dict]) -> Sequent:
     _require(len(s.succedent) == 1 and isinstance(s.succedent[0], Correlated),
              "succedent must be a single correlated slot")
     slot = s.succedent[0]
-    m = params.get("member", len(s.antecedent) - 1)
-    _require(0 <= m < len(s.antecedent), "no antecedent membership to bind")
+    m = _bound_membership(s, params)
     mem = s.antecedent[m]
-    _require(isinstance(mem, Member) and isinstance(mem.term, Var),
-             "the bound membership must be of the form z in D")
     _require(correlation_label(mem.domain) == slot.label,
              f"correlation label {slot.label} does not match domain {mem.domain}")
     z = mem.term.name

@@ -14,7 +14,6 @@ carries identical content in tree-friendly form.
 """
 from __future__ import annotations
 
-import json
 import shlex
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,10 +21,12 @@ from typing import Optional
 
 from ..errors import DslSyntaxError, RfodError
 from ..syntax.ast import (
-    Domain, DomainTable, Formula, Outcome, Sequent, Sharp, Term, Var,
+    Domain, DomainTable, Outcome, Sharp, term_prob, term_state,
 )
-from ..syntax.parser import _Parser, parse_sequent, tokenize
-from ..syntax.printer import render_formula, render_sequent, render_term
+from ..syntax.parser import _Parser, parse_sequent
+from ..syntax.printer import (
+    render_domain, render_formula, render_sequent, render_term,
+)
 from .checker import CheckReport, Derivation, TheoryConfig, check
 from .rules import RuleId
 
@@ -65,14 +66,21 @@ def _encode_value(key: str, value) -> str:
 
 
 def _decode_value(key: str, text: str):
-    if key in _INT_PARAMS:
-        return int(text)
-    if key in _TERM_PARAMS:
-        return _parse_fragment(text, "term")
-    if key in _FORMULA_PARAMS:
-        return _parse_fragment(text, "formula")
-    if key in _LIST_PARAMS:
-        return [int(v) for v in text.split(";") if v]
+    try:
+        if key in _INT_PARAMS:
+            return int(text)
+        if key in _LIST_PARAMS:
+            return [int(v) for v in text.split(";") if v]
+    except ValueError:
+        raise RfodError(f"parameter {key}={text}: expected "
+                        + ("integers" if key in _LIST_PARAMS else "an integer"))
+    try:
+        if key in _TERM_PARAMS:
+            return _parse_fragment(text, "term")
+        if key in _FORMULA_PARAMS:
+            return _parse_fragment(text, "formula")
+    except DslSyntaxError as exc:
+        raise RfodError(f"parameter {key}={text}: {exc.message}")
     return text
 
 
@@ -104,8 +112,7 @@ def serialize_derivation(d: Derivation, domains: Optional[DomainTable] = None,
         focused = set()
     if domains is not None:
         for dom in domains.domains():
-            elems = ", ".join(render_term(e) for e in dom.elements)
-            line = f"domain {dom.name} = {{ {elems} }}"
+            line = f"domain {render_domain(dom)}"
             if dom.kind != "measured":
                 line += f" {dom.kind}"
             if dom.focused or dom.name in focused:
@@ -163,17 +170,11 @@ def derivation_to_json(d: Derivation, domains: Optional[DomainTable] = None,
 def domain_to_json(dom: Domain, focused_override: bool = False) -> dict:
     return {
         "name": dom.name,
-        "elements": [[t.state if isinstance(t, (Outcome, Sharp)) else t.name,
-                      int(Fraction(_prob(t)).numerator),
-                      int(Fraction(_prob(t)).denominator)]
-                     for t in dom.elements],
+        "elements": [[term_state(t), term_prob(t).numerator,
+                      term_prob(t).denominator] for t in dom.elements],
         "focused": bool(dom.focused or focused_override),
         "kind": dom.kind,
     }
-
-
-def _prob(t: Term) -> Fraction:
-    return t.prob if isinstance(t, Outcome) else Fraction(1)
 
 
 def domain_from_json(doc: dict) -> Domain:
@@ -203,12 +204,17 @@ def parse_script(text: str) -> ProofScript:
         line = raw.split("--", 1)[0].strip()
         if not line:
             continue
+        indent = len(raw) - len(raw.lstrip())
         try:
             if line.startswith("domain "):
                 _parse_domain_decl(line, script, focused)
             elif line.startswith("predicate "):
                 name, _, arity = line[len("predicate "):].strip().partition("/")
-                script.predicates[name.strip()] = int(arity or "1")
+                try:
+                    script.predicates[name.strip()] = int(arity or "1")
+                except ValueError:
+                    raise RfodError(f"predicate {name.strip()}: arity "
+                                    f"{arity.strip()} is not an integer")
             elif line.startswith("config "):
                 key, _, value = line[len("config "):].strip().partition(" ")
                 flag = value.strip() == "on"
@@ -222,8 +228,12 @@ def parse_script(text: str) -> ProofScript:
                 _parse_step_line(line, script, seen_ids)
             else:
                 raise RfodError(f"unrecognised script line: {line}")
+        except DslSyntaxError as exc:
+            # a sequent or term inside the line, placed by its own column
+            raise DslSyntaxError(exc.message, lineno,
+                                 indent + exc.column) from exc
         except RfodError as exc:
-            raise DslSyntaxError(str(exc), lineno, 1) from exc
+            raise DslSyntaxError(str(exc), lineno, indent + 1) from exc
     script.config = TheoryConfig(singleton_axioms=singleton,
                                  focused_domains=frozenset(focused),
                                  right_contexts_in_forall=classical)
@@ -237,7 +247,11 @@ def _parse_domain_decl(line: str, script: ProofScript, focused: set) -> None:
     if not tail.startswith("{"):
         raise RfodError(f"domain {name}: expected '= {{ ... }}'")
     body, _, supplement = tail[1:].partition("}")
-    terms = _parse_element_list(body)
+    start = line.index("{") + 1
+    try:
+        terms = _parse_element_list(body)
+    except DslSyntaxError as exc:
+        raise DslSyntaxError(exc.message, 1, start + exc.column) from exc
     flags = supplement.split()
     kind = "measured"
     is_focused = False
@@ -255,11 +269,8 @@ def _parse_domain_decl(line: str, script: ProofScript, focused: set) -> None:
 
 
 def _parse_element_list(body: str) -> list:
-    tokens = tokenize(body)
     terms = []
-    p = _Parser("")
-    p.tokens = tokens
-    p.i = 0
+    p = _Parser(body)
     while not p.at_end():
         terms.append(p.parse_term())
         if p.peek().kind == ",":
@@ -271,7 +282,10 @@ def _parse_step_line(line: str, script: ProofScript, seen_ids: dict) -> None:
     head, sep, conclusion_text = line.partition("::")
     if not sep:
         raise RfodError("step line needs ':: <sequent>'")
-    tokens = shlex.split(head)
+    try:
+        tokens = shlex.split(head)
+    except ValueError as exc:
+        raise RfodError(f"step line: {exc}")
     if len(tokens) < 3 or tokens[0] != "step":
         raise RfodError("step line starts 'step <id> <rule>'")
     step_id = tokens[1]
@@ -304,7 +318,11 @@ def _parse_step_line(line: str, script: ProofScript, seen_ids: dict) -> None:
     for r in refs:
         if r not in seen_ids:
             raise RfodError(f"step {step_id} references unknown step {r}")
-    conclusion = parse_sequent(conclusion_text.strip())
+    start = len(line) - len(conclusion_text.lstrip())
+    try:
+        conclusion = parse_sequent(line[start:])
+    except DslSyntaxError as exc:
+        raise DslSyntaxError(exc.message, 1, start + exc.column) from exc
     seen_ids[step_id] = True
     script.steps.append((step_id, rule, direction, params, refs, conclusion))
 

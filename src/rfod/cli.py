@@ -21,7 +21,7 @@ from .calculus.script import (
 )
 from .syntax.ast import ContextVar, Domain, DomainTable, Outcome, Sharp
 from .syntax.parser import parse_sequent
-from .syntax.printer import render_rational, render_sequent, render_term
+from .syntax.printer import render_domain, render_rational, render_sequent
 from . import quantum, theorems
 
 EXIT_OK = 0
@@ -298,9 +298,8 @@ def _cmd_translate(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         for d in table.domains():
-            elems = ", ".join(render_term(e) for e in d.elements)
             focused = " focused" if d.focused else ""
-            print(f"domain {d.name} = {{ {elems} }} {d.kind}{focused}")
+            print(f"domain {render_domain(d)} {d.kind}{focused}")
         print(render_sequent(sequent))
     return EXIT_OK
 

@@ -10,6 +10,7 @@ class DslSyntaxError(RfodError):
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

@@ -8,11 +8,10 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from typing import Optional
 
 from .syntax.ast import (
-    And, Atom, Bot, Domain, Eq, Exists, Forall, Formula, Member, Neq, Or,
-    Outcome, Sequent, Sharp, Star, Var,
+    And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, Eq, Exists,
+    Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Var,
 )
 
 VAR_NAMES = ("z", "y", "w", "v", "u1", "u2")
@@ -71,14 +70,12 @@ def random_formula(rng: random.Random, depth: int = 3,
         cls = Forall if kind == 3 else Exists
         return cls(binder, rng.choice(DOMAIN_NAMES),
                    random_formula(rng, depth - 1, inner))
-    from .syntax.ast import Bowtie
     return Bowtie(binder, rng.choice(DOMAIN_NAMES),
                   random_formula(rng, depth - 1, inner),
                   random_formula(rng, depth - 1, inner))
 
 
 def random_sequent(rng: random.Random, max_items: int = 3) -> Sequent:
-    from .syntax.ast import ContextVar, Correlated
     antecedent = []
     if rng.random() < 0.5:
         antecedent.append(ContextVar(rng.choice(("G", "G'", "Delta"))))

@@ -15,14 +15,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .syntax.ast import (
     Atom, ContextVar, Correlated, Domain, DomainTable, Member, Outcome,
-    Sequent, Sharp, Var,
+    Sequent, Sharp, Var, domain_kind,
 )
 
 TOLERANCES = {
@@ -233,12 +233,7 @@ def measure(psi: QState, basis: Basis) -> Domain:
     probs = _rationalize(weights)
     elements = tuple(Sharp(lab) if p == 1 else Outcome(lab, p)
                      for lab, p in zip(labels, probs))
-    if len(elements) == 1:
-        kind = "singleton"
-    elif len(set(probs)) == 1:
-        kind = "uniform"
-    else:
-        kind = "measured"
+    kind = domain_kind(probs)
     return Domain("D" + basis.name, elements,
                   focused=(kind == "singleton"), kind=kind)
 
@@ -352,8 +347,7 @@ def emit_assertion(state: QState, basis: Optional[Basis] = None,
                        (Atom(pred, (Var("z"),)), Atom(pred2, (Var("y"),))))
     probs = _rationalize([c ** 2 for c in data.coefficients])
     elements = tuple(Outcome(f"s{k + 1}", p) for k, p in enumerate(probs))
-    ds = Domain("DS", elements, focused=True,
-                kind="uniform" if probs[0] == probs[1] else "measured")
+    ds = Domain("DS", elements, focused=True, kind=domain_kind(probs))
     if table is not None:
         table.register(ds)
     return Sequent((ctx, Member(Var("z"), ds.name)),

@@ -7,7 +7,7 @@ comparisons are structural.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -388,6 +388,15 @@ def alpha_eq_all(xs: Iterable, ys: Iterable) -> bool:
 # domains
 
 DOMAIN_KINDS = ("measured", "uniform", "singleton")
+
+
+def domain_kind(probs) -> str:
+    """Kind of the domain whose outcomes carry these probabilities."""
+    if len(probs) == 1:
+        return "singleton"
+    if len(set(probs)) == 1:
+        return "uniform"
+    return "measured"
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from .calculus.rules import (
 from .syntax.ast import (
     And, Atom, Bot, ContextVar, Correlated, Domain, DomainTable, Eq, Exists,
     Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Term,
-    Var, alpha_eq, alpha_eq_all, bound_vars, free_vars, is_closed,
-    sharp_domain_name, sharp_pred_name, singleton_literal_name,
+    Var, alpha_eq, alpha_eq_all, bound_vars, domain_kind, free_vars,
+    is_closed, sharp_domain_name, sharp_pred_name, singleton_literal_name,
+    term_prob,
 )
 from .syntax.subst import (
     fresh_var, replace_term_occurrences, subst_formula, subst_sequent,
@@ -46,18 +47,8 @@ def _pred_free_vars(pred: Pred) -> frozenset:
 
 
 def _pred_bound_name(pred: Pred, preferred: str = "x") -> str:
-    if isinstance(pred, str):
-        return preferred
-    hole, template = pred
-    taken = (free_vars(template) - {hole}) | bound_vars(template)
-    if preferred not in taken:
-        return preferred
-    if preferred + "'" not in taken:
-        return preferred + "'"
-    i = 1
-    while f"{preferred}{i}" in taken:
-        i += 1
-    return f"{preferred}{i}"
+    # a closed argument leaves exactly the template's own variables taken
+    return pick_bound_name([apply_pred(pred, Sharp("_"))], preferred)
 
 
 def _gamma_tuple(gamma) -> tuple:
@@ -160,24 +151,10 @@ def derive_lemma1(gamma, pred: Pred, domain: Domain,
     conjunct_nodes = _split_conjunction(leaf, gamma)
     z = _fresh(list(gamma) + [conj], _pred_free_vars(pred))
     body = apply_pred(pred, Var(z))
-    eq_nodes = []
-    for node, e in zip(conjunct_nodes, elements):
-        conclusion = Sequent(gamma + (Eq(Var(z), e),), (body,))
-        eq_nodes.append(Derivation(conclusion, RuleId.EQ_EQUALITY, BACKWARD,
-                                   {"term": e, "var": z}, (node,)))
-    index = len(gamma)
-    merged = eq_nodes[-1]
-    disj: Formula = Eq(Var(z), elements[-1])
-    for node, e in zip(reversed(eq_nodes[:-1]), reversed(elements[:-1])):
-        disj = Or(Eq(Var(z), e), disj)
-        conclusion = Sequent(gamma + (disj,), (body,))
-        merged = Derivation(conclusion, RuleId.EQ_OR_L, FORWARD,
-                            {"index": index}, (node, merged))
-    focus = _focus_leaf(domain, z, disj, cfg)
-    cut_conclusion = Sequent(gamma + (Member(Var(z), domain.name),), (body,))
-    cut = Derivation(cut_conclusion, RuleId.CUT,
-                     params={"cut": disj, "index": index},
-                     premises=(focus, merged))
+    eq_nodes = [_eq_abstraction(node, gamma, e, z, (body,))
+                for node, e in zip(conjunct_nodes, elements)]
+    merged, disj = _or_merge(eq_nodes, len(gamma), elements, z)
+    cut = _focus_cut(merged, disj, domain, z, len(gamma), cfg)
     x = _pred_bound_name(pred)
     root = Sequent(gamma, (Forall(x, domain.name, apply_pred(pred, Var(x))),))
     return Derivation(root, RuleId.EQ_FORALL_R, FORWARD,
@@ -223,7 +200,7 @@ def derive_prop2(domain: Domain,
                 "hypothesis derivation must conclude the schematic "
                 "conjunction-to-universal instance at inequality")
         hyp = hypothesis
-    y = fresh_var(free_vars(hyp_concl) | bound_vars(hyp_concl) | {z})
+    y = _fresh([hyp_concl], {z})
     opened = Sequent(hyp_concl.antecedent + (Member(Var(y), name),),
                      (Neq(Var(z), Var(y)),))
     step2 = Derivation(opened, RuleId.EQ_FORALL_R, BACKWARD, {"var": y}, (hyp,))
@@ -289,15 +266,7 @@ def _check_batch(batch: Sequence[Judgement], arity: int) -> None:
 
 
 def _domain_from_terms(name: str, terms: Sequence[Term]) -> Domain:
-    probs = set()
-    for t in terms:
-        probs.add(t.prob if isinstance(t, Outcome) else Fraction(1))
-    if len(terms) == 1 and Fraction(1) in probs:
-        kind = "singleton"
-    elif len(probs) == 1:
-        kind = "uniform"
-    else:
-        kind = "measured"
+    kind = domain_kind([term_prob(t) for t in terms])
     # membership is defined as the disjunction of equalities with the
     # experienced outcomes, so the constructed domain is focused
     return Domain(name, tuple(terms), focused=True, kind=kind)
@@ -310,8 +279,8 @@ def _eq_abstraction(node: Derivation, gamma: tuple, term: Term, var: str,
                       {"term": term, "var": var}, (node,))
 
 
-def _or_merge(nodes: Sequence[Derivation], gamma_len: int, index: int,
-              terms: Sequence[Term], var: str) -> Tuple[Derivation, Formula]:
+def _or_merge(nodes: Sequence[Derivation], index: int, terms: Sequence[Term],
+              var: str) -> Tuple[Derivation, Formula]:
     merged = nodes[-1]
     disj: Formula = Eq(Var(var), terms[-1])
     for node, term in zip(reversed(list(nodes[:-1])), reversed(list(terms[:-1]))):
@@ -347,39 +316,48 @@ def generalize(batch: Sequence[Judgement], mode: str = "single",
     comma while the derivation ends at the plain two-formula form.
     """
     if mode == "single":
-        return _generalize_single(batch, (names or ["D"])[0], table)
+        root = _generalize_shared(batch, (names or ["D"])[0], table, 1)
+        return root.conclusion, root
     if mode == "two-variable":
         names = names or ["D", "D'"]
         return _generalize_two(batch, names[0], names[1], table)
     if mode == "correlated":
-        return _generalize_correlated(batch, (names or ["DS"])[0], table)
+        name = (names or ["DS"])[0]
+        root = _generalize_shared(batch, name, table, 2)
+        labelled = Sequent(root.conclusion.antecedent, (Correlated(
+            correlation_label(name), *root.conclusion.succedent),))
+        return labelled, root
     raise PreconditionError(f"unknown generalization mode {mode!r}")
 
 
-def _generalize_single(batch, name, table):
-    _check_batch(batch, 1)
+def _generalize_shared(batch, name, table, arity: int) -> Derivation:
+    """Judgements indexed by one term each, shared by their arity formulas."""
+    _check_batch(batch, arity)
     for j in batch:
         if len(j.terms) != 1:
-            raise PreconditionError("single mode takes one indexing term each")
+            raise PreconditionError(
+                "single and correlated modes take one indexing term per "
+                "judgement")
     gamma = batch[0].gamma
     terms = [j.terms[0] for j in batch]
     domain = _domain_from_terms(name, terms)
     if table is not None:
         table.register(domain)
-    z = _fresh(list(gamma) + [j.succedents[0] for j in batch])
-    template = _abstract_template(batch[0].succedents[0], terms[0], z)
+    z = _fresh(list(gamma) + [f for j in batch for f in j.succedents])
+    templates = tuple(_abstract_template(f, terms[0], z)
+                      for f in batch[0].succedents)
     for j, t in zip(batch, terms):
-        if not alpha_eq(subst_formula(template, z, t), j.succedents[0]):
+        want = [subst_formula(template, z, t) for template in templates]
+        if not alpha_eq_all(j.succedents, want):
             raise PreconditionError(
-                "judgements do not instantiate one formula at their terms")
-    body = template
+                "judgements do not instantiate the same formulas at their "
+                "terms")
     nodes = []
     for j, t in zip(batch, terms):
         leaf = Derivation(Sequent(gamma, j.succedents), RuleId.HYPOTHESIS)
-        nodes.append(_eq_abstraction(leaf, gamma, t, z, (body,)))
-    merged, disj = _or_merge(nodes, len(gamma), len(gamma), terms, z)
-    root = _focus_cut(merged, disj, domain, z, len(gamma))
-    return root.conclusion, root
+        nodes.append(_eq_abstraction(leaf, gamma, t, z, templates))
+    merged, disj = _or_merge(nodes, len(gamma), terms, z)
+    return _focus_cut(merged, disj, domain, z, len(gamma))
 
 
 def _generalize_two(batch, name1, name2, table):
@@ -408,8 +386,7 @@ def _generalize_two(batch, name1, name2, table):
         raise PreconditionError("two-variable mode needs two domain names")
     avoid = list(gamma) + [f for j in batch for f in j.succedents]
     z = _fresh(avoid)
-    y = fresh_var(free_vars(Sequent(gamma, batch[0].succedents))
-                  | bound_vars(Sequent(gamma, batch[0].succedents)) | {z})
+    y = _fresh([Sequent(gamma, batch[0].succedents)], {z})
     template1 = _abstract_template(batch[0].succedents[0], ts[0], z)
     template2 = _abstract_template(batch[0].succedents[1], ws[0], y)
     for k, j in enumerate(batch):
@@ -434,45 +411,12 @@ def _generalize_two(batch, name1, name2, table):
     columns = []
     for jj in range(n):
         nodes = [per_j[i * n + jj] for i in range(m)]
-        columns.append(_or_merge(nodes, L, L, ts, z))
+        columns.append(_or_merge(nodes, L, ts, z))
     rows = [c[0] for c in columns]
-    merged, disj2 = _or_merge(rows, L, L + 1, ws, y)
+    merged, disj2 = _or_merge(rows, L + 1, ws, y)
     cut1 = _focus_cut(merged, columns[0][1], d1, z, L)
     root = _focus_cut(cut1, disj2, d2, y, L + 1)
     return root.conclusion, root
-
-
-def _generalize_correlated(batch, name, table):
-    _check_batch(batch, 2)
-    for j in batch:
-        if len(j.terms) != 1:
-            raise PreconditionError(
-                "correlated mode takes one shared indexing term per judgement")
-    gamma = batch[0].gamma
-    terms = [j.terms[0] for j in batch]
-    domain = _domain_from_terms(name, terms)
-    if table is not None:
-        table.register(domain)
-    avoid = list(gamma) + [f for j in batch for f in j.succedents]
-    z = _fresh(avoid)
-    template1 = _abstract_template(batch[0].succedents[0], terms[0], z)
-    template2 = _abstract_template(batch[0].succedents[1], terms[0], z)
-    for j, t in zip(batch, terms):
-        want = (subst_formula(template1, z, t), subst_formula(template2, z, t))
-        if not alpha_eq_all(j.succedents, want):
-            raise PreconditionError(
-                "judgements do not share one index across both formulas")
-    succ = (template1, template2)
-    nodes = []
-    for j, t in zip(batch, terms):
-        leaf = Derivation(Sequent(gamma, j.succedents), RuleId.HYPOTHESIS)
-        nodes.append(_eq_abstraction(leaf, gamma, t, z, succ))
-    merged, disj = _or_merge(nodes, len(gamma), len(gamma), terms, z)
-    root = _focus_cut(merged, disj, domain, z, len(gamma))
-    label = correlation_label(name)
-    labelled = Sequent(root.conclusion.antecedent,
-                       (Correlated(label, template1, template2),))
-    return labelled, root
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +457,7 @@ def check_reversibility(domain: Domain, cfg: TheoryConfig,
                                    "index": len(gamma)},
                            premises=(fact, inst))
         eq_nodes.append(_eq_abstraction(freed, gamma, e, z, (body,)))
-    merged, disj = _or_merge(eq_nodes, len(gamma), len(gamma),
-                             list(domain.elements), z)
+    merged, disj = _or_merge(eq_nodes, len(gamma), list(domain.elements), z)
     root = _focus_cut(merged, disj, domain, z, len(gamma), cfg)
     assert alpha_eq(root.conclusion, start)
     return ReversibilityVerdict(domain.name, True, root)
@@ -551,19 +494,9 @@ def derive_collapse_and_repeat(domain: Domain, i: int, pred: Pred = "A",
     if not isinstance(pred, str):
         raise PreconditionError("collapse takes a predicate symbol")
     label = domain.labels[i - 1]
-    refl = derive_reflection(domain, pred)
-    z = refl.params["var"]
-    shadow = subst_sequent(refl.conclusion, z, Sharp(label), mode="forgetful")
-    fsubst = Derivation(shadow, RuleId.F_SUBST,
-                        params={"var": z, "state": label}, premises=(refl,))
-    fact_formula = Member(Sharp(label), sharp_domain_name(domain.name))
-    fact = Derivation(Sequent((), (fact_formula,)), RuleId.AX_SHARP_MEMBER,
-                      params={"domain": domain.name})
-    closed = refl.conclusion.antecedent[0]
-    sharp_atom = Atom(sharp_pred_name(pred), (Sharp(label),))
-    collapse = Derivation(Sequent((closed,), (sharp_atom,)), RuleId.CUT,
-                          params={"cut": fact_formula, "index": 1},
-                          premises=(fact, fsubst))
+    collapse = _collapse(domain.name, pred, label)
+    closed = collapse.conclusion.antecedent[0]
+    sharp_atom = collapse.conclusion.succedent[0]
     singleton = Domain(singleton_literal_name(label), (Sharp(label),),
                        kind="singleton")
     consequence = derive_prop1(sharp_pred_name(pred), singleton, cfg=cfg)
@@ -580,19 +513,26 @@ def derive_remeasure(domain: Domain, i: int, pred: Pred = "A") -> Derivation:
     if not 1 <= i <= len(domain.elements):
         raise PreconditionError(f"index {i} out of range")
     label = domain.labels[i - 1]
-    singleton_name = singleton_literal_name(label)
     sharp = sharp_pred_name(pred if isinstance(pred, str) else "A")
-    refl = derive_reflection(singleton_name, sharp)
+    return _collapse(singleton_literal_name(label), sharp, label)
+
+
+def _collapse(name: str, pred: str, label: str) -> Derivation:
+    """(forall x in name . pred(x)) |- pred^f(#label): reflection, the
+    forgetful substitution of #label, and a cut against the declared sharp
+    membership."""
+    refl = derive_reflection(name, pred)
     z = refl.params["var"]
     shadow = subst_sequent(refl.conclusion, z, Sharp(label), mode="forgetful")
     fsubst = Derivation(shadow, RuleId.F_SUBST,
                         params={"var": z, "state": label}, premises=(refl,))
-    fact_formula = Member(Sharp(label), singleton_name)
+    fact_formula = Member(Sharp(label), sharp_domain_name(name))
     fact = Derivation(Sequent((), (fact_formula,)), RuleId.AX_SHARP_MEMBER,
-                      params={"domain": singleton_name})
+                      params={"domain": name})
     closed = refl.conclusion.antecedent[0]
-    return Derivation(Sequent((closed,), (Atom(sharp, (Sharp(label),)),)),
-                      RuleId.CUT, params={"cut": fact_formula, "index": 1},
+    sharp_atom = Atom(sharp_pred_name(pred), (Sharp(label),))
+    return Derivation(Sequent((closed,), (sharp_atom,)), RuleId.CUT,
+                      params={"cut": fact_formula, "index": 1},
                       premises=(fact, fsubst))
 
 

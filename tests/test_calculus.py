@@ -1,19 +1,25 @@
 """Equation engine, rules, axioms, dualize, checker and scripts."""
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from rfod.errors import FragmentError, RuleError
 from rfod.calculus import (
-    Derivation, RuleId, TheoryConfig, check, check_script, dualize,
-    equation_step, parse_script, rule_step, serialize_derivation,
-    derivation_to_json,
+    EQUATIONS, Derivation, RuleId, TheoryConfig, check, check_script,
+    dualize, equation_step, parse_script, rule_step, serialize_derivation,
+    derivation_to_json, validate_step,
 )
 from rfod.syntax import (
     Atom, Bot, Domain, DomainTable, Eq, Member, Or, Outcome, Sequent, Sharp,
-    Var, alpha_eq, alpha_eq_all, parse_sequent, parse_term, render,
+    Term, Var, alpha_eq, alpha_eq_all, parse_sequent, parse_term, render,
+    replace_term_occurrences,
 )
-from rfod.theorems import schematic_domain
+from rfod.theorems import (
+    check_reversibility, derive_collapse_and_repeat, derive_distributivity,
+    derive_lemma1, derive_prop1, derive_prop2, derive_reflection,
+    schematic_domain,
+)
 
 HALF = Fraction(1, 2)
 
@@ -102,6 +108,80 @@ def test_bot_requires_right_context():
 def test_star_keeps_context():
     out = equation_step(seq("G |- A(t) * B(t), C(t)"), RuleId.EQ_STAR_R, "backward")
     assert render(out[0]) == "G |- A(t), B(t), C(t)"
+
+
+def test_binder_var_must_match_plain_side():
+    # var= is passed to the rules rewrite as given, never overridden by the
+    # membership the plain side happens to carry
+    reflection = _reflection_derivation()
+    identity = reflection.premises
+    for var, ok in (("z", True), ("y", False)):
+        verdict = rule_step(reflection.conclusion, RuleId.EQ_FORALL_R,
+                            identity, {"var": var}, direction="backward")
+        assert verdict.ok is ok, verdict.reason
+    opened = seq("y in D, z = y |- z = t1 \\/ z = t2")
+    closed = seq("exists x in D . z = x |- z = t1 \\/ z = t2")
+    for var, ok in ((None, True), ("y", True), ("w", False)):
+        params = {"index": 0, "member": 0, "body": 1}
+        if var:
+            params["var"] = var
+        verdict = rule_step(closed, RuleId.EQ_EXISTS_L, [opened], params,
+                            direction="forward")
+        assert verdict.ok is ok, verdict.reason
+
+
+def _equation_steps(m):
+    d = schematic_domain("D", m)
+    cfg = TheoryConfig(focused_domains=frozenset({"D"}),
+                       right_contexts_in_forall=True)
+    roots = [derive_reflection(d), derive_lemma1(None, "A", d, cfg=cfg),
+             derive_prop1("A", d, cfg=cfg), derive_prop2(d),
+             check_reversibility(d, cfg).witness,
+             derive_collapse_and_repeat(d, 1)[1],
+             *derive_distributivity(schematic_domain("DZ", m),
+                                    schematic_domain("DZ'", m), cfg=cfg)]
+    for root in roots:
+        for node in root.walk():
+            if node.rule in EQUATIONS:
+                yield node, cfg
+
+
+def _terms(node):
+    if isinstance(node, Term):
+        yield node
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from _terms(item)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _terms(getattr(node, f.name))
+
+
+def test_equation_mutants_rejected():
+    mutants = flipped = 0
+    for m in (2, 3):
+        for node, cfg in _equation_steps(m):
+            c = node.conclusion
+            assert validate_step(c, node.rule, node.direction, node.premises,
+                                 node.params, cfg) is None
+            for t in dict.fromkeys(_terms(c)):
+                k = 1
+                while True:
+                    mutant = replace_term_occurrences(c, t, Sharp("fresh"),
+                                                      positions=[k])
+                    if mutant == c:
+                        break
+                    with pytest.raises(RuleError):
+                        validate_step(mutant, node.rule, node.direction,
+                                      node.premises, node.params, cfg)
+                    mutants += 1
+                    k += 1
+            other = "backward" if node.direction == "forward" else "forward"
+            with pytest.raises(RuleError):
+                validate_step(c, node.rule, other, node.premises,
+                              node.params, cfg)
+            flipped += 1
+    assert (mutants, flipped) == (214, 64)
 
 
 # ---------------------------------------------------------------------------

@@ -152,3 +152,27 @@ def test_bad_script_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("line", [
+    "step 1 identity slot=abc :: A(x) |- A(x)",
+    "step 1 identity position=1;2 :: A(x) |- A(x)",
+    "step 1 weaken_l positions=a :: A(x) |- A(x)",
+    "predicate A/x",
+])
+def test_malformed_integer_is_usage_error(tmp_path, capsys, line):
+    bad = tmp_path / "bad.seq"
+    bad.write_text("-- malformed integer on line 2\n" + line + "\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert err.startswith("error: 2:")
+    assert "Traceback" not in out + err
+
+
+def test_script_error_has_one_position_at_the_failing_token(tmp_path, capsys):
+    bad = tmp_path / "bad.seq"
+    bad.write_text("-- header\n\n  step 1 identity :: A( |- \n")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    # '|-' is the 25th character of the raw third line
+    assert err == "error: 3:25: expected a term, found '|-'\n"
