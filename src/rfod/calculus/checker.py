@@ -358,6 +358,14 @@ def _validate_dualize(c: Sequent, rule: RuleId, direction: Optional[str],
 
 # -- axioms -------------------------------------------------------------------
 
+def _lookup(lookup, name: str):
+    """Resolve a domain name; an undeclared one rejects the step."""
+    try:
+        return lookup(name)
+    except DomainError as exc:
+        raise RuleError(str(exc)) from exc
+
+
 def _validate_ax_singleton(c: Sequent, rule: RuleId, direction: Optional[str],
                            premises: Sequence[Sequent], params: dict,
                            cfg: TheoryConfig, table: DomainTable) -> None:
@@ -369,7 +377,7 @@ def _validate_ax_singleton(c: Sequent, rule: RuleId, direction: Optional[str],
     _require(isinstance(mem, Member) and isinstance(mem.term, Var),
              "singleton axiom needs a variable membership on the left")
     _require(isinstance(eq, Eq), "singleton axiom concludes an equality")
-    domain = table.resolve(mem.domain)
+    domain = _lookup(table.resolve, mem.domain)
     _require(domain.kind == "singleton" or is_singleton_literal(mem.domain),
              f"domain {mem.domain} is not a singleton")
     _require(isinstance(eq.left, Var) and eq.left.name == mem.term.name,
@@ -386,7 +394,7 @@ def _validate_ax_focus(c: Sequent, rule: RuleId, direction: Optional[str],
     mem, disj = c.antecedent[0], c.succedent[0]
     _require(isinstance(mem, Member) and isinstance(mem.term, Var),
              "focus axiom needs a variable membership on the left")
-    domain = table.resolve(mem.domain)
+    domain = _lookup(table.resolve, mem.domain)
     if not cfg.is_focused(mem.domain, table):
         raise RuleError(f"domain {mem.domain} is not declared focused "
                         f"(focus axiom unavailable)")
@@ -410,7 +418,7 @@ def _validate_ax_member(c: Sequent, rule: RuleId, direction: Optional[str],
              "membership fact is |- t in D")
     mem = c.succedent[0]
     _require(isinstance(mem, Member), "membership fact concludes t in D")
-    domain = table.resolve(mem.domain)
+    domain = _lookup(table.resolve, mem.domain)
     _require(any(_element_matches(mem.term, e) for e in domain.elements),
              f"term does not name an element of {mem.domain}")
 
@@ -426,10 +434,7 @@ def _validate_ax_sharp_member(c: Sequent, rule: RuleId, direction: Optional[str]
     mem = c.succedent[0]
     _require(isinstance(mem, Member), "sharp membership fact concludes #s in D^f")
     _require(is_closed(mem.term), "sharp membership needs a closed term")
-    try:
-        labels = table.sharp_labels(mem.domain)
-    except DomainError as exc:
-        raise RuleError(str(exc))
+    labels = _lookup(table.sharp_labels, mem.domain)
     state = term_state(mem.term)
     _require(state in labels,
              f"state {state} is not an outcome of the set behind {mem.domain}")

@@ -196,8 +196,7 @@ _DIRECTIONS = {"forward", "backward"}
 
 def parse_script(text: str) -> ProofScript:
     script = ProofScript()
-    singleton = True
-    classical = False
+    flags = {"singleton_axioms": True, "classical_right_contexts": False}
     focused: set = set()
     seen_ids: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -217,13 +216,13 @@ def parse_script(text: str) -> ProofScript:
                                     f"{arity.strip()} is not an integer")
             elif line.startswith("config "):
                 key, _, value = line[len("config "):].strip().partition(" ")
-                flag = value.strip() == "on"
-                if key == "singleton_axioms":
-                    singleton = flag
-                elif key == "classical_right_contexts":
-                    classical = flag
-                else:
+                if key not in flags:
                     raise RfodError(f"unknown config key {key}")
+                value = value.strip()
+                if value not in ("on", "off"):
+                    raise RfodError(f"config {key}: expected 'on' or 'off', "
+                                    f"found {value!r}")
+                flags[key] = value == "on"
             elif line.startswith("step "):
                 _parse_step_line(line, script, seen_ids)
             else:
@@ -234,9 +233,10 @@ def parse_script(text: str) -> ProofScript:
                                  indent + exc.column) from exc
         except RfodError as exc:
             raise DslSyntaxError(str(exc), lineno, indent + 1) from exc
-    script.config = TheoryConfig(singleton_axioms=singleton,
-                                 focused_domains=frozenset(focused),
-                                 right_contexts_in_forall=classical)
+    script.config = TheoryConfig(
+        singleton_axioms=flags["singleton_axioms"],
+        focused_domains=frozenset(focused),
+        right_contexts_in_forall=flags["classical_right_contexts"])
     return script
 
 

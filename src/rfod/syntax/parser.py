@@ -20,13 +20,19 @@ Quantifiers bind weakest; & binds tighter than \\/ which binds tighter
 than *.  Comments run from "--" to end of line.  A bare identifier in
 item position is a context metavariable.  An empty succedent is allowed
 (duality can empty the right-hand side).
+
+The lexer is one scan over one pattern.  An outcome term written on one
+line, ``<t, 1/2>``, is a single ``outcome`` lexeme, and equal lexemes
+share one ``Outcome`` object.  Chains of ``&``, ``\\/`` and ``*`` are read
+as operand lists and built right-nested, so their length costs no
+recursion depth.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from ..errors import DslSyntaxError, LookupFailure
 from .ast import (
@@ -34,24 +40,31 @@ from .ast import (
     Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Term, Var,
 )
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>--[^\n]*)
+_IDENT = r"[A-Za-z_][A-Za-z0-9_'^]*"
+_KEYWORDS = frozenset({"forall", "exists", "bowtie", "in", "bot"})
+# An outcome lexeme matches only what the token-by-token reading of '<'
+# would accept: the state is not a keyword, the rational is the one token
+# the lexer would cut there, and its denominator is not zero.
+_OUTCOME = (r"<[ \t\r]*(?!(?:%s)(?![A-Za-z0-9_'^]))%s[ \t\r]*,[ \t\r]*"
+            r"(?:\d+(?:/0*[1-9]\d*)?|\.\d+)[ \t\r]*>"
+            % ("|".join(sorted(_KEYWORDS)), _IDENT))
+
+_TOKEN_RE = re.compile(r"""[ \t\r]*(?:
+    (?P<comment>--[^\n]*)
   | (?P<newline>\n)
+  | (?P<outcome>%s)
   | (?P<turnstile>\|-)
   | (?P<orop>\\/)
-  | (?P<comma_label>,_[A-Za-z_][A-Za-z0-9_'^]*)
+  | (?P<comma_label>,_%s)
   | (?P<rational>\d+(?:/\d+)?|\d*\.\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_'^]*)
+  | (?P<ident>%s)
   | (?P<neq>!=)
   | (?P<punct>[,.;()<>{}#&*=])
-""", re.VERBOSE)
+  | (?P<error>[^ \t\r])
+)""" % (_OUTCOME, _IDENT, _IDENT), re.VERBOSE)
 
-_KEYWORDS = frozenset({"forall", "exists", "bowtie", "in", "bot"})
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -60,32 +73,38 @@ class Token:
 
 def tokenize(text: str) -> list:
     tokens = []
+    append = tokens.append
     line = 1
     line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslSyntaxError(f"unexpected character {text[pos]!r}",
-                                 line, pos - line_start + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        col = pos - line_start + 1
-        pos = m.end()
         if kind == "newline":
             line += 1
-            line_start = pos
+            line_start = m.end()
             continue
-        if kind in ("ws", "comment"):
+        if kind == "comment":
             continue
-        if kind == "punct":
-            tokens.append(Token(value, value, line, col))
-        elif kind == "ident" and value in _KEYWORDS:
-            tokens.append(Token(value, value, line, col))
-        else:
-            tokens.append(Token(kind, value, line, col))
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+        value = m[kind]
+        col = m.start(kind) - line_start + 1
+        if kind == "punct" or (kind == "ident" and value in _KEYWORDS):
+            kind = value
+        elif kind == "error":
+            raise DslSyntaxError(f"unexpected character {value!r}", line, col)
+        append(Token(kind, value, line, col))
+    append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
+
+
+@lru_cache(maxsize=4096)
+def _outcome(lexeme: str) -> Outcome:
+    state, _, prob = lexeme[1:-1].partition(",")
+    return Outcome(state.strip(), Fraction(prob.strip()))
+
+
+def _shown(tok: Token) -> str:
+    # an outcome lexeme is quoted by its '<', the token an error in the
+    # token-by-token reading of the same text would quote
+    return "<" if tok.kind == "outcome" else tok.text
 
 
 class _Parser:
@@ -95,7 +114,9 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        i = self.i + ahead
+        tokens = self.tokens
+        return tokens[i] if i < len(tokens) else tokens[-1]
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
@@ -104,35 +125,47 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text!r}", tok)
-        return self.next()
+            self.fail(f"expected {kind!r}, found {_shown(tok)!r}", tok)
+        self.i += 1
+        return tok
 
     def fail(self, message: str, tok: Optional[Token] = None):
         tok = tok or self.peek()
         raise DslSyntaxError(message, tok.line, tok.column)
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.tokens[self.i].kind == "eof"
+
+    def finish(self) -> None:
+        if not self.at_end():
+            self.fail(f"trailing input {_shown(self.peek())!r}")
 
     # -- terms and domain references ---------------------------------------
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
+        tok = self.tokens[self.i]
+        kind = tok.kind
+        if kind == "outcome":
+            self.i += 1
+            return _outcome(tok.text)
+        if kind == "ident":
+            self.i += 1
             return Var(tok.text)
-        if tok.kind == "<":
-            self.next()
+        if kind == "<":
+            # reached only by an outcome term that is not one lexeme: one
+            # spread over lines or comments, or a malformed one, whose
+            # error this reading places at its failing token
+            self.i += 1
             state = self.expect("ident").text
             self.expect(",")
             prob = self.parse_rational()
             self.expect(">")
             return Outcome(state, prob)
-        if tok.kind == "#":
-            self.next()
+        if kind == "#":
+            self.i += 1
             return Sharp(self.expect("ident").text)
-        self.fail(f"expected a term, found {tok.text!r}", tok)
+        self.fail(f"expected a term, found {_shown(tok)!r}", tok)
 
     def parse_rational(self) -> Fraction:
         tok = self.expect("rational")
@@ -151,7 +184,7 @@ class _Parser:
             label = self.expect("ident").text
             self.expect("}")
             return "{" + label + "}"
-        self.fail(f"expected a domain name, found {tok.text!r}", tok)
+        self.fail(f"expected a domain name, found {_shown(tok)!r}", tok)
 
     # -- formulas ------------------------------------------------------------
     def parse_formula(self) -> Formula:
@@ -178,25 +211,27 @@ class _Parser:
         return self.parse_star()
 
     def parse_star(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "*":
-            self.next()
-            return Star(left, self.parse_star())
-        return left
+        return self._chain(self.parse_or, "*", Star)
 
     def parse_or(self) -> Formula:
-        left = self.parse_and()
-        if self.peek().kind == "orop":
-            self.next()
-            return Or(left, self.parse_or())
-        return left
+        return self._chain(self.parse_and, "orop", Or)
 
     def parse_and(self) -> Formula:
-        left = self.parse_unit()
-        if self.peek().kind == "&":
-            self.next()
-            return And(left, self.parse_and())
-        return left
+        return self._chain(self.parse_unit, "&", And)
+
+    def _chain(self, operand, op: str, node) -> Formula:
+        """operand (op operand)*, built right-nested."""
+        first = operand()
+        if self.tokens[self.i].kind != op:
+            return first
+        operands = [first]
+        while self.tokens[self.i].kind == op:
+            self.i += 1
+            operands.append(operand())
+        f = operands.pop()
+        while operands:
+            f = node(operands.pop(), f)
+        return f
 
     def parse_unit(self) -> Formula:
         tok = self.peek()
@@ -238,7 +273,8 @@ class _Parser:
         if tok.kind == "neq":
             self.next()
             return Neq(term, self.parse_term())
-        self.fail(f"expected 'in', '=' or '!=' after term, found {tok.text!r}", tok)
+        self.fail("expected 'in', '=' or '!=' after term, found "
+                  f"{_shown(tok)!r}", tok)
 
     # -- sequents ------------------------------------------------------------
     _ITEM_STOPPERS = frozenset({",", "comma_label", "turnstile", "eof"})
@@ -286,7 +322,11 @@ class _Parser:
 
 def _validate_names(s: Sequent, table: Optional[DomainTable],
                     predicates: Optional[dict]) -> None:
-    def visit(f):
+    if table is None and predicates is None:
+        return
+    stack = list(reversed(s.antecedent + s.succedent))
+    while stack:
+        f = stack.pop()
         if isinstance(f, Atom):
             if predicates is not None:
                 arity = predicates.get(f.pred)
@@ -296,30 +336,15 @@ def _validate_names(s: Sequent, table: Optional[DomainTable],
                     raise LookupFailure(
                         f"predicate {f.pred} declared with arity {arity}, "
                         f"used with {len(f.args)}")
-        elif isinstance(f, Member):
-            if table is not None and f.domain not in table:
-                raise LookupFailure(f"unknown domain {f.domain}")
-        elif isinstance(f, (And, Or, Star)):
-            visit(f.left)
-            visit(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            if table is not None and f.domain not in table:
-                raise LookupFailure(f"unknown domain {f.domain}")
-            visit(f.body)
-        elif isinstance(f, Bowtie):
-            if table is not None and f.domain not in table:
-                raise LookupFailure(f"unknown domain {f.domain}")
-            visit(f.left)
-            visit(f.right)
-
-    for item in s.antecedent + s.succedent:
-        if isinstance(item, ContextVar):
             continue
-        if isinstance(item, Correlated):
-            visit(item.left)
-            visit(item.right)
-        else:
-            visit(item)
+        if isinstance(f, (Member, Forall, Exists, Bowtie)):
+            if table is not None and f.domain not in table:
+                raise LookupFailure(f"unknown domain {f.domain}")
+        if isinstance(f, (Forall, Exists)):
+            stack.append(f.body)
+        elif isinstance(f, (And, Or, Star, Bowtie, Correlated)):
+            stack.append(f.right)
+            stack.append(f.left)
 
 
 def parse_sequent(text: str, table: Optional[DomainTable] = None,
@@ -327,8 +352,7 @@ def parse_sequent(text: str, table: Optional[DomainTable] = None,
     """Parse a sequent; optionally validate names against declarations."""
     p = _Parser(text)
     s = p.parse_sequent()
-    if not p.at_end():
-        p.fail(f"trailing input {p.peek().text!r}")
+    p.finish()
     _validate_names(s, table, predicates)
     return s
 
@@ -336,14 +360,12 @@ def parse_sequent(text: str, table: Optional[DomainTable] = None,
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
     f = p.parse_formula()
-    if not p.at_end():
-        p.fail(f"trailing input {p.peek().text!r}")
+    p.finish()
     return f
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
     t = p.parse_term()
-    if not p.at_end():
-        p.fail(f"trailing input {p.peek().text!r}")
+    p.finish()
     return t

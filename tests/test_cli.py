@@ -169,6 +169,28 @@ def test_malformed_integer_is_usage_error(tmp_path, capsys, line):
     assert "Traceback" not in out + err
 
 
+
+@pytest.mark.parametrize("value", ["yes", "ON", "", "on off"])
+def test_config_value_must_be_on_or_off(tmp_path, capsys, value):
+    bad = tmp_path / "bad.seq"
+    bad.write_text(f"-- bad config on line 2\nconfig singleton_axioms {value}\n"
+                   "step 1 ax_singleton :: z in {u} |- z = u\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert err.startswith("error: 2:1: config singleton_axioms: expected "
+                          "'on' or 'off'")
+    assert "Traceback" not in out + err
+
+
+def test_undeclared_domain_in_axiom_is_a_rejected_step(tmp_path, capsys):
+    bad = tmp_path / "bad.seq"
+    bad.write_text("step 1 ax_member :: |- #u in Q\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1
+    assert "step 1 ax_member :: |- #u in Q .. FAIL (unknown domain Q)" in out
+    assert "REJECTED" in out
+    assert "Traceback" not in out + err
+
 def test_script_error_has_one_position_at_the_failing_token(tmp_path, capsys):
     bad = tmp_path / "bad.seq"
     bad.write_text("-- header\n\n  step 1 identity :: A( |- \n")

@@ -11,7 +11,7 @@ from rfod.errors import (
 from rfod.syntax import (
     And, Atom, Bot, ContextVar, Correlated, Domain, DomainTable, Eq, Forall,
     Member, Neq, Or, Outcome, Sequent, Sharp, Star, Var, alpha_eq,
-    free_vars, parse_sequent, parse_term, render, substitute,
+    free_vars, parse_formula, parse_sequent, parse_term, render, substitute,
 )
 from rfod.gen import make_rng, random_probability_list, random_sequent
 
@@ -211,3 +211,88 @@ def test_substitution_of_distinct_variables_commutes(f, t1, t2):
 @given(f=_formulas(), t=_closed_terms)
 def test_substitution_removes_the_variable(f, t):
     assert free_vars(substitute(f, "v1", t)) == free_vars(f) - {"v1"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_formulas(), t=_closed_terms)
+def test_render_parse_is_structural_identity(f, t):
+    for g in (f, substitute(f, "v1", t)):
+        assert parse_formula(render(g)) == g
+
+
+# -- parser error positions -----------------------------------------------
+
+_PARSERS = {"formula": parse_formula, "sequent": parse_sequent,
+            "term": parse_term}
+
+
+@pytest.mark.parametrize("kind,text,exc,line,column,message", [
+    ("formula", "A(x) @ B(x)", DslSyntaxError, 1, 6,
+     "unexpected character '@'"),
+    ("formula", "A(<t, >)", DslSyntaxError, 1, 7,
+     "expected 'rational', found '>'"),
+    ("formula", "A(<t, 1/0>)", DslSyntaxError, 1, 7,
+     "bad rational literal '1/0'"),
+    ("formula", "A(<t, 3/2>)", DomainError, None, None,
+     "outcome probability must be in (0, 1], got 3/2"),
+    ("formula", "A(<t, 0>)", DomainError, None, None,
+     "outcome probability must be in (0, 1], got 0"),
+    ("formula", "A(<in, 1/2>)", DslSyntaxError, 1, 4,
+     "expected 'ident', found 'in'"),
+    ("formula", "A(<t, 1.5>)", DslSyntaxError, 1, 8,
+     "expected '>', found '.5'"),
+    ("formula", "A(<t 1/2>)", DslSyntaxError, 1, 6,
+     "expected ',', found '1/2'"),
+    ("formula", "A(<t, 1/2)", DslSyntaxError, 1, 10,
+     "expected '>', found ')'"),
+    ("formula", "A(x", DslSyntaxError, 1, 4, "expected ')', found ''"),
+    ("formula", "A(x) B(x)", DslSyntaxError, 1, 6, "trailing input 'B'"),
+    ("formula", "A(x) <t, 1/2>", DslSyntaxError, 1, 6, "trailing input '<'"),
+    ("formula", "forall x in . A(x)", DslSyntaxError, 1, 13,
+     "expected a domain name, found '.'"),
+    ("formula", "x in <t, 1/2>", DslSyntaxError, 1, 6,
+     "expected a domain name, found '<'"),
+    ("formula", "<t, 1/2> <s, 1/2>", DslSyntaxError, 1, 10,
+     "expected 'in', '=' or '!=' after term, found '<'"),
+    ("sequent", "G, z in D\n|- A(z) & @", DslSyntaxError, 2, 11,
+     "unexpected character '@'"),
+    ("sequent", "G -- a comment\n, z in D |- A(z) &", DslSyntaxError, 2, 19,
+     "expected a term, found ''"),
+    ("term", "<t, 1/2> x", DslSyntaxError, 1, 10, "trailing input 'x'"),
+])
+def test_parse_error_position_and_message(kind, text, exc, line, column,
+                                          message):
+    with pytest.raises(exc) as err:
+        _PARSERS[kind](text)
+    assert type(err.value) is exc
+    assert getattr(err.value, "line", None) == line
+    assert getattr(err.value, "column", None) == column
+    assert getattr(err.value, "message", str(err.value)) == message
+
+
+@pytest.mark.parametrize("text", [
+    "< t ,1/2 >", "<t,1/2>", "<t,\n 1/2>", "<t, -- comment\n 1/2 >",
+])
+def test_outcome_term_layouts_parse(text):
+    assert parse_term(text) == Outcome("t", Fraction(1, 2))
+
+
+# -- deep chains -----------------------------------------------------------
+
+def _right_spine(f, cls):
+    operands = []
+    while isinstance(f, cls):
+        operands.append(f.left)
+        f = f.right
+    return operands + [f]
+
+
+@pytest.mark.parametrize("op,cls", [("&", And), ("\\/", Or), ("*", Star)])
+def test_deep_chains_parse_right_nested(op, cls):
+    operands = [Atom(f"A{i % 3}", (Var(f"x{i}"),)) for i in range(3000)]
+    text = f" {op} ".join(render(a) for a in operands)
+    f = parse_formula(text)
+    assert _right_spine(f, cls) == operands
+    s = parse_sequent(f"G, {text} |- {text}")
+    assert _right_spine(s.antecedent[1], cls) == operands
+    assert _right_spine(s.succedent[0], cls) == operands
