@@ -47,16 +47,15 @@ class Derivation:
     def walk(self):
         """Post-order walk, visiting shared nodes once."""
         seen = set()
-
-        def go(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node.premises:
-                yield from go(p)
-            yield node
-
-        yield from go(self)
+        stack = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                yield node
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in reversed(node.premises))
 
 
 @dataclass

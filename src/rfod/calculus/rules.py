@@ -23,7 +23,8 @@ from ..errors import FragmentError, RuleError
 from ..syntax.ast import (
     And, Atom, Bot, Bowtie, Correlated, DomainTable, Eq, Exists, Forall,
     Formula, Member, Neq, Or, Sequent, Star, Term, Var, alpha_eq,
-    alpha_eq_all, bound_vars, free_vars, is_singleton_literal, term_state,
+    alpha_eq_all, bound_vars, children, free_vars, is_singleton_literal,
+    rebuild, term_state,
 )
 from ..syntax.printer import render_sequent
 from ..syntax.subst import (
@@ -531,28 +532,20 @@ def equation_step(s, eq: RuleId, direction: str, params: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 # dualize
 
-_DUAL_FRAGMENT = (Atom, Member, Eq, Neq, And, Or, Forall, Exists)
+#: the dual of each class of the dualizable fragment; each pair shares
+#: one layout, and atoms and memberships are self-dual
+_DUAL = {Atom: Atom, Member: Member, Eq: Neq, Neq: Eq, And: Or, Or: And,
+         Forall: Exists, Exists: Forall}
 
 
-def _dual_formula(f: Formula) -> Formula:
-    if isinstance(f, Atom):
+def _dual_formula(f):
+    if isinstance(f, Term):
         return f
-    if isinstance(f, Member):
-        return f
-    if isinstance(f, Eq):
-        return Neq(f.left, f.right)
-    if isinstance(f, Neq):
-        return Eq(f.left, f.right)
-    if isinstance(f, And):
-        return Or(_dual_formula(f.left), _dual_formula(f.right))
-    if isinstance(f, Or):
-        return And(_dual_formula(f.left), _dual_formula(f.right))
-    if isinstance(f, Forall):
-        return Exists(f.var, f.domain, _dual_formula(f.body))
-    if isinstance(f, Exists):
-        return Forall(f.var, f.domain, _dual_formula(f.body))
-    raise FragmentError(
-        f"formula outside the dualizable fragment: {type(f).__name__}")
+    dual = _DUAL.get(type(f))
+    if dual is None:
+        raise FragmentError(
+            f"formula outside the dualizable fragment: {type(f).__name__}")
+    return rebuild(f, map(_dual_formula, children(f)), dual)
 
 
 def dualize(s: Sequent) -> Sequent:
@@ -563,7 +556,7 @@ def dualize(s: Sequent) -> Sequent:
     membership-first form the transform is an involution.
     """
     for item in s.antecedent:
-        if not isinstance(item, _DUAL_FRAGMENT):
+        if type(item) not in _DUAL:
             raise FragmentError(
                 f"antecedent item outside the dualizable fragment: "
                 f"{type(item).__name__}")
@@ -571,7 +564,7 @@ def dualize(s: Sequent) -> Sequent:
         if isinstance(slot, Member):
             raise FragmentError(
                 "top-level succedent membership cannot be dualized")
-        if not isinstance(slot, _DUAL_FRAGMENT):
+        if type(slot) not in _DUAL:
             raise FragmentError(
                 f"succedent item outside the dualizable fragment: "
                 f"{type(slot).__name__}")

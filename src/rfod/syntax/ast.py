@@ -4,6 +4,19 @@ Everything here is immutable after construction, so values can be shared
 freely between threads.  Term equality identifies an outcome carrying
 probability 1 with the sharp term of the same state label; all other
 comparisons are structural.
+
+The layout of every node class is spelled out once, in the ``_SHAPES``
+table: the node's children in reading order, the node rebuilt from new
+children, and its other fields that alpha-equivalence compares (a
+binder's ``var`` is the one field handled outside the table).  Every
+structural operation goes through it: ``children``, ``walk`` and
+``map_children`` here, and ``free_vars``, ``bound_vars`` and
+``alpha_eq``, which walk with an explicit stack, so the depth of a
+formula costs them no recursion.  ``map_children`` returns the node
+itself when every child comes back identical, so an operation that
+changes nothing below a node keeps that subtree shared, and
+``alpha_eq`` answers ``a is b`` at once wherever no bound variable is
+renamed.
 """
 from __future__ import annotations
 
@@ -32,12 +45,6 @@ class Term:
         if not isinstance(other, Term):
             return NotImplemented
         return self._key() == other._key()
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __hash__(self):
         return hash(self._key())
@@ -233,7 +240,103 @@ class Sequent:
 
 
 # ---------------------------------------------------------------------------
-# free variables
+# the shape of each node class
+
+def _pair(n):
+    return None, (n.left, n.right)
+
+
+def _closed_term(n):
+    # compared by term equality, which identifies <s, 1> with #s
+    return n, ()
+
+
+def _body(n):
+    return n.domain, (n.body,)
+
+
+class _ShapeTable(dict):
+    def __missing__(self, cls):
+        raise TypeError(f"unsupported syntax node class {cls.__name__}")
+
+
+#: node class -> (shape, rebuild).  ``shape(node)`` is ``(head, children)``:
+#: head holds the fields besides the children that alpha-equivalence
+#: compares, children are the sub-nodes in reading order.
+#: ``rebuild(node, children)`` is a node of the row's class with the given
+#: children and node's other fields; leaves have none.  A binder's ``var``
+#: is the one field read outside this table.
+_SHAPES = _ShapeTable({
+    Var: (lambda n: (n.name, ()), None),
+    Outcome: (_closed_term, None),
+    Sharp: (_closed_term, None),
+    Atom: (lambda n: (n.pred, n.args), lambda n, cs: Atom(n.pred, cs)),
+    Member: (lambda n: (n.domain, (n.term,)),
+             lambda n, cs: Member(cs[0], n.domain)),
+    Eq: (_pair, lambda n, cs: Eq(*cs)),
+    Neq: (_pair, lambda n, cs: Neq(*cs)),
+    And: (_pair, lambda n, cs: And(*cs)),
+    Or: (_pair, lambda n, cs: Or(*cs)),
+    Star: (_pair, lambda n, cs: Star(*cs)),
+    Bot: (lambda n: (n.label, ()), None),
+    Forall: (_body, lambda n, cs: Forall(n.var, n.domain, *cs)),
+    Exists: (_body, lambda n, cs: Exists(n.var, n.domain, *cs)),
+    Bowtie: (lambda n: (n.domain, (n.left, n.right)),
+             lambda n, cs: Bowtie(n.var, n.domain, *cs)),
+    ContextVar: (lambda n: (n.name, ()), None),
+    Correlated: (lambda n: (n.label, (n.left, n.right)),
+                 lambda n, cs: Correlated(n.label, *cs)),
+    Sequent: (lambda n: (len(n.antecedent), n.antecedent + n.succedent),
+              lambda n, cs: Sequent(cs[:len(n.antecedent)],
+                                    cs[len(n.antecedent):])),
+})
+
+#: classes whose ``var`` binds in all of their children; each is built as
+#: ``cls(var, domain, *children)``
+BINDERS = frozenset({Forall, Exists, Bowtie})
+
+# outcome and sharp terms compare across the two classes
+_CLOSED = frozenset({Outcome, Sharp})
+
+
+def children(node) -> tuple:
+    """The sub-nodes of a node in reading order (terms included)."""
+    return _SHAPES[type(node)][0](node)[1]
+
+
+def rebuild(node, kids, cls=None):
+    """``node`` with its children replaced by ``kids``; built as ``cls``
+    instead of node's own class when given, which must share its layout
+    (``And``/``Or``, ``Forall``/``Exists``, ``Eq``/``Neq``)."""
+    return _SHAPES[cls or type(node)][1](node, tuple(kids))
+
+
+def map_children(node, fn):
+    """``node`` with ``fn`` applied to each child.  When every child comes
+    back identical the result is ``node`` itself, so unchanged subtrees
+    stay shared."""
+    shape, build = _SHAPES[type(node)]
+    kids = shape(node)[1]
+    if not kids:
+        return node
+    new = tuple(map(fn, kids))
+    for old, cur in zip(kids, new):
+        if old is not cur:
+            return build(node, new)
+    return node
+
+
+def walk(node):
+    """Every node below ``node``, itself first, in reading order."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(children(n)))
+
+
+# ---------------------------------------------------------------------------
+# free and bound variables
 
 def free_vars(node) -> frozenset:
     """Free first-order variable names of a term/formula/item/sequent.
@@ -241,141 +344,79 @@ def free_vars(node) -> frozenset:
     Context metavariables contribute nothing: by convention the contexts
     they stand for do not depend on the instantiated variables.
     """
-    acc: set = set()
-    _collect_free(node, acc)
+    acc = set()
+    bound = {}  # name -> number of enclosing binders of that name
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        cls = type(n)
+        if cls is Var:
+            if not bound.get(n.name):
+                acc.add(n.name)
+        elif cls is str:
+            # a binder's var: the scope it opened is done
+            bound[n] -= 1
+        else:
+            kids = _SHAPES[cls][0](n)[1]
+            if cls in BINDERS:
+                bound[n.var] = bound.get(n.var, 0) + 1
+                stack.append(n.var)
+            stack.extend(kids)
     return frozenset(acc)
-
-
-def _collect_free(node, acc: set) -> None:
-    if isinstance(node, Var):
-        acc.add(node.name)
-    elif isinstance(node, (Outcome, Sharp, ContextVar, Bot)):
-        pass
-    elif isinstance(node, Atom):
-        for a in node.args:
-            _collect_free(a, acc)
-    elif isinstance(node, Member):
-        _collect_free(node.term, acc)
-    elif isinstance(node, (Eq, Neq)):
-        _collect_free(node.left, acc)
-        _collect_free(node.right, acc)
-    elif isinstance(node, (And, Or, Star)):
-        _collect_free(node.left, acc)
-        _collect_free(node.right, acc)
-    elif isinstance(node, (Forall, Exists)):
-        inner: set = set()
-        _collect_free(node.body, inner)
-        inner.discard(node.var)
-        acc |= inner
-    elif isinstance(node, Bowtie):
-        inner = set()
-        _collect_free(node.left, inner)
-        _collect_free(node.right, inner)
-        inner.discard(node.var)
-        acc |= inner
-    elif isinstance(node, Correlated):
-        _collect_free(node.left, acc)
-        _collect_free(node.right, acc)
-    elif isinstance(node, Sequent):
-        for item in node.antecedent + node.succedent:
-            _collect_free(item, acc)
-    else:
-        raise TypeError(f"free_vars: unsupported node {node!r}")
 
 
 def bound_vars(node) -> frozenset:
-    acc: set = set()
-    _collect_bound(node, acc)
-    return frozenset(acc)
-
-
-def _collect_bound(node, acc: set) -> None:
-    if isinstance(node, (Forall, Exists)):
-        acc.add(node.var)
-        _collect_bound(node.body, acc)
-    elif isinstance(node, Bowtie):
-        acc.add(node.var)
-        _collect_bound(node.left, acc)
-        _collect_bound(node.right, acc)
-    elif isinstance(node, (And, Or, Star)):
-        _collect_bound(node.left, acc)
-        _collect_bound(node.right, acc)
-    elif isinstance(node, Correlated):
-        _collect_bound(node.left, acc)
-        _collect_bound(node.right, acc)
-    elif isinstance(node, Sequent):
-        for item in node.antecedent + node.succedent:
-            _collect_bound(item, acc)
+    return frozenset(n.var for n in walk(node) if type(n) in BINDERS)
 
 
 # ---------------------------------------------------------------------------
 # alpha equivalence
 
 def alpha_eq(a, b) -> bool:
-    """Structural equality up to renaming of bound variables."""
-    return _alpha(a, b, {}, {})
+    """Structural equality up to renaming of bound variables.
 
-
-def _alpha(a, b, env_ab: dict, env_ba: dict) -> bool:
-    if isinstance(a, Term) or isinstance(b, Term):
-        return _alpha_term(a, b, env_ab, env_ba)
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ContextVar):
-        return a.name == b.name
-    if isinstance(a, Atom):
-        return a.pred == b.pred and len(a.args) == len(b.args) and all(
-            _alpha_term(x, y, env_ab, env_ba) for x, y in zip(a.args, b.args))
-    if isinstance(a, Member):
-        return a.domain == b.domain and _alpha_term(a.term, b.term, env_ab, env_ba)
-    if isinstance(a, (Eq, Neq)):
-        return (_alpha_term(a.left, b.left, env_ab, env_ba)
-                and _alpha_term(a.right, b.right, env_ab, env_ba))
-    if isinstance(a, (And, Or, Star, Correlated)):
-        if isinstance(a, Correlated) and a.label != b.label:
+    A pair is compared under the renaming that its enclosing binders set
+    up, or under none (``None``) while every binder pair so far bound the
+    same name, which renames nothing.  Only under no renaming does one
+    shared object compare equal to itself without a look inside:
+    ``forall x in D . A(x)`` and ``forall y in D . A(x)`` can share the
+    very same ``A(x)``.
+    """
+    stack = [(a, b, None)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        a, b, env = pop()
+        if a is b and env is None:
+            continue
+        ca = type(a)
+        cb = type(b)
+        if ca is Var or cb is Var:
+            if ca is not cb:
+                return False
+            x = a.name
+            y = b.name
+            if env is not None and (x in env[0] or y in env[1]):
+                if env[0].get(x) != y or env[1].get(y) != x:
+                    return False
+            elif x != y:
+                return False
+            continue
+        if ca is not cb and not (ca in _CLOSED and cb in _CLOSED):
             return False
-        return (_alpha(a.left, b.left, env_ab, env_ba)
-                and _alpha(a.right, b.right, env_ab, env_ba))
-    if isinstance(a, Bot):
-        return a.label == b.label
-    if isinstance(a, (Forall, Exists)):
-        if a.domain != b.domain:
+        head_a, kids_a = _SHAPES[ca][0](a)
+        head_b, kids_b = _SHAPES[cb][0](b)
+        if head_a != head_b or len(kids_a) != len(kids_b):
             return False
-        ab = dict(env_ab)
-        ba = dict(env_ba)
-        ab[a.var] = b.var
-        ba[b.var] = a.var
-        return _alpha(a.body, b.body, ab, ba)
-    if isinstance(a, Bowtie):
-        if a.domain != b.domain:
-            return False
-        ab = dict(env_ab)
-        ba = dict(env_ba)
-        ab[a.var] = b.var
-        ba[b.var] = a.var
-        return (_alpha(a.left, b.left, ab, ba)
-                and _alpha(a.right, b.right, ab, ba))
-    if isinstance(a, Sequent):
-        if len(a.antecedent) != len(b.antecedent):
-            return False
-        if len(a.succedent) != len(b.succedent):
-            return False
-        return all(_alpha(x, y, env_ab, env_ba)
-                   for x, y in zip(a.antecedent + a.succedent,
-                                   b.antecedent + b.succedent))
-    raise TypeError(f"alpha_eq: unsupported node {a!r}")
-
-
-def _alpha_term(a, b, env_ab: dict, env_ba: dict) -> bool:
-    if isinstance(a, Var) and isinstance(b, Var):
-        if a.name in env_ab or b.name in env_ba:
-            return env_ab.get(a.name) == b.name and env_ba.get(b.name) == a.name
-        return a.name == b.name
-    if isinstance(a, Term) and isinstance(b, Term):
-        if isinstance(a, Var) or isinstance(b, Var):
-            return False
-        return a == b
-    return False
+        if ca in BINDERS and (env is not None or a.var != b.var):
+            ab, ba = ({}, {}) if env is None else (dict(env[0]), dict(env[1]))
+            ab[a.var] = b.var
+            ba[b.var] = a.var
+            env = (ab, ba)
+        for x, y in zip(kids_a, kids_b):
+            if x is not y or env is not None:
+                push((x, y, env))
+    return True
 
 
 def alpha_eq_all(xs: Iterable, ys: Iterable) -> bool:

@@ -38,10 +38,16 @@ from ..errors import DslSyntaxError, LookupFailure
 from .ast import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, DomainTable, Eq, Exists,
     Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Term, Var,
+    walk,
 )
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_'^]*"
 _KEYWORDS = frozenset({"forall", "exists", "bowtie", "in", "bot"})
+_WITH_DOMAIN = frozenset({Member, Forall, Exists, Bowtie})
+# Each parenthesis costs the parser eight stack frames, a binder one; a
+# text nested deeper is refused at the token that opens the extra level,
+# well inside the interpreter's default recursion limit.
+MAX_NESTING = 100
 # An outcome lexeme matches only what the token-by-token reading of '<'
 # would accept: the state is not a keyword, the rational is the one token
 # the lexer would cut there, and its denominator is not zero.
@@ -111,6 +117,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0  # open parentheses and binders
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -187,17 +194,25 @@ class _Parser:
         self.fail(f"expected a domain name, found {_shown(tok)!r}", tok)
 
     # -- formulas ------------------------------------------------------------
+    def enter(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"formula nested deeper than {MAX_NESTING} levels", tok)
+
     def parse_formula(self) -> Formula:
         tok = self.peek()
         if tok.kind in ("forall", "exists"):
+            self.enter(tok)
             self.next()
             var = self.expect("ident").text
             self.expect("in")
             dom = self.parse_domain_ref()
             self.expect(".")
             body = self.parse_formula()
+            self.depth -= 1
             return (Forall if tok.kind == "forall" else Exists)(var, dom, body)
         if tok.kind == "bowtie":
+            self.enter(tok)
             self.next()
             var = self.expect("ident").text
             self.expect("in")
@@ -207,6 +222,7 @@ class _Parser:
             self.expect(";")
             right = self.parse_formula()
             self.expect(")")
+            self.depth -= 1
             return Bowtie(var, dom, left, right)
         return self.parse_star()
 
@@ -236,9 +252,11 @@ class _Parser:
     def parse_unit(self) -> Formula:
         tok = self.peek()
         if tok.kind == "(":
+            self.enter(tok)
             self.next()
             f = self.parse_formula()
             self.expect(")")
+            self.depth -= 1
             return f
         if tok.kind in ("forall", "exists", "bowtie"):
             self.fail("quantified formula must be parenthesised here "
@@ -324,27 +342,19 @@ def _validate_names(s: Sequent, table: Optional[DomainTable],
                     predicates: Optional[dict]) -> None:
     if table is None and predicates is None:
         return
-    stack = list(reversed(s.antecedent + s.succedent))
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
+    for node in walk(s):
+        if type(node) is Atom:
             if predicates is not None:
-                arity = predicates.get(f.pred)
+                arity = predicates.get(node.pred)
                 if arity is None:
-                    raise LookupFailure(f"unknown predicate symbol {f.pred}")
-                if arity != len(f.args):
+                    raise LookupFailure(f"unknown predicate symbol {node.pred}")
+                if arity != len(node.args):
                     raise LookupFailure(
-                        f"predicate {f.pred} declared with arity {arity}, "
-                        f"used with {len(f.args)}")
-            continue
-        if isinstance(f, (Member, Forall, Exists, Bowtie)):
-            if table is not None and f.domain not in table:
-                raise LookupFailure(f"unknown domain {f.domain}")
-        if isinstance(f, (Forall, Exists)):
-            stack.append(f.body)
-        elif isinstance(f, (And, Or, Star, Bowtie, Correlated)):
-            stack.append(f.right)
-            stack.append(f.left)
+                        f"predicate {node.pred} declared with arity {arity}, "
+                        f"used with {len(node.args)}")
+        elif type(node) in _WITH_DOMAIN:
+            if table is not None and node.domain not in table:
+                raise LookupFailure(f"unknown domain {node.domain}")
 
 
 def parse_sequent(text: str, table: Optional[DomainTable] = None,

@@ -20,6 +20,13 @@ _LEVEL_OR = 2
 _LEVEL_AND = 3
 _LEVEL_UNIT = 4
 
+#: chain class -> (operator, level of a left operand, level of the chain)
+_CHAINS = {
+    Star: (" * ", _LEVEL_OR, _LEVEL_STAR),
+    Or: (" \\/ ", _LEVEL_AND, _LEVEL_OR),
+    And: (" & ", _LEVEL_UNIT, _LEVEL_AND),
+}
+
 
 def render_rational(p: Fraction) -> str:
     if p.denominator == 1:
@@ -48,18 +55,18 @@ def render_formula(f: Formula, level: int = _LEVEL_FORMULA) -> str:
         right = render_formula(f.right, _LEVEL_FORMULA)
         text = f"bowtie {f.var} in {f.domain} ({left}; {right})"
         return f"({text})" if level > _LEVEL_FORMULA else text
-    if isinstance(f, Star):
-        text = (f"{render_formula(f.left, _LEVEL_OR)} * "
-                f"{render_formula(f.right, _LEVEL_STAR)}")
-        return f"({text})" if level > _LEVEL_STAR else text
-    if isinstance(f, Or):
-        text = (f"{render_formula(f.left, _LEVEL_AND)} \\/ "
-                f"{render_formula(f.right, _LEVEL_OR)}")
-        return f"({text})" if level > _LEVEL_OR else text
-    if isinstance(f, And):
-        text = (f"{render_formula(f.left, _LEVEL_UNIT)} & "
-                f"{render_formula(f.right, _LEVEL_AND)}")
-        return f"({text})" if level > _LEVEL_AND else text
+    chain = _CHAINS.get(type(f))
+    if chain is not None:
+        # a right-nested chain is printed as one operand list
+        op, operand_level, own_level = chain
+        cls = type(f)
+        parts = []
+        while type(f) is cls:
+            parts.append(render_formula(f.left, operand_level))
+            f = f.right
+        parts.append(render_formula(f, own_level))
+        text = op.join(parts)
+        return f"({text})" if level > own_level else text
     if isinstance(f, Atom):
         args = ", ".join(render_term(a) for a in f.args)
         return f"{f.pred}({args})"

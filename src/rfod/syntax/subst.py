@@ -5,9 +5,9 @@ from typing import Iterable, Optional
 
 from ..errors import SubstitutionError
 from .ast import (
-    And, Atom, Bot, Bowtie, ContextVar, Correlated, Eq, Exists, Forall,
-    Formula, Member, Neq, Or, Sequent, Sharp, Star, Term, Var,
-    bound_vars, free_vars, is_closed, sharp_domain_name, sharp_pred_name,
+    BINDERS, Atom, Formula, Member, Sequent, Sharp, Term, Var, bound_vars,
+    children, free_vars, is_closed, map_children, sharp_domain_name,
+    sharp_pred_name,
 )
 
 
@@ -23,55 +23,30 @@ def fresh_var(avoid: Iterable[str]) -> str:
     return f"z{i}"
 
 
-def subst_term(t: Term, v: str, replacement: Term) -> Term:
-    if isinstance(t, Var) and t.name == v:
-        return replacement
-    return t
+def subst_formula(f, v: str, t: Term):
+    """Replace free occurrences of v by t in a term, formula, item or
+    sequent, renaming binders that would capture.  Whatever holds no free
+    v comes back as the same object."""
 
+    def go(node):
+        cls = type(node)
+        if cls is Var:
+            return t if node.name == v else node
+        if cls not in BINDERS:
+            return map_children(node, go)
+        if node.var == v:
+            return node
+        free = free_vars(node)
+        if v not in free:
+            return node
+        if not (type(t) is Var and t.name == node.var):
+            return map_children(node, go)
+        new = fresh_var(free | {v, t.name})
+        renamed = (subst_formula(c, node.var, Var(new))
+                   for c in children(node))
+        return cls(new, node.domain, *map(go, renamed))
 
-def subst_formula(f: Formula, v: str, t: Term) -> Formula:
-    """Replace free occurrences of v by t, renaming binders that would capture."""
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(subst_term(a, v, t) for a in f.args))
-    if isinstance(f, Member):
-        return Member(subst_term(f.term, v, t), f.domain)
-    if isinstance(f, Eq):
-        return Eq(subst_term(f.left, v, t), subst_term(f.right, v, t))
-    if isinstance(f, Neq):
-        return Neq(subst_term(f.left, v, t), subst_term(f.right, v, t))
-    if isinstance(f, And):
-        return And(subst_formula(f.left, v, t), subst_formula(f.right, v, t))
-    if isinstance(f, Or):
-        return Or(subst_formula(f.left, v, t), subst_formula(f.right, v, t))
-    if isinstance(f, Star):
-        return Star(subst_formula(f.left, v, t), subst_formula(f.right, v, t))
-    if isinstance(f, Bot):
-        return f
-    if isinstance(f, (Forall, Exists)):
-        cls = type(f)
-        if f.var == v:
-            return f
-        if v not in free_vars(f):
-            return f
-        body = f.body
-        var = f.var
-        if isinstance(t, Var) and t.name == var:
-            new = fresh_var(free_vars(body) | {v, t.name})
-            body = subst_formula(body, var, Var(new))
-            var = new
-        return cls(var, f.domain, subst_formula(body, v, t))
-    if isinstance(f, Bowtie):
-        if f.var == v or v not in free_vars(f):
-            return f
-        left, right, var = f.left, f.right, f.var
-        if isinstance(t, Var) and t.name == var:
-            new = fresh_var(free_vars(left) | free_vars(right) | {v, t.name})
-            left = subst_formula(left, var, Var(new))
-            right = subst_formula(right, var, Var(new))
-            var = new
-        return Bowtie(var, f.domain, subst_formula(left, v, t),
-                      subst_formula(right, v, t))
-    raise TypeError(f"subst_formula: unsupported formula {f!r}")
+    return go(f)
 
 
 def substitute(f: Formula, v: str, t: Term, mode: str = "plain") -> Formula:
@@ -93,59 +68,35 @@ def substitute(f: Formula, v: str, t: Term, mode: str = "plain") -> Formula:
     return forgetful_formula(f, v, t)
 
 
-def forgetful_formula(f: Formula, v: str, t: Sharp) -> Formula:
-    if isinstance(f, Atom):
-        if any(isinstance(a, Var) and a.name == v for a in f.args):
-            return Atom(sharp_pred_name(f.pred),
-                        tuple(subst_term(a, v, t) for a in f.args))
-        return f
-    if isinstance(f, Member):
-        if isinstance(f.term, Var) and f.term.name == v:
-            return Member(t, sharp_domain_name(f.domain))
-        return f
-    if isinstance(f, Eq):
-        return Eq(subst_term(f.left, v, t), subst_term(f.right, v, t))
-    if isinstance(f, Neq):
-        return Neq(subst_term(f.left, v, t), subst_term(f.right, v, t))
-    if isinstance(f, And):
-        return And(forgetful_formula(f.left, v, t), forgetful_formula(f.right, v, t))
-    if isinstance(f, Or):
-        return Or(forgetful_formula(f.left, v, t), forgetful_formula(f.right, v, t))
-    if isinstance(f, Star):
-        return Star(forgetful_formula(f.left, v, t), forgetful_formula(f.right, v, t))
-    if isinstance(f, Bot):
-        return f
-    if isinstance(f, (Forall, Exists)):
-        if f.var == v:
-            return f
-        return type(f)(f.var, f.domain, forgetful_formula(f.body, v, t))
-    if isinstance(f, Bowtie):
-        if f.var == v:
-            return f
-        return Bowtie(f.var, f.domain, forgetful_formula(f.left, v, t),
-                      forgetful_formula(f.right, v, t))
-    raise TypeError(f"forgetful_formula: unsupported formula {f!r}")
+def forgetful_formula(f, v: str, t: Sharp):
+    def go(node):
+        cls = type(node)
+        if cls is Var:
+            return t if node.name == v else node
+        if cls is Atom:
+            if any(type(a) is Var and a.name == v for a in node.args):
+                return Atom(sharp_pred_name(node.pred),
+                            tuple(map(go, node.args)))
+            return node
+        if cls is Member:
+            if type(node.term) is Var and node.term.name == v:
+                return Member(t, sharp_domain_name(node.domain))
+            return node
+        if cls in BINDERS and node.var == v:
+            return node
+        return map_children(node, go)
 
-
-def _map_item(item, fn):
-    if isinstance(item, ContextVar):
-        return item
-    if isinstance(item, Correlated):
-        return Correlated(item.label, fn(item.left), fn(item.right))
-    return fn(item)
+    return go(f)
 
 
 def subst_sequent(s: Sequent, v: str, t: Term, mode: str = "plain") -> Sequent:
     """Substitute throughout a sequent; context metavariables pass unchanged
     (the contexts they stand for do not depend on the variable)."""
     if mode == "plain":
-        fn = lambda f: subst_formula(f, v, t)
-    else:
-        if not isinstance(t, Sharp):
-            raise SubstitutionError("forgetful substitution requires a sharp term")
-        fn = lambda f: forgetful_formula(f, v, t)
-    return Sequent(tuple(_map_item(i, fn) for i in s.antecedent),
-                   tuple(_map_item(i, fn) for i in s.succedent))
+        return subst_formula(s, v, t)
+    if not isinstance(t, Sharp):
+        raise SubstitutionError("forgetful substitution requires a sharp term")
+    return forgetful_formula(s, v, t)
 
 
 def fresh_for(node, extra: Iterable[str] = ()) -> str:
@@ -166,47 +117,17 @@ def replace_term_occurrences(s: Sequent, old: Term, new: Term,
     """
     wanted = None if positions is None else set(positions)
     counter = [0]
+    closed = not isinstance(old, Var)
 
-    def replace_at(t, shadowed):
-        if isinstance(old, Var) and old.name in shadowed:
-            return t
-        if t == old:
-            counter[0] += 1
-            if wanted is None or counter[0] in wanted:
-                return new
-        return t
+    def visit(node, shadowed):
+        if isinstance(node, Term):
+            if node == old and (closed or old.name not in shadowed):
+                counter[0] += 1
+                if wanted is None or counter[0] in wanted:
+                    return new
+            return node
+        if type(node) in BINDERS:
+            shadowed = shadowed | {node.var}
+        return map_children(node, lambda c: visit(c, shadowed))
 
-    def visit(f, shadowed):
-        if isinstance(f, Atom):
-            return Atom(f.pred, tuple(replace_at(a, shadowed) for a in f.args))
-        if isinstance(f, Member):
-            return Member(replace_at(f.term, shadowed), f.domain)
-        if isinstance(f, Eq):
-            return Eq(replace_at(f.left, shadowed), replace_at(f.right, shadowed))
-        if isinstance(f, Neq):
-            return Neq(replace_at(f.left, shadowed), replace_at(f.right, shadowed))
-        if isinstance(f, And):
-            return And(visit(f.left, shadowed), visit(f.right, shadowed))
-        if isinstance(f, Or):
-            return Or(visit(f.left, shadowed), visit(f.right, shadowed))
-        if isinstance(f, Star):
-            return Star(visit(f.left, shadowed), visit(f.right, shadowed))
-        if isinstance(f, Bot):
-            return f
-        if isinstance(f, (Forall, Exists)):
-            return type(f)(f.var, f.domain, visit(f.body, shadowed | {f.var}))
-        if isinstance(f, Bowtie):
-            inner = shadowed | {f.var}
-            return Bowtie(f.var, f.domain, visit(f.left, inner), visit(f.right, inner))
-        raise TypeError(f"replace_term_occurrences: unsupported {f!r}")
-
-    def map_item(item):
-        if isinstance(item, ContextVar):
-            return item
-        if isinstance(item, Correlated):
-            return Correlated(item.label, visit(item.left, set()),
-                              visit(item.right, set()))
-        return visit(item, set())
-
-    return Sequent(tuple(map_item(i) for i in s.antecedent),
-                   tuple(map_item(i) for i in s.succedent))
+    return visit(s, frozenset())

@@ -102,19 +102,14 @@ def _split_conjunction(leaf: Derivation, gamma: tuple) -> list:
     """EQ_AND_R backward down the right-associated spine; returns one node
     per conjunct, in order."""
     out = []
-
-    def go(node: Derivation, formula: Formula):
-        if not isinstance(formula, And):
-            out.append(node)
-            return
-        left = Derivation(Sequent(gamma, (formula.left,)), RuleId.EQ_AND_R,
-                          BACKWARD, {"pick": "left"}, (node,))
-        right = Derivation(Sequent(gamma, (formula.right,)), RuleId.EQ_AND_R,
-                           BACKWARD, {"pick": "right"}, (node,))
-        out.append(left)
-        go(right, formula.right)
-
-    go(leaf, leaf.conclusion.succedent[0])
+    node, formula = leaf, leaf.conclusion.succedent[0]
+    while isinstance(formula, And):
+        out.append(Derivation(Sequent(gamma, (formula.left,)), RuleId.EQ_AND_R,
+                              BACKWARD, {"pick": "left"}, (node,)))
+        node = Derivation(Sequent(gamma, (formula.right,)), RuleId.EQ_AND_R,
+                          BACKWARD, {"pick": "right"}, (node,))
+        formula = formula.right
+    out.append(node)
     return out
 
 

@@ -1,5 +1,6 @@
 """Command dispatch, exit codes, and the derive/check round trip."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +199,39 @@ def test_script_error_has_one_position_at_the_failing_token(tmp_path, capsys):
     assert code == 2
     # '|-' is the 25th character of the raw third line
     assert err == "error: 3:25: expected a term, found '|-'\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_derive_script_matches_golden(tmp_path, capsys, target):
+    # reflection's golden script is the default size, the one criterion 1
+    # pins; the other targets are pinned at m=3
+    argv = ["derive", target, "--out", str(tmp_path / "out.script")]
+    if target != "reflection":
+        argv += ["--m", "3"]
+    if target in ("lemma1", "prop1", "prop3"):
+        argv += ["--focused", "D"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, out
+    assert (tmp_path / "out.script").read_bytes() == \
+        (GOLDEN / f"{target}.script").read_bytes()
+
+
+@pytest.mark.parametrize("levels,accepted", [(100, True), (130, False),
+                                             (1200, False)])
+def test_deep_parentheses_are_a_parse_error(tmp_path, capsys, levels,
+                                            accepted):
+    script = tmp_path / "deep.seq"
+    prefix = "step 1 identity :: "
+    script.write_text(f"{prefix}{'(' * levels}A(x){')' * levels} |- A(x)\n")
+    code, out, err = run(capsys, "check", str(script))
+    assert "Traceback" not in out + err
+    if accepted:
+        assert code == 0 and "ACCEPTED" in out
+    else:
+        # the parenthesis that opens level 101
+        assert code == 2
+        assert err == (f"error: 1:{len(prefix) + 101}: formula nested "
+                       "deeper than 100 levels\n")

@@ -9,9 +9,10 @@ from rfod.errors import (
     DomainError, DslSyntaxError, LookupFailure, SubstitutionError,
 )
 from rfod.syntax import (
-    And, Atom, Bot, ContextVar, Correlated, Domain, DomainTable, Eq, Forall,
-    Member, Neq, Or, Outcome, Sequent, Sharp, Star, Var, alpha_eq,
-    free_vars, parse_formula, parse_sequent, parse_term, render, substitute,
+    And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, DomainTable, Eq,
+    Exists, Forall, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Var,
+    alpha_eq, bound_vars, children, free_vars, map_children, parse_formula,
+    parse_sequent, parse_term, render, subst_formula, substitute,
 )
 from rfod.gen import make_rng, random_probability_list, random_sequent
 
@@ -220,6 +221,95 @@ def test_render_parse_is_structural_identity(f, t):
         assert parse_formula(render(g)) == g
 
 
+# -- binders ---------------------------------------------------------------
+
+_VARS = ("x", "y", "v")
+_terms = st.one_of(st.sampled_from([Var(n) for n in _VARS]), _closed_terms)
+
+
+@st.composite
+def _binder_formulas(draw, depth=3):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            return Atom(draw(st.sampled_from("AB")),
+                        tuple(draw(st.lists(_terms, min_size=1, max_size=2))))
+        if kind == 1:
+            return Member(draw(_terms), draw(st.sampled_from(["D", "E"])))
+        if kind == 2:
+            return draw(st.sampled_from([Eq, Neq]))(draw(_terms), draw(_terms))
+        return Bot(draw(st.sampled_from([None, "Y"])))
+    cls = draw(st.sampled_from([And, Or, Star, Forall, Exists, Bowtie]))
+    sub = [draw(_binder_formulas(depth - 1))
+           for _ in range(1 if cls in (Forall, Exists) else 2)]
+    if cls in (And, Or, Star):
+        return cls(*sub)
+    return cls(draw(st.sampled_from(_VARS)), draw(st.sampled_from(["D", "E"])),
+               *sub)
+
+
+@st.composite
+def _binder_sequents(draw):
+    antecedent = [ContextVar("G")] + draw(st.lists(_binder_formulas(),
+                                                   max_size=2))
+    succedent = draw(st.lists(_binder_formulas(), max_size=2))
+    if draw(st.booleans()):
+        succedent.append(Correlated("S", draw(_binder_formulas(2)),
+                                    draw(_binder_formulas(2))))
+    return Sequent(tuple(antecedent), tuple(succedent))
+
+
+def _rename_bound(node, fresh):
+    """node with every binder renamed to a name never used before."""
+    node = map_children(node, lambda c: _rename_bound(c, fresh))
+    if isinstance(node, (Forall, Exists, Bowtie)):
+        new = f"r{next(fresh)}"
+        return type(node)(new, node.domain, *(
+            subst_formula(c, node.var, Var(new)) for c in children(node)))
+    return node
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=_binder_sequents())
+def test_renaming_bound_variables_keeps_alpha_and_free_vars(s):
+    renamed = _rename_bound(s, iter(range(10**6)))
+    assert alpha_eq(renamed, s) and alpha_eq(s, renamed)
+    assert free_vars(renamed) == free_vars(s)
+    assert not bound_vars(renamed) & set(_VARS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=_binder_sequents())
+def test_render_parse_is_structural_identity_with_binders(s):
+    assert parse_sequent(render(s)) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_binder_formulas(), v=st.sampled_from(_VARS), t=_terms)
+def test_substitution_shares_what_it_does_not_touch(f, v, t):
+    out = subst_formula(f, v, t)
+    if v not in free_vars(f):
+        assert out is f
+    else:
+        assert v not in free_vars(out) or t == Var(v)
+
+
+def test_substitution_renames_a_capturing_binder():
+    f = Forall("x", "D", Atom("A", (Var("x"), Var("v"))))
+    out = subst_formula(f, "v", Var("x"))
+    assert out.var != "x"
+    assert alpha_eq(out, Forall("w", "D", Atom("A", (Var("w"), Var("x")))))
+    assert free_vars(out) == {"x"}
+
+
+def test_shared_body_under_different_binders_is_not_alpha_equal():
+    body = Atom("A", (Var("x"),))
+    assert not alpha_eq(Forall("x", "D", body), Forall("y", "D", body))
+    assert not alpha_eq(Forall("y", "D", body), Forall("x", "D", body))
+    assert alpha_eq(Forall("x", "D", body), Forall("x", "D", body))
+    assert alpha_eq(body, body)
+
+
 # -- parser error positions -----------------------------------------------
 
 _PARSERS = {"formula": parse_formula, "sequent": parse_sequent,
@@ -296,3 +386,8 @@ def test_deep_chains_parse_right_nested(op, cls):
     s = parse_sequent(f"G, {text} |- {text}")
     assert _right_spine(s.antecedent[1], cls) == operands
     assert _right_spine(s.succedent[0], cls) == operands
+    assert free_vars(f) == {f"x{i}" for i in range(3000)}
+    assert bound_vars(f) == frozenset()
+    assert alpha_eq(s.antecedent[1], s.succedent[0])
+    assert not alpha_eq(f, parse_formula(text + f" {op} A0(y)"))
+    assert _right_spine(parse_formula(render(f)), cls) == operands

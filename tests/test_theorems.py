@@ -64,6 +64,18 @@ def test_lemma1_accepts_focused_rejects_unfocused(m):
     assert rejected.first_failure.rule is RuleId.AX_FOCUS
 
 
+def test_lemma1_deep_domain_builds_checks_and_renders():
+    d = schematic_domain("D", 2000)
+    derivation = derive_lemma1((ContextVar("G"),), "A", d, cfg=FOCUSED_D)
+    assert check(derivation, FOCUSED_D, table_for(d)).accepted
+    root = derivation.conclusion
+    assert alpha_eq(parse_sequent(render(root)), root)
+    # the open leaf carries the 2000-conjunct chain
+    (leaf,) = [n for n in derivation.walk() if not n.premises
+               and n.rule is RuleId.HYPOTHESIS]
+    assert alpha_eq(parse_sequent(render(leaf.conclusion)), leaf.conclusion)
+
+
 def test_lemma1_single_open_leaf():
     d = schematic_domain("D", 3)
     derivation = derive_lemma1(None, "A", d, cfg=FOCUSED_D)
