@@ -141,9 +141,8 @@ def _completions(rule: RuleId, connective: Sequent, plain: Sequent,
     membership on the plain side (for the existential also the positions of
     that membership and of the body).  One parameter set per reading."""
     options = [params]
-    at = _CONNECTIVE_AT.get(rule)
-    if at is not None and at[0] not in params:
-        key, side, cls = at
+    key, side, cls = _CONNECTIVE_AT[rule]
+    if isinstance(key, str) and key not in params:
         options = [dict(params, **{key: i})
                    for i, f in enumerate(getattr(connective, side))
                    if isinstance(f, cls)]
@@ -231,29 +230,41 @@ def _validate_cut(c: Sequent, rule: RuleId, direction: Optional[str],
     raise RuleError("conclusion does not splice the cut premises")
 
 
-def _validate_subst(c: Sequent, rule: RuleId, direction: Optional[str],
-                    premises: Sequence[Sequent], params: dict,
-                    cfg: TheoryConfig, table: DomainTable) -> None:
-    premise = premises[0]
-    pairs = []
-    if "var" in params and "term" in params:
-        pairs.append((params["var"], params["term"]))
+def _subst_pairs(c: Sequent, premise: Sequent, params: dict, key: str):
+    """The (variable, value) pairs a substitution step may have used: the
+    step's var= and key= parameters, or else every variable membership of
+    the premise whose place the conclusion fills with a membership of a
+    closed term.  The value is that term, or with key "state" (forgetful
+    substitution) its state label.  A variable that also names a context
+    metavariable of the premise rejects the step once its pair is reached."""
+    forgetful = key == "state"
+    if "var" in params and key in params:
+        pairs = [(params["var"], params[key])]
     else:
-        for pm, pc in zip(premise.antecedent, c.antecedent):
-            if (isinstance(pm, Member) and isinstance(pm.term, Var)
-                    and isinstance(pc, Member) and is_closed(pc.term)
-                    and pm.domain == pc.domain):
-                pairs.append((pm.term.name, pc.term))
-    _require(bool(pairs), "cannot determine the substituted variable; "
-                          "pass var=<v> term=<t>")
-    for v, t in pairs:
-        if not is_closed(t):
-            raise RuleError(f"substituted term {t!r} is not closed")
+        pairs = [(pm.term.name, term_state(pc.term) if forgetful else pc.term)
+                 for pm, pc in zip(premise.antecedent, c.antecedent)
+                 if isinstance(pm, Member) and isinstance(pm.term, Var)
+                 and isinstance(pc, Member) and is_closed(pc.term)
+                 and pc.domain == (sharp_domain_name(pm.domain) if forgetful
+                                   else pm.domain)]
+    _require(bool(pairs), f"cannot determine the substitution; "
+                          f"pass var=<v> {key}=<{key[0]}>")
+    for v, value in pairs:
         if any(isinstance(i, ContextVar) and i.name == v
                for i in premise.antecedent + premise.succedent):
             raise RuleError(
                 f"variable {v} also names a context metavariable; its "
                 f"occurrences there are unknowable")
+        yield v, value
+
+
+def _validate_subst(c: Sequent, rule: RuleId, direction: Optional[str],
+                    premises: Sequence[Sequent], params: dict,
+                    cfg: TheoryConfig, table: DomainTable) -> None:
+    premise = premises[0]
+    for v, t in _subst_pairs(c, premise, params, "term"):
+        if not is_closed(t):
+            raise RuleError(f"substituted term {t!r} is not closed")
         if alpha_eq(subst_sequent(premise, v, t), c):
             return
     raise RuleError("conclusion is not a substitution instance of the premise")
@@ -266,18 +277,7 @@ def _validate_f_subst(c: Sequent, rule: RuleId, direction: Optional[str],
         raise RuleError("forgetful substitution is disabled: it rests on "
                         "the singleton axioms (singleton_axioms off)")
     premise = premises[0]
-    pairs = []
-    if "var" in params and "state" in params:
-        pairs.append((params["var"], params["state"]))
-    else:
-        for pm, pc in zip(premise.antecedent, c.antecedent):
-            if (isinstance(pm, Member) and isinstance(pm.term, Var)
-                    and isinstance(pc, Member) and is_closed(pc.term)
-                    and pc.domain == sharp_domain_name(pm.domain)):
-                pairs.append((pm.term.name, term_state(pc.term)))
-    _require(bool(pairs), "cannot determine the forgetful substitution; "
-                          "pass var=<v> state=<s>")
-    for v, s in pairs:
+    for v, s in _subst_pairs(c, premise, params, "state"):
         mem_domains = [i.domain for i in premise.antecedent
                        if isinstance(i, Member) and isinstance(i.term, Var)
                        and i.term.name == v]

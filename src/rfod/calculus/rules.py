@@ -7,11 +7,17 @@ equation is the one exception to that reading: Leibniz rewriting consumes
 the equality, so its composed side is the equality-free sequent and
 ``backward`` is the step that abstracts a term into a fresh variable.
 
-The ``decompose_*`` and ``compose_*`` functions are the only definition
-of the eight equations: ``equation_step`` applies them, and the checker
-validates an equation step by recomputing it with them.  The checker
-passes the step's parameters through unchanged and infers only the
-missing ones, so each parameter means the same thing in both.
+The ``decompose_*`` functions are the only definition of the eight
+equations, and each is read both ways.  ``equation_step`` applies one
+backward as it is.  Forward, it puts the connective together from its
+parts on the plain side and keeps the result only when the
+decomposition gives the plain side back, so every side condition is
+checked in one place.  The equality equation is read forward by
+``compose_equality`` alone: its decomposition cannot say which
+occurrences of the term it abstracted.  The checker validates an
+equation step by recomputing it the same way.  It passes the step's
+parameters through unchanged and infers only the missing ones, so each
+parameter means the same thing in all three.
 """
 from __future__ import annotations
 
@@ -21,10 +27,10 @@ from typing import Optional, Sequence
 
 from ..errors import FragmentError, RuleError
 from ..syntax.ast import (
-    And, Atom, Bot, Bowtie, Correlated, DomainTable, Eq, Exists, Forall,
-    Formula, Member, Neq, Or, Sequent, Star, Term, Var, alpha_eq,
+    BINDERS, And, Atom, Bot, Bowtie, Correlated, DomainTable, Eq, Exists,
+    Forall, Formula, Member, Neq, Or, Sequent, Star, Term, Var, alpha_eq,
     alpha_eq_all, bound_vars, children, free_vars, is_singleton_literal,
-    rebuild, term_state,
+    rebuild, rewrite, term_state,
 )
 from ..syntax.printer import render_sequent
 from ..syntax.subst import (
@@ -120,31 +126,28 @@ def _require(cond: bool, message: str):
         raise RuleError(message)
 
 
-def _single_formula_slot(s: Sequent, side: str = "succedent") -> Formula:
-    slots = s.succedent if side == "succedent" else s.antecedent
-    _require(len(slots) == 1, f"expected exactly one {side} item")
-    item = slots[0]
-    _require(isinstance(item, Formula), f"{side} item must be a formula")
-    return item
-
-
-#: where an equation's connective sits: the parameter naming its position,
-#: the side, and the connective's class (the other equations have it in a
-#: fixed place)
+#: where each equation's connective sits: the parameter naming its
+#: position (or the fixed position: 0 for the lone succedent item, -1 for
+#: the last one), the side, and the connective's class.  The
+#: ``decompose_*`` functions, the forward reading and the checker's
+#: parameter completion all read it.
 _CONNECTIVE_AT = {
     RuleId.EQ_FORALL_R: ("slot", "succedent", Forall),
+    RuleId.EQ_AND_R: (0, "succedent", And),
     RuleId.EQ_STAR_R: ("slot", "succedent", Star),
+    RuleId.EQ_BOT_R: (-1, "succedent", Bot),
     RuleId.EQ_OR_L: ("index", "antecedent", Or),
     RuleId.EQ_EXISTS_L: ("index", "antecedent", Exists),
     RuleId.EQ_EQUALITY: ("index", "antecedent", Eq),
+    RuleId.EQ_BOWTIE_R: (0, "succedent", Bowtie),
 }
 
 
 def _find_connective(s: Sequent, rule: RuleId, params: Optional[dict]) -> int:
     key, side, cls = _CONNECTIVE_AT[rule]
     items = getattr(s, side)
-    if params and key in params:
-        k = params[key]
+    if isinstance(key, int) or params and key in params:
+        k = key % len(items) if isinstance(key, int) else params[key]
         if not 0 <= k < len(items):
             raise RuleError(f"{side} position {k} out of range")
         if not isinstance(items[k], cls):
@@ -228,16 +231,6 @@ def _element_matches(term: Term, element: Term) -> bool:
     return isinstance(term, Var) and term.name == term_state(element)
 
 
-def _bound_membership(s: Sequent, params: dict) -> int:
-    """Position of the membership z in D that a composition binds."""
-    m = params.get("member", len(s.antecedent) - 1)
-    _require(0 <= m < len(s.antecedent), "no antecedent membership to bind")
-    mem = s.antecedent[m]
-    _require(isinstance(mem, Member) and isinstance(mem.term, Var),
-             "the bound membership must be of the form z in D")
-    return m
-
-
 def _forall_guard(side: Sequent, cfg: TheoryConfig):
     if not cfg.right_contexts_in_forall and len(side.succedent) != 1:
         raise RuleError(
@@ -246,7 +239,8 @@ def _forall_guard(side: Sequent, cfg: TheoryConfig):
 
 
 # ---------------------------------------------------------------------------
-# equation rewrites: decompose (connective side -> plain side) and compose
+# equation rewrites: decompose (connective side -> plain side), read
+# forward by _compose
 
 def decompose_forall(s: Sequent, params: Optional[dict],
                      cfg: TheoryConfig) -> list:
@@ -259,50 +253,11 @@ def decompose_forall(s: Sequent, params: Optional[dict],
     return [Sequent(s.antecedent + (Member(Var(z), q.domain),), succ)]
 
 
-def compose_forall(s: Sequent, params: Optional[dict],
-                   cfg: TheoryConfig) -> Sequent:
-    params = params or {}
-    m = _bound_membership(s, params)
-    mem = s.antecedent[m]
-    z = mem.term.name
-    ant = s.antecedent[:m] + s.antecedent[m + 1:]
-    candidates = [params["slot"]] if "slot" in params else [
-        i for i, f in enumerate(s.succedent)
-        if isinstance(f, Formula) and z in free_vars(f)]
-    _require(len(candidates) >= 1, f"no succedent slot mentions {z}")
-    _require(len(candidates) == 1,
-             f"ambiguous slot for binding {z}, pass slot=<index>")
-    k = candidates[0]
-    body = s.succedent[k]
-    _require(isinstance(body, Formula), "cannot quantify a context variable")
-    rest = Sequent(ant, s.succedent[:k] + s.succedent[k + 1:])
-    _require(z not in free_vars(rest),
-             f"variable {z} is free in the remaining sequent")
-    x = params.get("bound") or pick_bound_name([body])
-    _require(x not in free_vars(body) - {z} and x not in bound_vars(body)
-             or x == z,
-             f"bound name {x} would capture in {render_sequent(s)}")
-    result = Sequent(ant, s.succedent[:k]
-                     + (Forall(x, mem.domain, subst_formula(body, z, Var(x))),)
-                     + s.succedent[k + 1:])
-    _forall_guard(result, cfg)
-    return result
-
-
 def decompose_and(s: Sequent, params: Optional[dict]) -> list:
-    f = _single_formula_slot(s)
-    _require(isinstance(f, And), "succedent is not a conjunction")
+    _require(len(s.succedent) == 1, "expected exactly one succedent item")
+    f = s.succedent[_find_connective(s, RuleId.EQ_AND_R, params)]
     return [Sequent(s.antecedent, (f.left,)),
             Sequent(s.antecedent, (f.right,))]
-
-
-def compose_and(premises: Sequence[Sequent]) -> Sequent:
-    _require(len(premises) == 2, "conjunction needs two premises")
-    a = _single_formula_slot(premises[0])
-    b = _single_formula_slot(premises[1])
-    _require(alpha_eq_all(premises[0].antecedent, premises[1].antecedent),
-             "conjunction premises must share the same context")
-    return Sequent(premises[0].antecedent, (And(a, b),))
 
 
 def decompose_star(s: Sequent, params: Optional[dict]) -> list:
@@ -312,33 +267,10 @@ def decompose_star(s: Sequent, params: Optional[dict]) -> list:
     return [Sequent(s.antecedent, succ)]
 
 
-def compose_star(s: Sequent, params: Optional[dict]) -> Sequent:
-    params = params or {}
-    if "slot" in params:
-        k = params["slot"]
-    else:
-        _require(len(s.succedent) == 2,
-                 "pass slot=<index> to pick the two merged slots")
-        k = 0
-    _require(0 <= k < len(s.succedent) - 1, f"slot {k} out of range")
-    a, b = s.succedent[k], s.succedent[k + 1]
-    _require(isinstance(a, Formula) and isinstance(b, Formula),
-             "merged slots must both be formulas")
-    succ = s.succedent[:k] + (Star(a, b),) + s.succedent[k + 2:]
-    return Sequent(s.antecedent, succ)
-
-
 def decompose_bot(s: Sequent, params: Optional[dict]) -> list:
     _require(len(s.succedent) >= 2, "falsum needs a non-empty right context")
-    last = s.succedent[-1]
-    _require(isinstance(last, Bot), "last succedent slot is not a falsum")
+    _find_connective(s, RuleId.EQ_BOT_R, params)
     return [Sequent(s.antecedent, s.succedent[:-1])]
-
-
-def compose_bot(s: Sequent, params: Optional[dict]) -> Sequent:
-    params = params or {}
-    _require(len(s.succedent) >= 1, "falsum needs a non-empty right context")
-    return Sequent(s.antecedent, s.succedent + (Bot(params.get("label")),))
 
 
 def decompose_or(s: Sequent, params: Optional[dict]) -> list:
@@ -348,27 +280,6 @@ def decompose_or(s: Sequent, params: Optional[dict]) -> list:
                     s.succedent),
             Sequent(s.antecedent[:j] + (f.right,) + s.antecedent[j + 1:],
                     s.succedent)]
-
-
-def compose_or(premises: Sequence[Sequent], params: Optional[dict]) -> Sequent:
-    _require(len(premises) == 2, "disjunction needs two premises")
-    p, q = premises
-    _require(len(p.antecedent) == len(q.antecedent)
-             and alpha_eq_all(p.succedent, q.succedent),
-             "disjunction premises must agree outside the disjuncts")
-    diffs = [i for i in range(len(p.antecedent))
-             if not alpha_eq(p.antecedent[i], q.antecedent[i])]
-    if params and "index" in params:
-        j = params["index"]
-        _require(diffs in ([j], []), "premises differ away from index")
-    else:
-        _require(len(diffs) == 1, "premises must differ in exactly one item")
-        j = diffs[0]
-    a, b = p.antecedent[j], q.antecedent[j]
-    _require(isinstance(a, Formula) and isinstance(b, Formula),
-             "disjuncts must be formulas")
-    return Sequent(p.antecedent[:j] + (Or(a, b),) + p.antecedent[j + 1:],
-                   p.succedent)
 
 
 def decompose_exists(s: Sequent, params: Optional[dict]) -> list:
@@ -389,31 +300,6 @@ def decompose_exists(s: Sequent, params: Optional[dict]) -> list:
     rest = iter(s.antecedent[:j] + s.antecedent[j + 1:])
     ant = tuple(opened[i] if i in opened else next(rest) for i in range(size))
     return [Sequent(ant, s.succedent)]
-
-
-def compose_exists(s: Sequent, params: Optional[dict]) -> Sequent:
-    params = params or {}
-    members = [i for i, f in enumerate(s.antecedent)
-               if isinstance(f, Member) and isinstance(f.term, Var)]
-    _require(members, "no variable membership to close under the existential")
-    im = params.get("member", members[-1])
-    mem = s.antecedent[im]
-    _require(isinstance(mem, Member) and isinstance(mem.term, Var),
-             "member index does not name a variable membership")
-    z = mem.term.name
-    ib = params.get("body", im - 1)
-    _require(0 <= ib < len(s.antecedent) and ib != im,
-             "no body item for the existential")
-    body = s.antecedent[ib]
-    _require(isinstance(body, Formula), "existential body must be a formula")
-    keep = [f for i, f in enumerate(s.antecedent) if i not in (im, ib)]
-    _require(z not in free_vars(Sequent(tuple(keep), s.succedent)),
-             f"variable {z} is free outside the existential body")
-    x = params.get("bound") or pick_bound_name([body])
-    ex = Exists(x, mem.domain, subst_formula(body, z, Var(x)))
-    at = params.get("slot", min(im, ib))
-    keep.insert(min(at, len(keep)), ex)
-    return Sequent(tuple(keep), s.succedent)
 
 
 def decompose_equality(s: Sequent, params: Optional[dict]) -> list:
@@ -455,32 +341,13 @@ def compose_equality(s: Sequent, params: Optional[dict]) -> Sequent:
 
 
 def decompose_bowtie(s: Sequent, params: Optional[dict]) -> list:
-    f = _single_formula_slot(s)
-    _require(isinstance(f, Bowtie), "succedent is not a bowtie formula")
+    _require(len(s.succedent) == 1, "expected exactly one succedent item")
+    f = s.succedent[_find_connective(s, RuleId.EQ_BOWTIE_R, params)]
     z = _fresh_choice(s, params)
     left = subst_formula(f.left, f.var, Var(z))
     right = subst_formula(f.right, f.var, Var(z))
     slot = Correlated(correlation_label(f.domain), left, right)
     return [Sequent(s.antecedent + (Member(Var(z), f.domain),), (slot,))]
-
-
-def compose_bowtie(s: Sequent, params: Optional[dict]) -> Sequent:
-    params = params or {}
-    _require(len(s.succedent) == 1 and isinstance(s.succedent[0], Correlated),
-             "succedent must be a single correlated slot")
-    slot = s.succedent[0]
-    m = _bound_membership(s, params)
-    mem = s.antecedent[m]
-    _require(correlation_label(mem.domain) == slot.label,
-             f"correlation label {slot.label} does not match domain {mem.domain}")
-    z = mem.term.name
-    ant = s.antecedent[:m] + s.antecedent[m + 1:]
-    _require(z not in free_vars(Sequent(ant, ())),
-             f"variable {z} is free in the context")
-    x = params.get("bound") or pick_bound_name([slot.left, slot.right])
-    f = Bowtie(x, mem.domain, subst_formula(slot.left, z, Var(x)),
-               subst_formula(slot.right, z, Var(x)))
-    return Sequent(ant, (f,))
 
 
 _DECOMPOSE = {
@@ -493,6 +360,81 @@ _DECOMPOSE = {
     RuleId.EQ_EQUALITY: lambda s, p, cfg: decompose_equality(s, p),
     RuleId.EQ_BOWTIE_R: lambda s, p, cfg: decompose_bowtie(s, p),
 }
+
+
+def _compose(plain: list, eq: RuleId, params: Optional[dict],
+             cfg: TheoryConfig) -> Sequent:
+    """The forward reading of an equation: its connective put together from
+    the parts on the plain side.
+
+    The parts are the membership z in D that a binder closes (``member``,
+    by default the last one) and the items the connective takes: at
+    ``slot``, at ``body`` for the existential, or where two premises
+    differ.  The result is kept only when the equation's ``decompose_*``
+    gives the plain side back, so freshness, capture, the right-context
+    guard, the correlation label and the agreement of two premises are
+    all checked there.
+    """
+    key, side, cls = _CONNECTIVE_AT[eq]
+    p = dict(params or {})
+    s = plain[0]
+    items = getattr(s, side)
+    taken = set()  # (side, position) of the plain items the connective takes
+    if cls in BINDERS:
+        vars_at = [i for i, f in enumerate(s.antecedent)
+                   if isinstance(f, Member) and isinstance(f.term, Var)]
+        m = p.setdefault("member", vars_at[-1] if vars_at else None)
+        _require(m in vars_at, "no membership z in D to bind at that position")
+        z, domain = s.antecedent[m].term.name, s.antecedent[m].domain
+        p.setdefault("var", z)
+        taken.add(("antecedent", m))
+    part_key = "body" if cls is Exists else key
+    if isinstance(key, int):
+        k = len(items) if cls is Bot else key  # falsum goes after the last
+    elif part_key in p:
+        k = p[part_key]
+    else:
+        if len(plain) == 2:
+            other = getattr(plain[1], side)
+            hits = [i for i, (a, b) in enumerate(zip(items, other))
+                    if not alpha_eq(a, b)]
+        elif cls is Forall:
+            hits = [i for i, f in enumerate(items) if z in free_vars(f)]
+        else:
+            hits = [m - 1] if cls is Exists else [0] if len(items) == 2 else []
+        _require(len(hits) == 1, f"cannot tell where the parts of the "
+                                 f"{cls.__name__} are, pass {part_key}=<index>")
+        k = hits[0]
+    width = 2 if cls is Star else 0 if cls is Bot else 1
+    parts = [f for q in plain for f in getattr(q, side)[k:k + width]]
+    _require(k >= 0 and len(parts) == width * len(plain),
+             f"{side} position {k} out of range")
+    if cls is Bowtie:
+        _require(isinstance(parts[0], Correlated),
+                 "a bowtie closes a correlated slot")
+        parts = children(parts[0])
+    _require(all(isinstance(f, Formula) for f in parts),
+             f"the parts of a {cls.__name__} must be formulas")
+    if cls in BINDERS:
+        x = p.get("bound") or pick_bound_name(parts)
+        made = cls(x, domain, *(subst_formula(f, z, Var(x)) for f in parts))
+    else:
+        made = Bot(p.get("label")) if cls is Bot else cls(*parts)
+    taken |= {(side, i) for i in range(k, k + width)}
+    at = k
+    if cls is Exists:
+        p["body"] = k
+        at = p.setdefault(key, min(m, k))
+    elif isinstance(key, str):
+        p[key] = k
+    kept = {n: [f for i, f in enumerate(getattr(s, n)) if (n, i) not in taken]
+            for n in ("antecedent", "succedent")}
+    kept[side].insert(at, made)
+    composed = Sequent(kept["antecedent"], kept["succedent"])
+    _require(alpha_eq_all(_DECOMPOSE[eq](composed, p, cfg), plain),
+             f"{render_sequent(composed)} does not decompose back to the "
+             f"plain side of {eq.value}")
+    return composed
 
 
 def equation_step(s, eq: RuleId, direction: str, params: Optional[dict] = None,
@@ -510,23 +452,12 @@ def equation_step(s, eq: RuleId, direction: str, params: Optional[dict] = None,
         return _DECOMPOSE[eq](s, params, cfg)
     _require(direction == FORWARD, f"unknown direction {direction!r}")
     seqs = [s] if isinstance(s, Sequent) else list(s)
-    if eq is RuleId.EQ_AND_R:
-        return [compose_and(seqs)]
-    if eq is RuleId.EQ_OR_L:
-        return [compose_or(seqs, params)]
-    _require(len(seqs) == 1, f"{eq.value} composes from a single sequent")
-    one = seqs[0]
-    if eq is RuleId.EQ_FORALL_R:
-        return [compose_forall(one, params, cfg)]
-    if eq is RuleId.EQ_STAR_R:
-        return [compose_star(one, params)]
-    if eq is RuleId.EQ_BOT_R:
-        return [compose_bot(one, params)]
-    if eq is RuleId.EQ_EXISTS_L:
-        return [compose_exists(one, params)]
+    count = 2 if eq in (RuleId.EQ_AND_R, RuleId.EQ_OR_L) else 1
+    _require(len(seqs) == count,
+             f"{eq.value} composes from {count} sequent(s)")
     if eq is RuleId.EQ_EQUALITY:
-        return [compose_equality(one, params)]
-    return [compose_bowtie(one, params)]
+        return [compose_equality(seqs[0], params)]
+    return [_compose(seqs, eq, params, cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +470,18 @@ _DUAL = {Atom: Atom, Member: Member, Eq: Neq, Neq: Eq, And: Or, Or: And,
 
 
 def _dual_formula(f):
-    if isinstance(f, Term):
-        return f
-    dual = _DUAL.get(type(f))
-    if dual is None:
-        raise FragmentError(
-            f"formula outside the dualizable fragment: {type(f).__name__}")
-    return rebuild(f, map(_dual_formula, children(f)), dual)
+    def enter(node, _):
+        if isinstance(node, Term):
+            return node, None
+        dual = _DUAL.get(type(node))
+        if dual is None:
+            raise FragmentError(f"formula outside the dualizable fragment: "
+                                f"{type(node).__name__}")
+        if dual is type(node):  # atoms and memberships hold only terms
+            return node, None
+        return rebuild(node, children(node), dual), ()
+
+    return rewrite(f, enter)
 
 
 def dualize(s: Sequent) -> Sequent:

@@ -65,7 +65,7 @@ def random_formula(rng: random.Random, depth: int = 3,
         return cls(random_formula(rng, depth - 1, vars_in_scope),
                    random_formula(rng, depth - 1, vars_in_scope))
     binder = rng.choice(("x", "x'", "q"))
-    inner = tuple(set(vars_in_scope) | {binder})
+    inner = tuple(dict.fromkeys((*vars_in_scope, binder)))
     if kind < 5:
         cls = Forall if kind == 3 else Exists
         return cls(binder, rng.choice(DOMAIN_NAMES),

@@ -2,9 +2,9 @@
 
 from .ast import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, DomainTable,
-    Eq, Exists, Forall, Formula, Member, Neq, Or, Outcome, PROB_SUM_TOL,
-    Sequent, Sharp, Star, Term, Var, alpha_eq, alpha_eq_all, bound_vars,
-    children, free_vars, is_closed, is_singleton_literal, map_children,
+    Eq, Exists, Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp,
+    Star, Term, Var, alpha_eq, alpha_eq_all, bound_vars, children,
+    free_vars, is_closed, is_singleton_literal, map_children,
     sharp_domain_name, sharp_pred_name, singleton_literal_name, term_prob,
     term_state, walk,
 )
@@ -14,14 +14,14 @@ from .printer import (
     render_term,
 )
 from .subst import (
-    forgetful_formula, fresh_for, fresh_var, replace_term_occurrences,
-    subst_formula, subst_sequent, substitute,
+    forgetful_formula, fresh_var, replace_term_occurrences, subst_formula,
+    subst_sequent, substitute,
 )
 
 __all__ = [
     "And", "Atom", "Bot", "Bowtie", "ContextVar", "Correlated", "Domain",
     "DomainTable", "Eq", "Exists", "Forall", "Formula", "Member", "Neq",
-    "Or", "Outcome", "PROB_SUM_TOL", "Sequent", "Sharp", "Star", "Term",
+    "Or", "Outcome", "Sequent", "Sharp", "Star", "Term",
     "Var", "alpha_eq", "alpha_eq_all", "bound_vars", "children",
     "free_vars", "is_closed", "is_singleton_literal", "map_children",
     "sharp_domain_name", "sharp_pred_name", "singleton_literal_name",
@@ -29,7 +29,7 @@ __all__ = [
     "parse_formula", "parse_sequent", "parse_term", "tokenize",
     "render", "render_domain", "render_formula", "render_rational",
     "render_sequent", "render_term",
-    "forgetful_formula", "fresh_for", "fresh_var",
+    "forgetful_formula", "fresh_var",
     "replace_term_occurrences", "subst_formula", "subst_sequent",
     "substitute",
 ]

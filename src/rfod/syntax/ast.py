@@ -9,14 +9,15 @@ The layout of every node class is spelled out once, in the ``_SHAPES``
 table: the node's children in reading order, the node rebuilt from new
 children, and its other fields that alpha-equivalence compares (a
 binder's ``var`` is the one field handled outside the table).  Every
-structural operation goes through it: ``children``, ``walk`` and
-``map_children`` here, and ``free_vars``, ``bound_vars`` and
-``alpha_eq``, which walk with an explicit stack, so the depth of a
-formula costs them no recursion.  ``map_children`` returns the node
-itself when every child comes back identical, so an operation that
-changes nothing below a node keeps that subtree shared, and
-``alpha_eq`` answers ``a is b`` at once wherever no bound variable is
-renamed.
+structural operation goes through it: ``children``, ``walk``,
+``map_children``, ``rewrite``, ``free_vars``, ``bound_vars`` and
+``alpha_eq`` here, and substitution and dualization, which are built on
+``rewrite``.  Whatever walks a whole formula does so with an explicit
+stack, so the depth of a formula costs it no recursion.  ``rewrite``
+returns a node itself when every child comes back identical, so an
+operation that changes nothing below a node keeps that subtree shared,
+and ``alpha_eq`` answers ``a is b`` at once wherever no bound variable
+is renamed.
 """
 from __future__ import annotations
 
@@ -25,10 +26,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from ..errors import DomainError
-
-#: tolerance for the probability-mass invariant of a domain
-PROB_SUM_TOL = Fraction(1, 10**9)
-
 
 # ---------------------------------------------------------------------------
 # terms
@@ -231,13 +228,6 @@ class Sequent:
                             f"context variable {item.name} repeated on one side")
                     seen.add(item.name)
 
-    def context_var_names(self) -> frozenset:
-        names = set()
-        for item in self.antecedent + self.succedent:
-            if isinstance(item, ContextVar):
-                names.add(item.name)
-        return frozenset(names)
-
 
 # ---------------------------------------------------------------------------
 # the shape of each node class
@@ -312,18 +302,46 @@ def rebuild(node, kids, cls=None):
 
 
 def map_children(node, fn):
-    """``node`` with ``fn`` applied to each child.  When every child comes
-    back identical the result is ``node`` itself, so unchanged subtrees
-    stay shared."""
-    shape, build = _SHAPES[type(node)]
-    kids = shape(node)[1]
-    if not kids:
-        return node
-    new = tuple(map(fn, kids))
-    for old, cur in zip(kids, new):
-        if old is not cur:
-            return build(node, new)
-    return node
+    """``node`` with ``fn`` applied to each child, rebuilt as ``rewrite``
+    rebuilds it."""
+    return rewrite(node, lambda n, top: (n, False) if top else (fn(n), None),
+                   True)
+
+
+def rewrite(node, enter, ctx=()):
+    """``node`` rebuilt bottom-up with an explicit stack.
+
+    ``enter(n, ctx)`` sees every node reached, in reading order, a node
+    before its children.  It returns ``(m, None)`` to put ``m`` in the
+    place of ``n`` as it is, or ``(m, inner)`` to rebuild ``m`` from its
+    children, each entered with the context ``inner``.  A rebuilt node
+    whose children all come back identical is ``m`` itself, so unchanged
+    subtrees stay shared.
+    """
+    done = []
+    stack = [(node, ctx, None)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        n, inner, kids = pop()
+        if kids is None:
+            n, inner = enter(n, inner)
+            kids = () if inner is None else _SHAPES[type(n)][0](n)[1]
+            if not kids:
+                done.append(n)
+                continue
+            push((n, None, kids))
+            for k in reversed(kids):
+                push((k, inner, None))
+        else:
+            new = done[-len(kids):]
+            del done[-len(kids):]
+            for old, cur in zip(kids, new):
+                if old is not cur:
+                    n = _SHAPES[type(n)][1](n, tuple(new))
+                    break
+            done.append(n)
+    return done[0]
 
 
 def walk(node):
@@ -466,7 +484,7 @@ class Domain:
         if len(set(labels)) != len(labels):
             raise DomainError(f"domain {self.name}: state labels not distinct")
         total = sum(probs, Fraction(0))
-        if abs(total - 1) > PROB_SUM_TOL:
+        if total != 1:
             raise DomainError(
                 f"domain {self.name}: probabilities sum to {total}, not 1")
         if self.kind == "singleton":
@@ -484,9 +502,6 @@ class Domain:
     @property
     def probs(self) -> tuple:
         return tuple(term_prob(e) for e in self.elements)
-
-    def is_singleton(self) -> bool:
-        return len(self.elements) == 1 and term_prob(self.elements[0]) == 1
 
 
 def singleton_literal_name(label: str) -> str:

@@ -5,9 +5,8 @@ from typing import Iterable, Optional
 
 from ..errors import SubstitutionError
 from .ast import (
-    BINDERS, Atom, Formula, Member, Sequent, Sharp, Term, Var, bound_vars,
-    children, free_vars, is_closed, map_children, sharp_domain_name,
-    sharp_pred_name,
+    BINDERS, Atom, Formula, Member, Sequent, Sharp, Term, Var, children,
+    free_vars, is_closed, rewrite, sharp_domain_name, sharp_pred_name,
 )
 
 
@@ -28,25 +27,25 @@ def subst_formula(f, v: str, t: Term):
     sequent, renaming binders that would capture.  Whatever holds no free
     v comes back as the same object."""
 
-    def go(node):
+    def enter(node, _):
         cls = type(node)
         if cls is Var:
-            return t if node.name == v else node
+            return (t if node.name == v else node), None
         if cls not in BINDERS:
-            return map_children(node, go)
+            return node, ()
         if node.var == v:
-            return node
+            return node, None
         free = free_vars(node)
         if v not in free:
-            return node
+            return node, None
         if not (type(t) is Var and t.name == node.var):
-            return map_children(node, go)
+            return node, ()
         new = fresh_var(free | {v, t.name})
         renamed = (subst_formula(c, node.var, Var(new))
                    for c in children(node))
-        return cls(new, node.domain, *map(go, renamed))
+        return cls(new, node.domain, *renamed), ()
 
-    return go(f)
+    return rewrite(f, enter)
 
 
 def substitute(f: Formula, v: str, t: Term, mode: str = "plain") -> Formula:
@@ -69,24 +68,20 @@ def substitute(f: Formula, v: str, t: Term, mode: str = "plain") -> Formula:
 
 
 def forgetful_formula(f, v: str, t: Sharp):
-    def go(node):
+    def enter(node, _):
         cls = type(node)
         if cls is Var:
-            return t if node.name == v else node
-        if cls is Atom:
-            if any(type(a) is Var and a.name == v for a in node.args):
-                return Atom(sharp_pred_name(node.pred),
-                            tuple(map(go, node.args)))
-            return node
-        if cls is Member:
-            if type(node.term) is Var and node.term.name == v:
-                return Member(t, sharp_domain_name(node.domain))
-            return node
+            return (t if node.name == v else node), None
+        if cls is Atom and any(type(a) is Var and a.name == v
+                               for a in node.args):
+            return Atom(sharp_pred_name(node.pred), node.args), ()
+        if cls is Member and type(node.term) is Var and node.term.name == v:
+            return Member(t, sharp_domain_name(node.domain)), None
         if cls in BINDERS and node.var == v:
-            return node
-        return map_children(node, go)
+            return node, None
+        return node, ()
 
-    return go(f)
+    return rewrite(f, enter)
 
 
 def subst_sequent(s: Sequent, v: str, t: Term, mode: str = "plain") -> Sequent:
@@ -97,10 +92,6 @@ def subst_sequent(s: Sequent, v: str, t: Term, mode: str = "plain") -> Sequent:
     if not isinstance(t, Sharp):
         raise SubstitutionError("forgetful substitution requires a sharp term")
     return forgetful_formula(s, v, t)
-
-
-def fresh_for(node, extra: Iterable[str] = ()) -> str:
-    return fresh_var(free_vars(node) | bound_vars(node) | set(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +110,15 @@ def replace_term_occurrences(s: Sequent, old: Term, new: Term,
     counter = [0]
     closed = not isinstance(old, Var)
 
-    def visit(node, shadowed):
+    def enter(node, shadowed):
         if isinstance(node, Term):
             if node == old and (closed or old.name not in shadowed):
                 counter[0] += 1
                 if wanted is None or counter[0] in wanted:
-                    return new
-            return node
+                    return new, None
+            return node, None
         if type(node) in BINDERS:
-            shadowed = shadowed | {node.var}
-        return map_children(node, lambda c: visit(c, shadowed))
+            return node, shadowed | {node.var}
+        return node, shadowed
 
-    return visit(s, frozenset())
+    return rewrite(s, enter, frozenset())

@@ -100,6 +100,63 @@ def test_forall_right_context_guard():
     assert render(out[0]) == "G |- forall x in D . A(x), B"
 
 
+def _forward(text, eq, params=None):
+    plain = [seq(t) for t in text.split(" ;; ")]
+    return equation_step(plain if len(plain) > 1 else plain[0], eq,
+                         "forward", params)
+
+
+@pytest.mark.parametrize("eq,plain,params", [
+    # the bound variable is free elsewhere
+    (RuleId.EQ_FORALL_R, "A(z), z in D |- B(z)", None),
+    (RuleId.EQ_EXISTS_L, "A(z), B(z), z in D |- C", {"body": 1}),
+    (RuleId.EQ_BOWTIE_R, "A(z), z in DS |- B(z) ,_S C(z)", None),
+    # the universal takes no right context in basic mode
+    (RuleId.EQ_FORALL_R, "G, z in D |- A(z), B", {"slot": 0}),
+    # the correlation label does not match the domain
+    (RuleId.EQ_BOWTIE_R, "G, z in DS |- A(z) ,_T B(z)", None),
+    # two premises that differ away from the part
+    (RuleId.EQ_AND_R, "G |- A ;; G' |- B", None),
+    (RuleId.EQ_OR_L, "A, C |- D ;; B, E |- D", {"index": 0}),
+    (RuleId.EQ_OR_L, "A |- C ;; B |- D", None),
+    # star slots out of range
+    (RuleId.EQ_STAR_R, "G |- A, B", {"slot": 1}),
+    (RuleId.EQ_STAR_R, "G |- A, B", {"slot": -1}),
+])
+def test_forward_reading_side_conditions(eq, plain, params):
+    with pytest.raises(RuleError):
+        _forward(plain, eq, params)
+
+
+@pytest.mark.parametrize("eq,plain,params", [
+    # bound= would capture a free variable
+    (RuleId.EQ_EXISTS_L, "A(z), y in D |- C", {"bound": "z"}),
+    (RuleId.EQ_BOWTIE_R, "y in DS |- A(y, z) ,_S B(y)", {"bound": "z"}),
+    # a membership the decomposition would not put there
+    (RuleId.EQ_FORALL_R, "z in D, B |- A(z)", {"member": 0}),
+    # positions out of range
+    (RuleId.EQ_FORALL_R, "G, z in D |- A(z)", {"slot": 3}),
+    (RuleId.EQ_EXISTS_L, "A(z), z in D |- C", {"member": 7}),
+    (RuleId.EQ_OR_L, "A |- C ;; A |- C", {"index": 5}),
+])
+def test_forward_reading_rejects_what_does_not_decompose_back(eq, plain,
+                                                              params):
+    with pytest.raises(RuleError):
+        _forward(plain, eq, params)
+
+
+def test_forward_reading_parameters_mean_what_decomposition_reads():
+    s = seq("z in D |- forall x in E . A(x, z)")
+    out = _forward("z in D |- forall x in E . A(x, z)", RuleId.EQ_FORALL_R,
+                   {"bound": "x"})
+    assert render(out[0]) == "|- forall x in D . forall y in E . A(y, x)"
+    back = equation_step(out[0], RuleId.EQ_FORALL_R, "backward", {"var": "z"})
+    assert alpha_eq(back[0], s)
+    # the existential goes where index= puts it, as decomposition reads it
+    out = _forward("A(z), z in D, B |- C", RuleId.EQ_EXISTS_L, {"index": 1})
+    assert render(out[0]) == "B, exists x in D . A(x) |- C"
+
+
 def test_bot_requires_right_context():
     with pytest.raises(RuleError):
         equation_step(seq("G |- bot"), RuleId.EQ_BOT_R, "backward")
@@ -288,6 +345,16 @@ def test_subst_rejects_context_metavariable_collision():
                     [premise], params={"var": "z", "term": Sharp("u")})
     assert not bad.ok
     assert "metavariable" in bad.reason
+
+
+def test_f_subst_rejects_context_metavariable_collision():
+    script = parse_script(
+        "domain D = { <t1, 1/2>, <t2, 1/2> }\n"
+        "step 1 hypothesis :: z, z in D |- A(z)\n"
+        "step 2 f_subst var=z state=t1 from 1 :: z, #t1 in D^f |- A^f(#t1)\n")
+    report = check_script(script)
+    assert not report.accepted
+    assert "metavariable" in report.first_failure.reason
 
 
 def test_subst_requires_closed_term():

@@ -1,4 +1,7 @@
 """Parser, printer, substitution and domain invariants."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,9 +14,11 @@ from rfod.errors import (
 from rfod.syntax import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, DomainTable, Eq,
     Exists, Forall, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Var,
-    alpha_eq, bound_vars, children, free_vars, map_children, parse_formula,
-    parse_sequent, parse_term, render, subst_formula, substitute,
+    alpha_eq, bound_vars, children, free_vars, forgetful_formula,
+    map_children, parse_formula, parse_sequent, parse_term, render,
+    replace_term_occurrences, subst_formula, substitute, walk,
 )
+from rfod.calculus import dualize
 from rfod.gen import make_rng, random_probability_list, random_sequent
 
 
@@ -160,6 +165,28 @@ def test_probability_sum_tolerance():
         bad = random_probability_list(rng, valid=False)
         with pytest.raises(DomainError):
             Domain("D", tuple(Outcome(f"s{i}", p) for i, p in enumerate(bad)))
+
+
+def test_probability_mass_is_exact():
+    with pytest.raises(DomainError):
+        Domain("D", (Outcome("a", 1 / 2), Outcome("b", 1 / 2 + 10**-10)))
+
+
+def test_seeded_corpus_does_not_depend_on_the_hash_seed():
+    code = ("from rfod.gen import make_rng, random_sequent\n"
+            "from rfod.syntax import render\n"
+            "rng = make_rng(3)\n"
+            "for _ in range(200):\n"
+            "    print(render(random_sequent(rng)))\n")
+    corpora = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        corpora.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True).stdout)
+    assert corpora[0] == corpora[1]
+    assert len(corpora[0].splitlines()) == 200
 
 
 def test_singleton_literal_resolution():
@@ -391,3 +418,27 @@ def test_deep_chains_parse_right_nested(op, cls):
     assert alpha_eq(s.antecedent[1], s.succedent[0])
     assert not alpha_eq(f, parse_formula(text + f" {op} A0(y)"))
     assert _right_spine(parse_formula(render(f)), cls) == operands
+
+
+def test_syntax_maps_take_deep_chains():
+    z = Var("z")
+    chain = Atom("A", (z,))
+    for i in range(2000):
+        chain = And(Atom(f"B{i % 3}", (z,)), chain)
+    s = Sequent((Member(z, "D"), chain), (chain,))
+    t = Sharp("t")
+    assert free_vars(subst_formula(s, "z", t)) == frozenset()
+    assert subst_formula(s, "y", t) is s
+    measured = forgetful_formula(s, "z", t)
+    assert free_vars(measured) == frozenset()
+    assert alpha_eq(measured.antecedent[0], Member(t, "D^f"))
+    # occurrences count in reading order: 1 + 2001 on the left, then 2001
+    last = replace_term_occurrences(s, z, t, positions=[4003])
+    assert last.antecedent[1] is chain
+    atoms = [n for n in walk(last.succedent[0]) if isinstance(n, Atom)]
+    assert atoms[0] is chain.left and alpha_eq(atoms[-1], Atom("A", (t,)))
+    assert free_vars(replace_term_occurrences(s, z, t)) == frozenset()
+    one_sided = Sequent((Member(z, "D"),), (chain,))
+    dual = dualize(one_sided)
+    assert isinstance(dual.antecedent[1], Or)
+    assert alpha_eq(dualize(dual), one_sided)

@@ -76,6 +76,12 @@ def test_lemma1_deep_domain_builds_checks_and_renders():
     assert alpha_eq(parse_sequent(render(leaf.conclusion)), leaf.conclusion)
 
 
+def test_prop1_large_domain_checks_in_memory():
+    d = schematic_domain("D", 520)
+    derivation = derive_prop1("A", d, cfg=FOCUSED_D)
+    assert check(derivation, FOCUSED_D, table_for(d)).accepted
+
+
 def test_lemma1_single_open_leaf():
     d = schematic_domain("D", 3)
     derivation = derive_lemma1(None, "A", d, cfg=FOCUSED_D)
