@@ -8,19 +8,20 @@ failure, the open assumptions, and the axioms used.
 The definitory equations are defined once, in ``rules``.  The checker
 validates an equation step by recomputing it with the ``rules`` rewrite
 and comparing the result with the other side up to alpha-equivalence.
-The step's own parameters pass through unchanged; only the missing ones
-are inferred, by reading them off the two sides.
+The step's own parameters pass through unchanged; the missing ones range
+over every combination of the values each can take on the two sides.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional, Sequence
 
 from ..errors import DomainError, RuleError
 from ..syntax.ast import (
-    ContextVar, DomainTable, Eq, Exists, Formula, Member, Sequent, Sharp,
-    Var, alpha_eq, alpha_eq_all, is_closed,
-    is_singleton_literal, sharp_domain_name, term_state,
+    BINDERS, ContextVar, DomainTable, Eq, Exists, Formula, Member, Sequent,
+    Sharp, Var, alpha_eq, alpha_eq_all, is_closed, sharp_domain_name,
+    term_state,
 )
 from ..syntax.printer import render_sequent
 from ..syntax.subst import subst_formula, subst_sequent
@@ -136,49 +137,33 @@ def _validate_equation(c: Sequent, rule: RuleId, direction: str,
 
 def _completions(rule: RuleId, connective: Sequent, plain: Sequent,
                  params: dict) -> list:
-    """The step's parameters, each missing one read off the two sides: the
-    connective's position and, for the binders, the fresh variable of a
-    membership on the plain side (for the existential also the positions of
-    that membership and of the body).  One parameter set per reading."""
-    options = [params]
+    """The step's parameters, one set per reading of the two sides: every
+    combination of the values the missing ones can take.  They are the
+    connective's position among the items of its class, a binder's variable
+    from the variable memberships on the plain side and, for the
+    existential, the positions of that membership and of the body."""
     key, side, cls = _CONNECTIVE_AT[rule]
-    if isinstance(key, str) and key not in params:
-        options = [dict(params, **{key: i})
-                   for i, f in enumerate(getattr(connective, side))
-                   if isinstance(f, cls)]
     ant = plain.antecedent
-    if rule is RuleId.EQ_EXISTS_L:
-        options = _fill(options, "member", lambda o: [
-            i for i in range(len(ant) - 1, -1, -1) if _member_var(ant, i)])
-        options = _fill(options, "body", lambda o: sorted(
-            (i for i in range(len(ant)) if i != o["member"]),
-            key=lambda i: i != o["member"] - 1))
-        options = _fill(options, "var",
-                        lambda o: _member_var(ant, o["member"]))
-    elif rule is RuleId.EQ_FORALL_R or rule is RuleId.EQ_BOWTIE_R:
-        options = _fill(options, "var", lambda o: list(dict.fromkeys(
-            v for i in range(len(ant) - 1, -1, -1)
-            for v in _member_var(ant, i))))
+    values = {key: (i for i, f in enumerate(getattr(connective, side))
+                    if isinstance(f, cls))}
+    if cls in BINDERS:
+        names = {i: f.term.name for i, f in reversed(list(enumerate(ant)))
+                 if isinstance(f, Member) and isinstance(f.term, Var)}
+        if cls is Exists:
+            values.update(member=list(names), body=range(len(ant)))
+        values["var"] = list(dict.fromkeys(names.values()))
+    missing = [k for k in values if isinstance(k, str) and k not in params]
+    if not missing:
+        return [params]
+    options = []
+    for combo in product(*(values[k] for k in missing)):
+        p = dict(params, **dict(zip(missing, combo)))
+        if cls is Exists and ("body" in missing and p["body"] == p["member"]
+                              or "var" in missing
+                              and names.get(p["member"]) != p["var"]):
+            continue
+        options.append(p)
     return options
-
-
-def _member_var(ant: tuple, i: int) -> list:
-    """The variable z of a membership z in D at position i, if there is one."""
-    if (0 <= i < len(ant) and isinstance(ant[i], Member)
-            and isinstance(ant[i].term, Var)):
-        return [ant[i].term.name]
-    return []
-
-
-def _fill(options: list, key: str, values) -> list:
-    """Each option lacking key, once for every value in values(option)."""
-    out = []
-    for o in options:
-        if key in o:
-            out.append(o)
-        else:
-            out.extend(dict(o, **{key: v}) for v in values(o))
-    return out
 
 
 # -- one-directional rules ---------------------------------------------------
@@ -204,6 +189,13 @@ def _validate_reflexivity(c: Sequent, rule: RuleId, direction: Optional[str],
     _require(eq.left == eq.right, "reflexivity needs both sides equal")
 
 
+def _positions(params: dict, key: str, items: tuple):
+    """The in-range position a step's key= gives, or every position."""
+    if key in params:
+        return [params[key]] if 0 <= params[key] < len(items) else []
+    return range(len(items))
+
+
 def _validate_cut(c: Sequent, rule: RuleId, direction: Optional[str],
                   premises: Sequence[Sequent], params: dict,
                   cfg: TheoryConfig, table: DomainTable) -> None:
@@ -215,11 +207,7 @@ def _validate_cut(c: Sequent, rule: RuleId, direction: Optional[str],
              "cut formula does not match the first premise")
     _require(alpha_eq_all(right.succedent, c.succedent),
              "cut keeps the succedent of the second premise")
-    indices = ([params["index"]] if "index" in params
-               else range(len(right.antecedent)))
-    for j in indices:
-        if not (0 <= j < len(right.antecedent)):
-            continue
+    for j in _positions(params, "index", right.antecedent):
         if not (isinstance(right.antecedent[j], Formula)
                 and alpha_eq(right.antecedent[j], cut_formula)):
             continue
@@ -283,12 +271,9 @@ def _validate_f_subst(c: Sequent, rule: RuleId, direction: Optional[str],
                        and i.term.name == v]
         if not mem_domains:
             continue
-        domain_name = mem_domains[-1]
-        if domain_name not in table:
-            raise RuleError(f"domain {domain_name} is not declared")
-        if s not in table.resolve(domain_name).labels:
-            raise RuleError(
-                f"state {s} is not an outcome of domain {domain_name}")
+        domain = _lookup(table.resolve, mem_domains[-1], {})
+        _require(s in domain.labels,
+                 f"state {s} is not an outcome of domain {domain.name}")
         if alpha_eq(subst_sequent(premise, v, Sharp(s), mode="forgetful"), c):
             return
     raise RuleError("conclusion is not a forgetful-substitution instance "
@@ -312,15 +297,12 @@ def _validate_exists_r(c: Sequent, rule: RuleId, direction: Optional[str],
     _require(same_ctx or extended,
              "conclusion context must extend the premise by at most the "
              "witness membership")
-    witnesses = [i.term for i in c.antecedent
+    # an extended context holds the witness membership last
+    candidates = c.antecedent[-1:] if extended else c.antecedent
+    witnesses = [i.term for i in candidates
                  if isinstance(i, Member) and i.domain == ex.domain
                  and ("term" not in params or i.term == params["term"])]
     for t in witnesses:
-        if extended:
-            last = c.antecedent[-1]
-            if not (isinstance(last, Member) and last.domain == ex.domain
-                    and last.term == t):
-                continue
         if alpha_eq(subst_formula(ex.body, ex.var, t), a):
             return
     raise RuleError("no witness membership matches the premise formula")
@@ -334,11 +316,7 @@ def _validate_weaken_l(c: Sequent, rule: RuleId, direction: Optional[str],
              "weakening keeps the succedent")
     _require(len(c.antecedent) == len(premise.antecedent) + 1,
              "weakening adds exactly one antecedent item")
-    positions = ([params["position"]] if "position" in params
-                 else range(len(c.antecedent)))
-    for j in positions:
-        if not 0 <= j < len(c.antecedent):
-            continue
+    for j in _positions(params, "position", c.antecedent):
         rest = c.antecedent[:j] + c.antecedent[j + 1:]
         if alpha_eq_all(rest, premise.antecedent):
             if "formula" in params and not alpha_eq(params["formula"],
@@ -357,47 +335,44 @@ def _validate_dualize(c: Sequent, rule: RuleId, direction: Optional[str],
 
 # -- axioms -------------------------------------------------------------------
 
-def _lookup(lookup, name: str):
-    """Resolve a domain name; an undeclared one rejects the step."""
+def _lookup(lookup, name: str, params: dict, sharp: bool = False):
+    """Resolve the domain of an axiom's conclusion.  An undeclared one
+    rejects the step, and so does a domain= that names another domain (for
+    a sharp fact, another set than the one whose companion it is in)."""
+    if "domain" in params:
+        named = params["domain"]
+        expected = sharp_domain_name(named) if sharp else named
+        _require(expected == name, f"the conclusion is in {name}, not in "
+                                   f"{expected} (domain={named})")
     try:
         return lookup(name)
     except DomainError as exc:
         raise RuleError(str(exc)) from exc
 
 
-def _validate_ax_singleton(c: Sequent, rule: RuleId, direction: Optional[str],
-                           premises: Sequence[Sequent], params: dict,
-                           cfg: TheoryConfig, table: DomainTable) -> None:
-    if not cfg.singleton_axioms:
-        raise RuleError("singleton axiom is disabled (singleton_axioms off)")
-    _require(len(c.antecedent) == 1 and len(c.succedent) == 1,
-             "singleton axiom is z in {u} |- z = u")
-    mem, eq = c.antecedent[0], c.succedent[0]
-    _require(isinstance(mem, Member) and isinstance(mem.term, Var),
-             "singleton axiom needs a variable membership on the left")
-    _require(isinstance(eq, Eq), "singleton axiom concludes an equality")
-    domain = _lookup(table.resolve, mem.domain)
-    _require(domain.kind == "singleton" or is_singleton_literal(mem.domain),
-             f"domain {mem.domain} is not a singleton")
-    _require(isinstance(eq.left, Var) and eq.left.name == mem.term.name,
-             "equality must bind the membership variable")
-    _require(_element_matches(eq.right, domain.elements[0]),
-             f"equality right side does not name the element of {mem.domain}")
-
-
 def _validate_ax_focus(c: Sequent, rule: RuleId, direction: Optional[str],
                        premises: Sequence[Sequent], params: dict,
                        cfg: TheoryConfig, table: DomainTable) -> None:
+    """z in D |- z = t1 \\/ ... \\/ z = tm, the elements of a focused D in
+    declared order.  The singleton axiom z in {u} |- z = u is the same
+    schema with a single disjunct, so D must hold one element; it also needs
+    the singleton axioms, under which every singleton is focused."""
+    singleton = rule is RuleId.AX_SINGLETON
+    name = "singleton axiom" if singleton else "focus axiom"
     _require(len(c.antecedent) == 1 and len(c.succedent) == 1,
+             "singleton axiom is z in {u} |- z = u" if singleton else
              "focus axiom is z in D |- z = t1 \\/ ... \\/ z = tm")
     mem, disj = c.antecedent[0], c.succedent[0]
     _require(isinstance(mem, Member) and isinstance(mem.term, Var),
-             "focus axiom needs a variable membership on the left")
-    domain = _lookup(table.resolve, mem.domain)
+             f"{name} needs a variable membership on the left")
+    domain = _lookup(table.resolve, mem.domain, params)
+    if singleton:
+        _require(cfg.singleton_axioms,
+                 f"{name} is disabled (singleton_axioms off)")
     if not cfg.is_focused(mem.domain, table):
         raise RuleError(f"domain {mem.domain} is not declared focused "
                         f"(focus axiom unavailable)")
-    parts = flatten_or(disj) if isinstance(disj, Formula) else [disj]
+    parts = [disj] if singleton else flatten_or(disj)
     _require(len(parts) == len(domain.elements),
              f"focus disjunction must list the {len(domain.elements)} "
              f"element(s) of {mem.domain}")
@@ -413,30 +388,23 @@ def _validate_ax_focus(c: Sequent, rule: RuleId, direction: Optional[str],
 def _validate_ax_member(c: Sequent, rule: RuleId, direction: Optional[str],
                         premises: Sequence[Sequent], params: dict,
                         cfg: TheoryConfig, table: DomainTable) -> None:
+    """|- t in D for an element t of D.  The sharp fact |- #s in D^f is the
+    same schema over the sharp companion set D^f = { #s : s an outcome of
+    D }, which rests on the singleton axioms."""
+    sharp = rule is RuleId.AX_SHARP_MEMBER
     _require(len(c.antecedent) == 0 and len(c.succedent) == 1,
              "membership fact is |- t in D")
     mem = c.succedent[0]
     _require(isinstance(mem, Member), "membership fact concludes t in D")
-    domain = _lookup(table.resolve, mem.domain)
-    _require(any(_element_matches(mem.term, e) for e in domain.elements),
+    if sharp:
+        _require(cfg.singleton_axioms, "sharp membership facts are disabled "
+                                       "(singleton_axioms off)")
+        labels = _lookup(table.sharp_labels, mem.domain, params, sharp)
+        elements = [Sharp(s) for s in labels]
+    else:
+        elements = _lookup(table.resolve, mem.domain, params).elements
+    _require(any(_element_matches(mem.term, e) for e in elements),
              f"term does not name an element of {mem.domain}")
-
-
-def _validate_ax_sharp_member(c: Sequent, rule: RuleId, direction: Optional[str],
-                              premises: Sequence[Sequent], params: dict,
-                              cfg: TheoryConfig, table: DomainTable) -> None:
-    if not cfg.singleton_axioms:
-        raise RuleError("sharp membership facts are disabled "
-                        "(singleton_axioms off)")
-    _require(len(c.antecedent) == 0 and len(c.succedent) == 1,
-             "sharp membership fact is |- #s in D^f")
-    mem = c.succedent[0]
-    _require(isinstance(mem, Member), "sharp membership fact concludes #s in D^f")
-    _require(is_closed(mem.term), "sharp membership needs a closed term")
-    labels = _lookup(table.sharp_labels, mem.domain)
-    state = term_state(mem.term)
-    _require(state in labels,
-             f"state {state} is not an outcome of the set behind {mem.domain}")
 
 
 def _validate_hypothesis(c: Sequent, rule: RuleId, direction: Optional[str],
@@ -468,10 +436,10 @@ _RULES = {
     RuleId.EXISTS_R: (_validate_exists_r, 1),
     RuleId.WEAKEN_L: (_validate_weaken_l, 1),
     RuleId.DUALIZE: (_validate_dualize, 1),
-    RuleId.AX_SINGLETON: (_validate_ax_singleton, 0),
+    RuleId.AX_SINGLETON: (_validate_ax_focus, 0),
     RuleId.AX_FOCUS: (_validate_ax_focus, 0),
     RuleId.AX_MEMBER: (_validate_ax_member, 0),
-    RuleId.AX_SHARP_MEMBER: (_validate_ax_sharp_member, 0),
+    RuleId.AX_SHARP_MEMBER: (_validate_ax_member, 0),
     RuleId.HYPOTHESIS: (_validate_hypothesis, 0),
 }
 

@@ -146,18 +146,26 @@ _CONNECTIVE_AT = {
 def _find_connective(s: Sequent, rule: RuleId, params: Optional[dict]) -> int:
     key, side, cls = _CONNECTIVE_AT[rule]
     items = getattr(s, side)
-    if isinstance(key, int) or params and key in params:
+    params = params or {}
+    if isinstance(key, int) or key in params:
         k = key % len(items) if isinstance(key, int) else params[key]
         if not 0 <= k < len(items):
             raise RuleError(f"{side} position {k} out of range")
         if not isinstance(items[k], cls):
             raise RuleError(f"{side} item {k} is not a {cls.__name__}")
-        return k
-    hits = [i for i, f in enumerate(items) if isinstance(f, cls)]
-    if len(hits) != 1:
-        raise RuleError(f"no {cls.__name__} item in {side}" if not hits else
-                        f"ambiguous {cls.__name__} item, pass {key}=<index>")
-    return hits[0]
+    else:
+        hits = [i for i, f in enumerate(items) if isinstance(f, cls)]
+        if len(hits) != 1:
+            raise RuleError(f"no {cls.__name__} item in {side}" if not hits
+                            else f"ambiguous {cls.__name__} item, pass "
+                                 f"{key}=<index>")
+        k = hits[0]
+    # a parameter naming a field of the connective must agree with it
+    name, fld = ("bound", "var") if cls in BINDERS else ("label", "label")
+    given = params.get(name)
+    if given is not None and getattr(items[k], fld, given) != given:
+        raise RuleError(f"{name}={given} does not match {side} item {k}")
+    return k
 
 
 def _fresh_choice(s: Sequent, params: Optional[dict], key: str = "var") -> str:
@@ -324,16 +332,15 @@ def compose_equality(s: Sequent, params: Optional[dict]) -> Sequent:
     if "index" in params:
         candidates = [params["index"]]
     else:
-        candidates = [i for i in range(len(s.antecedent) - 1, -1, -1)
-                      if isinstance(s.antecedent[i], Eq)
-                      and isinstance(s.antecedent[i].left, Var)]
+        candidates = range(len(s.antecedent) - 1, -1, -1)
     for j in candidates:
         _require(0 <= j < len(s.antecedent), f"index {j} out of range")
         item = s.antecedent[j]
         if not (isinstance(item, Eq) and isinstance(item.left, Var)):
             continue
         z, t = item.left.name, item.right
-        if isinstance(t, Var) and t.name == z:
+        if (isinstance(t, Var) and t.name == z
+                or params.get("var", z) != z or params.get("term", t) != t):
             continue
         rest = Sequent(s.antecedent[:j] + s.antecedent[j + 1:], s.succedent)
         return subst_sequent(rest, z, t)

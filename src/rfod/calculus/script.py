@@ -225,6 +225,7 @@ def parse_script(text: str) -> ProofScript:
                 flags[key] = value == "on"
             elif line.startswith("step "):
                 _parse_step_line(line, script, seen_ids)
+                seen_ids[script.steps[-1][0]] = (lineno, indent + 1)
             else:
                 raise RfodError(f"unrecognised script line: {line}")
         except DslSyntaxError as exc:
@@ -233,6 +234,13 @@ def parse_script(text: str) -> ProofScript:
                                  indent + exc.column) from exc
         except RfodError as exc:
             raise DslSyntaxError(str(exc), lineno, indent + 1) from exc
+    # every step must lead to the last one, which alone is checked as a tree
+    used = {step[0] for step in script.steps[-1:]}
+    for step_id, _, _, _, refs, _ in reversed(script.steps):
+        if step_id not in used:
+            raise DslSyntaxError(f"step {step_id} is not used by the last "
+                                 f"step", *seen_ids[step_id])
+        used.update(refs)
     script.config = TheoryConfig(
         singleton_axioms=flags["singleton_axioms"],
         focused_domains=frozenset(focused),
@@ -323,7 +331,6 @@ def _parse_step_line(line: str, script: ProofScript, seen_ids: dict) -> None:
         conclusion = parse_sequent(line[start:])
     except DslSyntaxError as exc:
         raise DslSyntaxError(exc.message, 1, start + exc.column) from exc
-    seen_ids[step_id] = True
     script.steps.append((step_id, rule, direction, params, refs, conclusion))
 
 

@@ -494,6 +494,9 @@ class Domain:
         if self.kind == "uniform" and len(set(probs)) != 1:
             raise DomainError(
                 f"domain {self.name}: uniform kind requires equal probabilities")
+        if is_singleton_literal(self.name) and labels != [self.name[1:-1]]:
+            raise DomainError(f"domain {self.name}: a singleton literal name "
+                              f"holds exactly {{ #{self.name[1:-1]} }}")
 
     @property
     def labels(self) -> tuple:
@@ -559,10 +562,11 @@ class DomainTable:
         raise DomainError(f"unknown domain {name}")
 
     def sharp_labels(self, sharp_name: str):
-        """State labels admissible in the sharp companion set of that name."""
+        """State labels of a sharp companion set: D^f, or {u}, its own."""
         if sharp_name.endswith("^f"):
-            base = self.resolve(sharp_name[:-2])
-            return base.labels
+            return self.resolve(sharp_name[:-2]).labels
+        if not is_singleton_literal(sharp_name):
+            raise DomainError(f"{sharp_name} is not a sharp companion set")
         return self.resolve(sharp_name).labels
 
     def names(self):

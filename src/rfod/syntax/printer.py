@@ -3,6 +3,10 @@
 The printer is deterministic and inverse to the parser: parsing its output
 gives back an alpha-equivalent value.  Binary connectives associate to the
 right; parentheses are emitted only where the grammar requires them.
+
+The text of every node class is written once, in the ``_TEXT`` table, and
+one loop with an explicit stack fills in the children, so the depth of a
+formula costs the printer no recursion.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from fractions import Fraction
 
 from .ast import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, Eq, Exists,
-    Forall, Formula, Member, Neq, Or, Sequent, Sharp, Star, Outcome, Term, Var,
+    Forall, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Var, _ShapeTable,
 )
 
 # precedence levels: quantifiers bind weakest, then * < \/ < &
@@ -20,13 +24,6 @@ _LEVEL_OR = 2
 _LEVEL_AND = 3
 _LEVEL_UNIT = 4
 
-#: chain class -> (operator, level of a left operand, level of the chain)
-_CHAINS = {
-    Star: (" * ", _LEVEL_OR, _LEVEL_STAR),
-    Or: (" \\/ ", _LEVEL_AND, _LEVEL_OR),
-    And: (" & ", _LEVEL_UNIT, _LEVEL_AND),
-}
-
 
 def render_rational(p: Fraction) -> str:
     if p.denominator == 1:
@@ -34,93 +31,85 @@ def render_rational(p: Fraction) -> str:
     return f"{p.numerator}/{p.denominator}"
 
 
-def render_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Outcome):
-        return f"<{t.state}, {render_rational(t.prob)}>"
-    if isinstance(t, Sharp):
-        return f"#{t.state}"
-    raise TypeError(f"render_term: unsupported term {t!r}")
+def _sequent(s: Sequent) -> list:
+    parts = []
+    for item in s.antecedent:
+        parts += (item, ", ")
+    parts[-1:] = [" |-"] if parts else ["|-"]
+    for i, item in enumerate(s.succedent):
+        parts += (", " if i else " ", item)
+    return parts
 
 
-def render_formula(f: Formula, level: int = _LEVEL_FORMULA) -> str:
-    if isinstance(f, (Forall, Exists)):
-        kw = "forall" if isinstance(f, Forall) else "exists"
-        body = render_formula(f.body, _LEVEL_FORMULA)
-        text = f"{kw} {f.var} in {f.domain} . {body}"
-        return f"({text})" if level > _LEVEL_FORMULA else text
-    if isinstance(f, Bowtie):
-        left = render_formula(f.left, _LEVEL_FORMULA)
-        right = render_formula(f.right, _LEVEL_FORMULA)
-        text = f"bowtie {f.var} in {f.domain} ({left}; {right})"
-        return f"({text})" if level > _LEVEL_FORMULA else text
-    chain = _CHAINS.get(type(f))
-    if chain is not None:
-        # a right-nested chain is printed as one operand list
-        op, operand_level, own_level = chain
-        cls = type(f)
-        parts = []
-        while type(f) is cls:
-            parts.append(render_formula(f.left, operand_level))
-            f = f.right
-        parts.append(render_formula(f, own_level))
-        text = op.join(parts)
-        return f"({text})" if level > own_level else text
-    if isinstance(f, Atom):
-        args = ", ".join(render_term(a) for a in f.args)
-        return f"{f.pred}({args})"
-    if isinstance(f, Member):
-        return f"{render_term(f.term)} in {f.domain}"
-    if isinstance(f, Eq):
-        return f"{render_term(f.left)} = {render_term(f.right)}"
-    if isinstance(f, Neq):
-        return f"{render_term(f.left)} != {render_term(f.right)}"
-    if isinstance(f, Bot):
-        return "bot" if f.label is None else f"bot_{f.label}"
-    raise TypeError(f"render_formula: unsupported formula {f!r}")
+def render_term(t) -> str:
+    return _TEXT[type(t)](t)
 
 
-def _render_item(item) -> str:
-    if isinstance(item, ContextVar):
-        return item.name
-    return render_formula(item)
+def _chain(op: str, left_level: int, level: int):
+    """A binary node's row; a right-nested chain prints as one operand list."""
+    def text(n):
+        cls, parts = type(n), []
+        while type(n) is cls:
+            parts += ((n.left, left_level), op)
+            n = n.right
+        return [*parts, (n, level)]
+    return level, text
+
+
+#: node class -> text for a leaf, or else (level, text): the loosest level
+#: at which the node needs no parentheses, and its text as a list of
+#: strings and holes, each a (child, level) or a bare child at level 0
+_TEXT = _ShapeTable({
+    Var: lambda n: n.name,
+    Outcome: lambda n: f"<{n.state}, {render_rational(n.prob)}>",
+    Sharp: lambda n: f"#{n.state}",
+    ContextVar: lambda n: n.name,
+    Atom: lambda n: f"{n.pred}({', '.join(map(render_term, n.args))})",
+    Member: lambda n: f"{render_term(n.term)} in {n.domain}",
+    Eq: lambda n: f"{render_term(n.left)} = {render_term(n.right)}",
+    Neq: lambda n: f"{render_term(n.left)} != {render_term(n.right)}",
+    Bot: lambda n: "bot" if n.label is None else f"bot_{n.label}",
+    Domain: lambda n: "%s = { %s }" % (
+        n.name, ", ".join(map(render_term, n.elements))),
+    And: _chain(" & ", _LEVEL_UNIT, _LEVEL_AND),
+    Or: _chain(" \\/ ", _LEVEL_AND, _LEVEL_OR),
+    Star: _chain(" * ", _LEVEL_OR, _LEVEL_STAR),
+    Forall: (_LEVEL_FORMULA,
+             lambda n: [f"forall {n.var} in {n.domain} . ", n.body]),
+    Exists: (_LEVEL_FORMULA,
+             lambda n: [f"exists {n.var} in {n.domain} . ", n.body]),
+    Bowtie: (_LEVEL_FORMULA, lambda n: [
+        f"bowtie {n.var} in {n.domain} (", n.left, "; ", n.right, ")"]),
+    Correlated: (_LEVEL_FORMULA,
+                 lambda n: [n.left, f" ,_{n.label} ", n.right]),
+    Sequent: (_LEVEL_FORMULA, _sequent),
+})
+
+
+def render(node, level: int = _LEVEL_FORMULA) -> str:
+    """Canonical text of a node, in parentheses where ``level`` needs them."""
+    out = []
+    stack = [iter([(node, level)])]  # the parts each open node has left
+    while stack:
+        for part in stack[-1]:
+            if type(part) is str:
+                out.append(part)
+                continue
+            n, at = part if type(part) is tuple else (part, _LEVEL_FORMULA)
+            row = _TEXT[type(n)]
+            if type(row) is not tuple:
+                out.append(row(n))
+                continue
+            own, text = row
+            stack.append(iter(["(", *text(n), ")"] if at > own else text(n)))
+            break
+        else:
+            stack.pop()
+    return "".join(out)
+
+
+render_formula = render_domain = render
 
 
 def render_sequent(s: Sequent) -> str:
-    parts = []
-    for slot in s.succedent:
-        if isinstance(slot, Correlated):
-            parts.append(f"{render_formula(slot.left)} ,_{slot.label} "
-                         f"{render_formula(slot.right)}")
-        else:
-            parts.append(_render_item(slot))
-    left = ", ".join(_render_item(i) for i in s.antecedent)
-    right = ", ".join(parts)
-    if left and right:
-        return f"{left} |- {right}"
-    if left:
-        return f"{left} |-"
-    if right:
-        return f"|- {right}"
-    return "|-"
-
-
-def render_domain(d: Domain) -> str:
-    elems = ", ".join(render_term(e) for e in d.elements)
-    return f"{d.name} = {{ {elems} }}"
-
-
-def render(node) -> str:
-    """Dispatching canonical printer (terms, formulas, sequents, domains)."""
-    if isinstance(node, Term):
-        return render_term(node)
-    if isinstance(node, Formula):
-        return render_formula(node)
-    if isinstance(node, ContextVar):
-        return node.name
-    if isinstance(node, Sequent):
-        return render_sequent(node)
-    if isinstance(node, Domain):
-        return render_domain(node)
-    raise TypeError(f"render: unsupported node {node!r}")
+    return render(s)

@@ -1,9 +1,12 @@
 """Equation engine, rules, axioms, dualize, checker and scripts."""
+import contextlib
 import dataclasses
+import io
 from fractions import Fraction
 
 import pytest
 
+from rfod.cli import DERIVE_TARGETS, main as cli_main
 from rfod.errors import FragmentError, RuleError
 from rfod.calculus import (
     EQUATIONS, Derivation, RuleId, TheoryConfig, check, check_script,
@@ -241,6 +244,47 @@ def test_equation_mutants_rejected():
     assert (mutants, flipped) == (214, 64)
 
 
+def _derived_scripts(tmp_path, m):
+    """The parsed script of every derive target at size m."""
+    path = tmp_path / f"m{m}.script"
+    for target in DERIVE_TARGETS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["derive", target, "--m", str(m), "--focused",
+                             "D", "--out", str(path)]) == 0
+        yield parse_script(path.read_text())
+
+
+def _other_values(key, value):
+    """Other values of the kind of a step parameter."""
+    if isinstance(value, int):
+        return [value - 1, value + 1]
+    if key == "pick":
+        return [{"left": "right", "right": "left"}[value]]
+    if key == "term":
+        return [Sharp("fresh")]
+    if key in ("cut", "formula"):
+        return [Atom("Fresh", ())]
+    return [value + "9"]  # a variable, label, state or domain name
+
+
+def test_parameter_mutants_rejected(tmp_path):
+    mutants = 0
+    for m in (2, 3):
+        for script in _derived_scripts(tmp_path, m):
+            done = {}
+            for step_id, rule, direction, params, refs, c in script.steps:
+                done[step_id] = c
+                premises = [done[r] for r in refs]
+                for key, value in params.items():
+                    for other in _other_values(key, value):
+                        with pytest.raises(RuleError):
+                            validate_step(c, rule, direction, premises,
+                                          dict(params, **{key: other}),
+                                          script.config, script.domains)
+                        mutants += 1
+    assert mutants == 220
+
+
 # ---------------------------------------------------------------------------
 # dualize
 
@@ -299,6 +343,36 @@ def test_ax_singleton_spec_example():
     assert not off.ok
     sharp_form = rule_step(seq("z in {u} |- z = #u"), RuleId.AX_SINGLETON, [])
     assert sharp_form.ok
+
+
+def test_axiom_schemas():
+    half = Fraction(1, 2)
+    d = Domain("D", (Outcome("a", half), Outcome("b", half)))
+    one = Domain("E", (Sharp("a"),), kind="singleton")
+    table = DomainTable([d, one])
+    cfg = TheoryConfig(focused_domains=frozenset({"D"}))
+    cases = [
+        # the singleton axiom is the focus schema with one disjunct
+        ("z in E |- z = a", RuleId.AX_SINGLETON, {"domain": "E"}, True),
+        ("z in D |- z = <a, 1/2>", RuleId.AX_SINGLETON, {}, False),
+        ("z in {u} |- z = u", RuleId.AX_SINGLETON, {"domain": "{v}"}, False),
+        # the sharp fact is the membership schema on the companion set
+        ("|- #a in D^f", RuleId.AX_SHARP_MEMBER, {"domain": "D"}, True),
+        ("|- <a, 1> in D^f", RuleId.AX_SHARP_MEMBER, {}, True),
+        ("|- <a, 1/2> in D^f", RuleId.AX_SHARP_MEMBER, {}, False),
+        ("|- #a in D^f", RuleId.AX_SHARP_MEMBER, {"domain": "E"}, False),
+        ("|- #u in {u}", RuleId.AX_SHARP_MEMBER, {}, True),
+        ("|- #a in D", RuleId.AX_SHARP_MEMBER, {}, False),
+        ("|- <a, 1/2> in D", RuleId.AX_MEMBER, {"domain": "E"}, False),
+    ]
+    for text, rule, params, ok in cases:
+        verdict = rule_step(seq(text), rule, [], params, cfg, table)
+        assert verdict.ok is ok, (text, verdict.reason)
+    off = TheoryConfig(singleton_axioms=False)
+    for text, rule in (("z in E |- z = a", RuleId.AX_SINGLETON),
+                       ("|- #a in D^f", RuleId.AX_SHARP_MEMBER)):
+        assert "singleton_axioms off" in rule_step(
+            seq(text), rule, [], cfg=off, table=table).reason
 
 
 def test_exists_r_spec_example():

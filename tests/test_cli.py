@@ -192,6 +192,25 @@ def test_undeclared_domain_in_axiom_is_a_rejected_step(tmp_path, capsys):
     assert "REJECTED" in out
     assert "Traceback" not in out + err
 
+def test_step_the_last_step_does_not_use_is_a_script_error(tmp_path, capsys):
+    bad = tmp_path / "bad.seq"
+    bad.write_text("-- step 2 stands alone\nstep 1 identity :: A(x) |- B(x)\n"
+                   "step 2 identity :: A(x) |- A(x)\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: 2:1: step 1 is not used by the last step\n"
+
+
+def test_singleton_literal_domain_holds_only_its_singleton(tmp_path, capsys):
+    bad = tmp_path / "bad.seq"
+    bad.write_text("domain {u} = { <a, 1/2>, <b, 1/2> }\nstep 1 ax_focus :: "
+                   "z in {u} |- z = <a, 1/2> \\/ z = <b, 1/2>\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (2, "")
+    assert err == ("error: 1:1: domain {u}: a singleton literal name holds "
+                   "exactly { #u }\n")
+
+
 def test_script_error_has_one_position_at_the_failing_token(tmp_path, capsys):
     bad = tmp_path / "bad.seq"
     bad.write_text("-- header\n\n  step 1 identity :: A( |- \n")

@@ -1,8 +1,10 @@
 """Parser, printer, substitution and domain invariants."""
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,9 @@ from rfod.syntax import (
     replace_term_occurrences, subst_formula, substitute, walk,
 )
 from rfod.calculus import dualize
-from rfod.gen import make_rng, random_probability_list, random_sequent
+from rfod.gen import (
+    make_rng, random_formula, random_probability_list, random_sequent,
+)
 
 
 def test_parse_context_var_and_membership():
@@ -49,6 +53,30 @@ def test_render_examples():
         "forall x in D . A(x)"
     assert render(Outcome("up_y", Fraction(1, 2))) == "<up_y, 1/2>"
     assert render(Bot("Y")) == "bot_Y"
+
+
+def test_render_matches_golden():
+    # seeded with fixed generators, not RFOD_SEED, so the text is pinned
+    lines = []
+    for k in range(100):
+        rng = random.Random(k)
+        lines.append(render(random_sequent(rng, 4)))
+        lines.append(render(random_formula(rng, 4)))
+    golden = Path(__file__).parent / "golden" / "render.txt"
+    assert "\n".join(lines) + "\n" == golden.read_text()
+
+
+def test_render_takes_deep_formulas():
+    atom = Atom("A", (Var("x"),))
+    chain = atom
+    nested = atom
+    for _ in range(5000):
+        chain = And(chain, atom)
+        nested = Forall("x", "D", nested)
+    assert render(chain) == ("(" * 4999 + "A(x)" + " & A(x))" * 4999
+                             + " & A(x)")
+    assert render(Sequent((), (nested,))) == ("|- " + "forall x in D . " * 5000
+                                              + "A(x)")
 
 
 def test_render_parse_identity_on_spec_strings():
@@ -187,6 +215,15 @@ def test_seeded_corpus_does_not_depend_on_the_hash_seed():
             text=True, check=True).stdout)
     assert corpora[0] == corpora[1]
     assert len(corpora[0].splitlines()) == 200
+
+
+def test_singleton_literal_name_holds_exactly_its_singleton():
+    half = Fraction(1, 2)
+    assert Domain("{u}", (Sharp("u"),)).elements == (Sharp("u"),)
+    assert Domain("{u}", (Outcome("u", 1),), kind="singleton").labels == ("u",)
+    for elements in ((Outcome("a", half), Outcome("b", half)), (Sharp("v"),)):
+        with pytest.raises(DomainError, match="holds exactly"):
+            Domain("{u}", elements)
 
 
 def test_singleton_literal_resolution():
