@@ -4,21 +4,21 @@ from .checker import (
     CheckReport, Derivation, StepReport, check, rule_step, validate_step,
 )
 from .rules import (
-    AXIOMS, BACKWARD, EQUATIONS, FORWARD, LEAVES, RuleId, TheoryConfig,
+    AXIOMS, BACKWARD, EQUATIONS, FORWARD, RuleId, TheoryConfig,
     Verdict, bot_label, build_and, build_or, correlation_label, dualize,
     equation_step, flatten_or, pick_bound_name,
 )
 from .script import (
-    ProofScript, check_script, derivation_to_json, domain_from_json,
-    domain_to_json, parse_script, script_to_derivation, serialize_derivation,
+    ProofScript, check_script, derivation_to_json, domain_to_json,
+    parse_script, script_to_derivation, serialize_derivation,
 )
 
 __all__ = [
     "CheckReport", "Derivation", "StepReport", "check", "rule_step",
-    "validate_step", "AXIOMS", "BACKWARD", "EQUATIONS", "FORWARD", "LEAVES",
+    "validate_step", "AXIOMS", "BACKWARD", "EQUATIONS", "FORWARD",
     "RuleId", "TheoryConfig", "Verdict", "bot_label", "build_and",
     "build_or", "correlation_label", "dualize", "equation_step",
     "flatten_or", "pick_bound_name", "ProofScript", "check_script",
-    "derivation_to_json", "domain_from_json", "domain_to_json",
+    "derivation_to_json", "domain_to_json",
     "parse_script", "script_to_derivation", "serialize_derivation",
 ]

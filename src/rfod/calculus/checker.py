@@ -107,7 +107,8 @@ def _validate_equation(c: Sequent, rule: RuleId, direction: str,
 
     The connective side is decomposed, except for the equality equation,
     whose connective side (the one with the antecedent z = t) is composed:
-    a script does not record which occurrences of t were abstracted.
+    a script need not record which occurrences of t were abstracted (when
+    positions= does, the plain side must decompose to it as well).
     """
     equality = rule is RuleId.EQ_EQUALITY
     on_conclusion = (direction == FORWARD) != equality
@@ -119,6 +120,9 @@ def _validate_equation(c: Sequent, rule: RuleId, direction: str,
         try:
             if equality:
                 pieces = [compose_equality(connective, p)]
+                _require("positions" not in p or alpha_eq_all(
+                    _DECOMPOSE[rule](plain, p, cfg), [connective]),
+                    "positions= does not abstract the step's occurrences")
             else:
                 pieces = _DECOMPOSE[rule](connective, p, cfg)
         except RuleError as exc:
@@ -222,9 +226,10 @@ def _subst_pairs(c: Sequent, premise: Sequent, params: dict, key: str):
     """The (variable, value) pairs a substitution step may have used: the
     step's var= and key= parameters, or else every variable membership of
     the premise whose place the conclusion fills with a membership of a
-    closed term.  The value is that term, or with key "state" (forgetful
-    substitution) its state label.  A variable that also names a context
-    metavariable of the premise rejects the step once its pair is reached."""
+    closed term, if it agrees with the one of the two the step gives.  The
+    value is that term, or with key "state" (forgetful substitution) its
+    state label.  A variable that also names a context metavariable of the
+    premise rejects the step once its pair is reached."""
     forgetful = key == "state"
     if "var" in params and key in params:
         pairs = [(params["var"], params[key])]
@@ -235,6 +240,9 @@ def _subst_pairs(c: Sequent, premise: Sequent, params: dict, key: str):
                  and isinstance(pc, Member) and is_closed(pc.term)
                  and pc.domain == (sharp_domain_name(pm.domain) if forgetful
                                    else pm.domain)]
+        pairs = [(v, value) for v, value in pairs
+                 if params.get("var", v) == v
+                 and params.get(key, value) == value]
     _require(bool(pairs), f"cannot determine the substitution; "
                           f"pass var=<v> {key}=<{key[0]}>")
     for v, value in pairs:

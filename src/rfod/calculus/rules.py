@@ -74,8 +74,6 @@ AXIOMS = frozenset({
     RuleId.AX_SINGLETON, RuleId.AX_FOCUS, RuleId.AX_MEMBER,
     RuleId.AX_SHARP_MEMBER,
 })
-LEAVES = frozenset({RuleId.IDENTITY, RuleId.REFLEXIVITY,
-                    RuleId.HYPOTHESIS}) | AXIOMS
 
 FORWARD = "forward"
 BACKWARD = "backward"

@@ -9,21 +9,28 @@ A script is declarations followed by numbered steps:
     step 1 identity :: forall x in D . A(x) |- forall x in D . A(x)
     step 2 eq_forall_r backward var=z from 1 :: forall x in D . A(x), z in D |- A(z)
 
-Every premise reference points to an earlier step.  The JSON export
-carries identical content in tree-friendly form.
+Each line is read by the sequent DSL's tokenizer and one parser over its
+tokens, so every error carries its real line and column:
+
+    line  := "domain" DOM "=" "{" [term ("," term)*] "}" FLAG*
+           | "predicate" IDENT ["/" INT] | "config" KEY ("on" | "off")
+           | "step" ID RULE DIRECTION? (KEY "=" value | "from" ID ("," ID)*)*
+             "::" sequent
+    value := V | '"' V '"'   (V by the key: INT (";" INT)*, term, formula, DOM)
+
+A comment runs from ``--`` to the end of the line, wherever it starts.
+``'`` is an identifier character (``x'``) and quotes nothing.  Every
+premise reference points to an earlier step, and every step leads to the
+last one.  The JSON export carries the same content as a tree.
 """
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from ..errors import DslSyntaxError, RfodError
-from ..syntax.ast import (
-    Domain, DomainTable, Outcome, Sharp, term_prob, term_state,
-)
-from ..syntax.parser import _Parser, parse_sequent
+from ..syntax.ast import Domain, DomainTable, term_prob, term_state
+from ..syntax.parser import _Parser, _shown
 from ..syntax.printer import (
     render_domain, render_formula, render_sequent, render_term,
 )
@@ -63,33 +70,6 @@ def _encode_value(key: str, value) -> str:
     if any(ch in text for ch in " \t\"'"):
         return '"%s"' % text.replace('"', '\\"')
     return text
-
-
-def _decode_value(key: str, text: str):
-    try:
-        if key in _INT_PARAMS:
-            return int(text)
-        if key in _LIST_PARAMS:
-            return [int(v) for v in text.split(";") if v]
-    except ValueError:
-        raise RfodError(f"parameter {key}={text}: expected "
-                        + ("integers" if key in _LIST_PARAMS else "an integer"))
-    try:
-        if key in _TERM_PARAMS:
-            return _parse_fragment(text, "term")
-        if key in _FORMULA_PARAMS:
-            return _parse_fragment(text, "formula")
-    except DslSyntaxError as exc:
-        raise RfodError(f"parameter {key}={text}: {exc.message}")
-    return text
-
-
-def _parse_fragment(text: str, kind: str):
-    p = _Parser(text)
-    node = p.parse_term() if kind == "term" else p.parse_formula()
-    if not p.at_end():
-        p.fail(f"trailing input in {kind} parameter")
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +157,6 @@ def domain_to_json(dom: Domain, focused_override: bool = False) -> dict:
     }
 
 
-def domain_from_json(doc: dict) -> Domain:
-    elements = []
-    for label, num, den in doc["elements"]:
-        p = Fraction(int(num), int(den))
-        elements.append(Sharp(label) if p == 1 else Outcome(label, p))
-    return Domain(doc["name"], tuple(elements),
-                  focused=bool(doc.get("focused", False)),
-                  kind=doc.get("kind", "measured"))
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -197,43 +167,41 @@ _DIRECTIONS = {"forward", "backward"}
 def parse_script(text: str) -> ProofScript:
     script = ProofScript()
     flags = {"singleton_axioms": True, "classical_right_contexts": False}
-    focused: set = set()
     seen_ids: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("--", 1)[0].strip()
-        if not line:
+        p = _Parser(raw, lineno)
+        first = p.next()
+        if first.kind == "eof":
             continue
-        indent = len(raw) - len(raw.lstrip())
         try:
-            if line.startswith("domain "):
-                _parse_domain_decl(line, script, focused)
-            elif line.startswith("predicate "):
-                name, _, arity = line[len("predicate "):].strip().partition("/")
-                try:
-                    script.predicates[name.strip()] = int(arity or "1")
-                except ValueError:
-                    raise RfodError(f"predicate {name.strip()}: arity "
-                                    f"{arity.strip()} is not an integer")
-            elif line.startswith("config "):
-                key, _, value = line[len("config "):].strip().partition(" ")
+            if first.text == "domain":
+                _parse_domain_decl(p, script)
+            elif first.text == "predicate":
+                name = p.expect("ident").text
+                script.predicates[name] = (_integer(p, f"predicate {name}")
+                                           if p.accept("/") else 1)
+                p.finish()
+            elif first.text == "config":
+                key = p.next().text
                 if key not in flags:
                     raise RfodError(f"unknown config key {key}")
-                value = value.strip()
+                value = " ".join(tok.text for tok in p.tokens[p.i:-1])
                 if value not in ("on", "off"):
                     raise RfodError(f"config {key}: expected 'on' or 'off', "
                                     f"found {value!r}")
                 flags[key] = value == "on"
-            elif line.startswith("step "):
-                _parse_step_line(line, script, seen_ids)
-                seen_ids[script.steps[-1][0]] = (lineno, indent + 1)
+            elif first.text == "step":
+                _parse_step_line(p, script, seen_ids)
+                seen_ids[script.steps[-1][0]] = (lineno, first.column)
             else:
-                raise RfodError(f"unrecognised script line: {line}")
-        except DslSyntaxError as exc:
-            # a sequent or term inside the line, placed by its own column
-            raise DslSyntaxError(exc.message, lineno,
-                                 indent + exc.column) from exc
+                raise RfodError("unrecognised script line starting "
+                                f"{_shown(first)!r}")
+        except DslSyntaxError:
+            raise
         except RfodError as exc:
-            raise DslSyntaxError(str(exc), lineno, indent + 1) from exc
+            # an error of the line as a whole: a declaration it breaks or
+            # a step it cannot place
+            raise DslSyntaxError(str(exc), lineno, first.column) from exc
     # every step must lead to the last one, which alone is checked as a tree
     used = {step[0] for step in script.steps[-1:]}
     for step_id, _, _, _, refs, _ in reversed(script.steps):
@@ -243,94 +211,99 @@ def parse_script(text: str) -> ProofScript:
         used.update(refs)
     script.config = TheoryConfig(
         singleton_axioms=flags["singleton_axioms"],
-        focused_domains=frozenset(focused),
+        focused_domains=frozenset(dom.name for dom in script.domains.domains()
+                                  if dom.focused),
         right_contexts_in_forall=flags["classical_right_contexts"])
     return script
 
 
-def _parse_domain_decl(line: str, script: ProofScript, focused: set) -> None:
-    head, _, tail = line[len("domain "):].partition("=")
-    name = head.strip()
-    tail = tail.strip()
-    if not tail.startswith("{"):
+def _integer(p: _Parser, owner: str) -> int:
+    tok = p.next()
+    if tok.kind != "rational" or not tok.text.isdigit():
+        p.fail(f"{owner}: expected an integer, found {_shown(tok)!r}", tok)
+    return int(tok.text)
+
+
+def _read_value(p: _Parser, key: str):
+    if key in _INT_PARAMS:
+        return _integer(p, f"parameter {key}")
+    if key in _LIST_PARAMS:
+        values = [_integer(p, f"parameter {key}")]
+        while p.accept(";"):
+            values.append(_integer(p, f"parameter {key}"))
+        return values
+    if key in _TERM_PARAMS:
+        return p.parse_term()
+    if key in _FORMULA_PARAMS:
+        return p.parse_formula()
+    return p.parse_domain_ref()  # a variable, label, state or domain name
+
+
+def _parse_domain_decl(p: _Parser, script: ProofScript) -> None:
+    name = p.parse_domain_ref()
+    if not (p.accept("=") and p.accept("{")):
         raise RfodError(f"domain {name}: expected '= {{ ... }}'")
-    body, _, supplement = tail[1:].partition("}")
-    start = line.index("{") + 1
-    try:
-        terms = _parse_element_list(body)
-    except DslSyntaxError as exc:
-        raise DslSyntaxError(exc.message, 1, start + exc.column) from exc
-    flags = supplement.split()
-    kind = "measured"
-    is_focused = False
-    for flag in flags:
+    terms = []
+    while not p.accept("}"):
+        if terms:
+            p.expect(",")
+        terms.append(p.parse_term())
+    kind, is_focused = "measured", False
+    while not p.at_end():
+        flag = p.next().text
         if flag == "focused":
             is_focused = True
         elif flag in ("measured", "uniform", "singleton"):
             kind = flag
         else:
             raise RfodError(f"domain {name}: unknown flag {flag}")
-    dom = Domain(name, tuple(terms), focused=is_focused, kind=kind)
-    script.domains.register(dom)
-    if is_focused:
-        focused.add(name)
+    script.domains.register(Domain(name, tuple(terms), focused=is_focused,
+                                   kind=kind))
 
 
-def _parse_element_list(body: str) -> list:
-    terms = []
-    p = _Parser(body)
-    while not p.at_end():
-        terms.append(p.parse_term())
-        if p.peek().kind == ",":
-            p.next()
-    return terms
+_STEP_ID = ("rational", "ident")
 
 
-def _parse_step_line(line: str, script: ProofScript, seen_ids: dict) -> None:
-    head, sep, conclusion_text = line.partition("::")
-    if not sep:
+def _parse_step_line(p: _Parser, script: ProofScript, seen_ids: dict) -> None:
+    if not any(tok.kind == "::" for tok in p.tokens):
         raise RfodError("step line needs ':: <sequent>'")
-    try:
-        tokens = shlex.split(head)
-    except ValueError as exc:
-        raise RfodError(f"step line: {exc}")
-    if len(tokens) < 3 or tokens[0] != "step":
+    step_id, rule_name = p.next(), p.next()
+    if step_id.kind not in _STEP_ID or rule_name.kind != "ident":
         raise RfodError("step line starts 'step <id> <rule>'")
-    step_id = tokens[1]
-    rule_name = tokens[2]
-    rule = _RULES_BY_NAME.get(rule_name)
+    step_id = step_id.text
+    rule = _RULES_BY_NAME.get(rule_name.text)
     if rule is None:
-        raise RfodError(f"unknown rule {rule_name}")
+        raise RfodError(f"unknown rule {rule_name.text}")
     direction = None
     params: dict = {}
     refs: list = []
-    rest = tokens[3:]
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if tok in _DIRECTIONS:
-            direction = tok
-        elif tok == "from":
-            i += 1
-            if i >= len(rest):
+    while True:
+        tok = p.next()
+        if tok.kind == "::":
+            break
+        if tok.kind == "ident" and tok.text in _DIRECTIONS:
+            direction = tok.text
+        elif tok.kind == "ident" and tok.text == "from":
+            while p.peek().kind in _STEP_ID:
+                refs.append(p.next().text)
+                if not p.accept(","):
+                    break
+            if not refs:
                 raise RfodError("'from' needs premise ids")
-            refs = [r for r in rest[i].split(",") if r]
-        elif "=" in tok:
-            key, _, value = tok.partition("=")
-            params[key] = _decode_value(key, value)
+        elif tok.kind == "ident" and p.accept("="):
+            quoted = p.accept('"')
+            params[tok.text] = _read_value(p, tok.text)
+            if quoted:
+                p.expect('"')
         else:
-            raise RfodError(f"unexpected token {tok!r} in step line")
-        i += 1
+            p.fail(f"unexpected token {_shown(tok)!r} in step line", tok)
     if step_id in seen_ids:
         raise RfodError(f"duplicate step id {step_id}")
     for r in refs:
         if r not in seen_ids:
             raise RfodError(f"step {step_id} references unknown step {r}")
-    start = len(line) - len(conclusion_text.lstrip())
-    try:
-        conclusion = parse_sequent(line[start:])
-    except DslSyntaxError as exc:
-        raise DslSyntaxError(exc.message, 1, start + exc.column) from exc
+    conclusion = p.parse_sequent()
+    p.finish()
     script.steps.append((step_id, rule, direction, params, refs, conclusion))
 
 

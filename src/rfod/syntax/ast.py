@@ -569,8 +569,5 @@ class DomainTable:
             raise DomainError(f"{sharp_name} is not a sharp companion set")
         return self.resolve(sharp_name).labels
 
-    def names(self):
-        return tuple(sorted(self._by_name))
-
     def domains(self):
         return tuple(self._by_name[n] for n in sorted(self._by_name))

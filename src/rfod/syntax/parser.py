@@ -21,11 +21,15 @@ than *.  Comments run from "--" to end of line.  A bare identifier in
 item position is a context metavariable.  An empty succedent is allowed
 (duality can empty the right-hand side).
 
-The lexer is one scan over one pattern.  An outcome term written on one
-line, ``<t, 1/2>``, is a single ``outcome`` lexeme, and equal lexemes
-share one ``Outcome`` object.  Chains of ``&``, ``\\/`` and ``*`` are read
-as operand lists and built right-nested, so their length costs no
-recursion depth.
+Three tokens only proof-script lines use: ``::`` before a step's
+conclusion, ``"`` around a parameter value, ``/`` before an arity.
+
+The lexer is one scan over one pattern, from a given line number, so a
+line of a larger file keeps its real positions.  An outcome term written
+on one line, ``<t, 1/2>``, is a single ``outcome`` lexeme, and equal
+lexemes share one ``Outcome`` object.  Chains of ``&``, ``\\/`` and ``*``
+are read as operand lists and built right-nested, so their length costs
+no recursion depth.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from ..errors import DslSyntaxError, LookupFailure
+from ..errors import DomainError, DslSyntaxError, LookupFailure
 from .ast import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, DomainTable, Eq, Exists,
     Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Term, Var,
@@ -65,7 +69,7 @@ _TOKEN_RE = re.compile(r"""[ \t\r]*(?:
   | (?P<rational>\d+(?:/\d+)?|\d*\.\d+)
   | (?P<ident>%s)
   | (?P<neq>!=)
-  | (?P<punct>[,.;()<>{}#&*=])
+  | (?P<punct>::|[,.;()<>{}#&*=/"])
   | (?P<error>[^ \t\r])
 )""" % (_OUTCOME, _IDENT, _IDENT), re.VERBOSE)
 
@@ -77,10 +81,9 @@ class Token(NamedTuple):
     column: int
 
 
-def tokenize(text: str) -> list:
+def tokenize(text: str, line: int = 1) -> list:
     tokens = []
     append = tokens.append
-    line = 1
     line_start = 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -114,8 +117,8 @@ def _shown(tok: Token) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
+    def __init__(self, text: str, line: int = 1):
+        self.tokens = tokenize(text, line)
         self.i = 0
         self.depth = 0  # open parentheses and binders
 
@@ -142,6 +145,12 @@ class _Parser:
         tok = tok or self.peek()
         raise DslSyntaxError(message, tok.line, tok.column)
 
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.i].kind != kind:
+            return False
+        self.i += 1
+        return True
+
     def at_end(self) -> bool:
         return self.tokens[self.i].kind == "eof"
 
@@ -153,22 +162,26 @@ class _Parser:
     def parse_term(self) -> Term:
         tok = self.tokens[self.i]
         kind = tok.kind
-        if kind == "outcome":
-            self.i += 1
-            return _outcome(tok.text)
         if kind == "ident":
             self.i += 1
             return Var(tok.text)
-        if kind == "<":
-            # reached only by an outcome term that is not one lexeme: one
-            # spread over lines or comments, or a malformed one, whose
-            # error this reading places at its failing token
-            self.i += 1
-            state = self.expect("ident").text
-            self.expect(",")
-            prob = self.parse_rational()
-            self.expect(">")
-            return Outcome(state, prob)
+        try:
+            if kind == "outcome":
+                self.i += 1
+                return _outcome(tok.text)
+            if kind == "<":
+                # reached only by an outcome term that is not one lexeme:
+                # one spread over lines or comments, or a malformed one,
+                # whose error this reading places at its failing token
+                self.i += 1
+                state = self.expect("ident").text
+                self.expect(",")
+                prob = self.parse_rational()
+                self.expect(">")
+                return Outcome(state, prob)
+        except DomainError as exc:
+            # a probability out of range, placed at the term
+            self.fail(str(exc), tok)
         if kind == "#":
             self.i += 1
             return Sharp(self.expect("ident").text)
@@ -186,8 +199,7 @@ class _Parser:
         if tok.kind == "ident":
             self.next()
             return tok.text
-        if tok.kind == "{":
-            self.next()
+        if self.accept("{"):
             label = self.expect("ident").text
             self.expect("}")
             return "{" + label + "}"
@@ -261,8 +273,7 @@ class _Parser:
         if tok.kind in ("forall", "exists", "bowtie"):
             self.fail("quantified formula must be parenthesised here "
                       "(quantifiers bind weakest)", tok)
-        if tok.kind == "bot":
-            self.next()
+        if self.accept("bot"):
             return Bot(None)
         if tok.kind == "ident":
             if tok.text.startswith("bot_") and self.peek(1).kind != "(":
@@ -272,8 +283,7 @@ class _Parser:
                 self.next()
                 self.next()
                 args = [self.parse_term()]
-                while self.peek().kind == ",":
-                    self.next()
+                while self.accept(","):
                     args.append(self.parse_term())
                 self.expect(")")
                 return Atom(tok.text, tuple(args))
@@ -281,18 +291,14 @@ class _Parser:
 
     def parse_relation(self) -> Formula:
         term = self.parse_term()
-        tok = self.peek()
-        if tok.kind == "in":
-            self.next()
+        if self.accept("in"):
             return Member(term, self.parse_domain_ref())
-        if tok.kind == "=":
-            self.next()
+        if self.accept("="):
             return Eq(term, self.parse_term())
-        if tok.kind == "neq":
-            self.next()
+        if self.accept("neq"):
             return Neq(term, self.parse_term())
         self.fail("expected 'in', '=' or '!=' after term, found "
-                  f"{_shown(tok)!r}", tok)
+                  f"{_shown(self.peek())!r}")
 
     # -- sequents ------------------------------------------------------------
     _ITEM_STOPPERS = frozenset({",", "comma_label", "turnstile", "eof"})
@@ -309,8 +315,7 @@ class _Parser:
         antecedent = []
         if self.peek().kind != "turnstile":
             antecedent.append(self.parse_item())
-            while self.peek().kind == ",":
-                self.next()
+            while self.accept(","):
                 antecedent.append(self.parse_item())
         self.expect("turnstile")
         succedent = []
@@ -318,8 +323,7 @@ class _Parser:
             succedent.append(self.parse_item())
             while True:
                 tok = self.peek()
-                if tok.kind == ",":
-                    self.next()
+                if self.accept(","):
                     succedent.append(self.parse_item())
                 elif tok.kind == "comma_label":
                     self.next()

@@ -3,11 +3,12 @@ import contextlib
 import dataclasses
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rfod.cli import DERIVE_TARGETS, main as cli_main
-from rfod.errors import FragmentError, RuleError
+from rfod.errors import DslSyntaxError, FragmentError, RuleError
 from rfod.calculus import (
     EQUATIONS, Derivation, RuleId, TheoryConfig, check, check_script,
     dualize, equation_step, parse_script, rule_step, serialize_derivation,
@@ -431,6 +432,29 @@ def test_f_subst_rejects_context_metavariable_collision():
     assert "metavariable" in report.first_failure.reason
 
 
+def test_subst_inferred_pairs_agree_with_a_lone_parameter():
+    text = ("domain D = { <t1, 1/2>, <t2, 1/2> }\n"
+            "step 1 hypothesis :: G, z in D |- A(z)\n"
+            "step 2 subst %s from 1 :: G, <t1, 1/2> in D |- A(<t1, 1/2>)\n")
+    assert check_script(parse_script(text % "var=z")).accepted
+    for params in ("var=q", 'term="<t2, 1/2>"'):
+        report = check_script(parse_script(text % params))
+        assert not report.accepted
+        assert "cannot determine the substitution" in \
+            report.first_failure.reason
+
+
+def test_eq_equality_reads_positions():
+    text = ("step 1 hypothesis :: G |- A(<t1, 1/3>), B(<t1, 1/3>)\n"
+            'step 2 eq_equality backward term="<t1, 1/3>" var=z '
+            "positions=%s from 1 :: G, z = <t1, 1/3> |- A(z), B(<t1, 1/3>)\n")
+    assert check_script(parse_script(text % "1")).accepted
+    for positions in ("2", "1;2", "7"):
+        report = check_script(parse_script(text % positions))
+        assert not report.accepted
+        assert "positions=" in report.first_failure.reason
+
+
 def test_subst_requires_closed_term():
     premise = seq("G, x in D |- A(x)")
     bad = rule_step(seq("G, y in D |- A(y)"), RuleId.SUBST, [premise],
@@ -535,6 +559,50 @@ def test_script_errors():
                      "step 1 identity :: A |- A")
     with pytest.raises(Exception):
         parse_script("step 2 cut from 9 :: A |- A")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.script")),
+                         ids=lambda p: p.stem)
+def test_golden_scripts_round_trip(path):
+    text = path.read_text()
+    title = text.splitlines()[0][len("-- "):]
+    script = parse_script(text)
+    assert serialize_derivation(script.root(), script.domains,
+                                script.predicates, script.config,
+                                title) == text
+
+
+@pytest.mark.parametrize("text,line,column,message", [
+    ('step 1 identity term="<t1, 1/3> :: A(x) |- A(x)', 1, 33,
+     "expected '\"', found '::'"),
+    ("step 1 identity term='<t1, 1/3>' :: A(x) |- A(x)", 1, 22,
+     "unexpected character \"'\""),
+    ("-- header\n  step 1 bogus :: A(x) |- A(x)", 2, 3, "unknown rule bogus"),
+    ("step 1 identity from :: A(x) |- A(x)", 1, 1,
+     "'from' needs premise ids"),
+    ("step 1 identity A(x) |- A(x)", 1, 1, "step line needs ':: <sequent>'"),
+    ("step 1 identity slot=abc :: A(x) |- A(x)", 1, 22,
+     "parameter slot: expected an integer, found 'abc'"),
+    ("step 1 identity position=1;2 :: A(x) |- A(x)", 1, 27,
+     "unexpected token ';' in step line"),
+    ("step 1 weaken_l positions=a :: A(x) |- A(x)", 1, 27,
+     "parameter positions: expected an integer, found 'a'"),
+    ("-- header\npredicate A/x", 2, 13,
+     "predicate A: expected an integer, found 'x'"),
+    ("domain D = <t1, 1>", 1, 1, "domain D: expected '= { ... }'"),
+    ("-- header\n\n  step 1 identity :: A( |- ", 3, 25,
+     "expected a term, found '|-'"),
+    ("step 1 identity :: A(<t, 3/2>) |- A(<t, 3/2>)", 1, 22,
+     "outcome probability must be in (0, 1], got 3/2"),
+])
+def test_script_line_error_positions(text, line, column, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_script(text)
+    assert (err.value.line, err.value.column, err.value.message) == \
+        (line, column, message)
 
 
 def test_subst_never_accepted_in_reverse():

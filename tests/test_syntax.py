@@ -387,9 +387,9 @@ _PARSERS = {"formula": parse_formula, "sequent": parse_sequent,
      "expected 'rational', found '>'"),
     ("formula", "A(<t, 1/0>)", DslSyntaxError, 1, 7,
      "bad rational literal '1/0'"),
-    ("formula", "A(<t, 3/2>)", DomainError, None, None,
+    ("formula", "A(<t, 3/2>)", DslSyntaxError, 1, 3,
      "outcome probability must be in (0, 1], got 3/2"),
-    ("formula", "A(<t, 0>)", DomainError, None, None,
+    ("formula", "A(<t, 0>)", DslSyntaxError, 1, 3,
      "outcome probability must be in (0, 1], got 0"),
     ("formula", "A(<in, 1/2>)", DslSyntaxError, 1, 4,
      "expected 'ident', found 'in'"),
