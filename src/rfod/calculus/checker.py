@@ -139,6 +139,15 @@ def _validate_equation(c: Sequent, rule: RuleId, direction: str,
     raise RuleError(f"the sides of the step do not match {rule.value}")
 
 
+#: rule -> the parameters _completions can supply, in the order of its product
+_COMPLETABLE = {
+    rule: tuple(k for k in (key, *(("member", "body") if cls is Exists else ()),
+                            *(("var",) if cls in BINDERS else ()))
+                if isinstance(k, str))
+    for rule, (key, _, cls) in _CONNECTIVE_AT.items()
+}
+
+
 def _completions(rule: RuleId, connective: Sequent, plain: Sequent,
                  params: dict) -> list:
     """The step's parameters, one set per reading of the two sides: every
@@ -146,6 +155,9 @@ def _completions(rule: RuleId, connective: Sequent, plain: Sequent,
     connective's position among the items of its class, a binder's variable
     from the variable memberships on the plain side and, for the
     existential, the positions of that membership and of the body."""
+    missing = [k for k in _COMPLETABLE[rule] if k not in params]
+    if not missing:
+        return [params]
     key, side, cls = _CONNECTIVE_AT[rule]
     ant = plain.antecedent
     values = {key: (i for i, f in enumerate(getattr(connective, side))
@@ -156,9 +168,6 @@ def _completions(rule: RuleId, connective: Sequent, plain: Sequent,
         if cls is Exists:
             values.update(member=list(names), body=range(len(ant)))
         values["var"] = list(dict.fromkeys(names.values()))
-    missing = [k for k in values if isinstance(k, str) and k not in params]
-    if not missing:
-        return [params]
     options = []
     for combo in product(*(values[k] for k in missing)):
         p = dict(params, **dict(zip(missing, combo)))

@@ -321,7 +321,10 @@ def decompose_equality(s: Sequent, params: Optional[dict]) -> list:
              "abstracted term and fresh variable coincide")
     abstracted = replace_term_occurrences(s, t, Var(z),
                                           params.get("positions"))
-    return [Sequent(abstracted.antecedent + (Eq(Var(z), t),),
+    ant = abstracted.antecedent
+    j = params.get("index", len(ant))  # where z = t goes; last by default
+    _require(0 <= j <= len(ant), f"index {j} out of range")
+    return [Sequent(ant[:j] + (Eq(Var(z), t),) + ant[j:],
                     abstracted.succedent)]
 
 

@@ -168,8 +168,9 @@ def parse_script(text: str) -> ProofScript:
     script = ProofScript()
     flags = {"singleton_axioms": True, "classical_right_contexts": False}
     seen_ids: dict = {}
+    memo: dict = {}  # every line reads a repeated text as the same node
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        p = _Parser(raw, lineno)
+        p = _Parser(raw, lineno, memo)
         first = p.next()
         if first.kind == "eof":
             continue
@@ -185,6 +186,7 @@ def parse_script(text: str) -> ProofScript:
                 key = p.next().text
                 if key not in flags:
                     raise RfodError(f"unknown config key {key}")
+                p.drain()
                 value = " ".join(tok.text for tok in p.tokens[p.i:-1])
                 if value not in ("on", "off"):
                     raise RfodError(f"config {key}: expected 'on' or 'off', "
@@ -196,9 +198,10 @@ def parse_script(text: str) -> ProofScript:
             else:
                 raise RfodError("unrecognised script line starting "
                                 f"{_shown(first)!r}")
-        except DslSyntaxError:
-            raise
         except RfodError as exc:
+            p.drain()  # a bad character on the line is reported first
+            if isinstance(exc, DslSyntaxError):
+                raise
             # an error of the line as a whole: a declaration it breaks or
             # a step it cannot place
             raise DslSyntaxError(str(exc), lineno, first.column) from exc
@@ -265,7 +268,7 @@ _STEP_ID = ("rational", "ident")
 
 
 def _parse_step_line(p: _Parser, script: ProofScript, seen_ids: dict) -> None:
-    if not any(tok.kind == "::" for tok in p.tokens):
+    if not p.lex_to("::"):
         raise RfodError("step line needs ':: <sequent>'")
     step_id, rule_name = p.next(), p.next()
     if step_id.kind not in _STEP_ID or rule_name.kind != "ident":

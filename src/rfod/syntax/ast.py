@@ -108,11 +108,51 @@ def term_state(t: Term) -> str:
 # ---------------------------------------------------------------------------
 # formulas
 
-class Formula:
+class _Syntax:
+    """Structural ``==`` and ``hash`` of formulas, items and sequents, on
+    an explicit stack: node classes, their ``_SHAPES`` heads and binder
+    variables must agree, terms compare by term equality."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, _Syntax):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            ca = type(a)
+            cb = type(b)
+            if ca is not cb and not (ca in _CLOSED and cb in _CLOSED):
+                return False
+            head_a, kids_a = _SHAPES[ca][0](a)
+            head_b, kids_b = _SHAPES[cb][0](b)
+            if (head_a != head_b or len(kids_a) != len(kids_b)
+                    or ca in BINDERS and a.var != b.var):
+                return False
+            stack.extend(zip(kids_a, kids_b))
+        return True
+
+    def __hash__(self):
+        parts = []
+        stack = [self]
+        while stack:
+            n = stack.pop()
+            cls = type(n)
+            head, kids = _SHAPES[cls][0](n)
+            parts.append((None if cls in _CLOSED else cls, head,
+                          n.var if cls in BINDERS else None, len(kids)))
+            stack.extend(kids)
+        return hash(tuple(parts))
+
+
+class Formula(_Syntax):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     pred: str
     args: tuple
@@ -121,64 +161,64 @@ class Atom(Formula):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Member(Formula):
     term: Term
     domain: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bot(Formula):
     """Falsum; the optional label names the incompatible observable's domain."""
 
     label: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forall(Formula):
     var: str
     domain: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exists(Formula):
     var: str
     domain: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bowtie(Formula):
     """Predicative binary connective internalising the correlated comma."""
 
@@ -191,15 +231,15 @@ class Bowtie(Formula):
 # ---------------------------------------------------------------------------
 # sequents
 
-@dataclass(frozen=True)
-class ContextVar:
+@dataclass(frozen=True, eq=False)
+class ContextVar(_Syntax):
     """Schematic context metavariable (G, G', Delta, ...)."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Correlated:
+@dataclass(frozen=True, eq=False)
+class Correlated(_Syntax):
     """Succedent slot A ,_S A': two formulas sharing one random variable."""
 
     label: str
@@ -211,8 +251,8 @@ Item = Union[Formula, ContextVar]
 SuccItem = Union[Formula, ContextVar, Correlated]
 
 
-@dataclass(frozen=True)
-class Sequent:
+@dataclass(frozen=True, eq=False)
+class Sequent(_Syntax):
     antecedent: tuple
     succedent: tuple
 

@@ -30,15 +30,38 @@ on one line, ``<t, 1/2>``, is a single ``outcome`` lexeme, and equal
 lexemes share one ``Outcome`` object.  Chains of ``&``, ``\\/`` and ``*``
 are read as operand lists and built right-nested, so their length costs
 no recursion depth.
+
+A proof script repeats its formulas from line to line, so one
+``parse_script`` call reads its lines with one memo, which lives as long
+as that call.  The memo maps the source text of every sequent item and
+of every suffix of an ``&``, ``\\/`` or ``*`` chain read so far (if at
+least ``_HEAD`` characters long) to the node built for it; it holds the
+text's place in its line, not a copy.  A text the memo holds is taken
+from it, neither lexed nor parsed again, and the very node is returned,
+only where the plain parse would read the same span to the same node:
+
+- the text stands at the start of a token, and its last character does
+  not run on into the next one (``x`` then ``'``);
+- the token after it ends the construct: after an item ``,``, ``,_L``,
+  ``|-`` or the end of the line; after a chain suffix one of these,
+  ``)``, ``;``, ``"`` or an operator binding more loosely than the
+  chain's;
+- the text nests no deeper than ``MAX_NESTING`` allows where it now
+  stands.
+
+A text is lexed only as far as the parse reads it.  Before any error is
+raised the rest of the text is lexed, so a bad character anywhere in it
+is reported first, as when the whole text is lexed before the parse.
 """
 from __future__ import annotations
 
 import re
+import string
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from ..errors import DomainError, DslSyntaxError, LookupFailure
+from ..errors import DomainError, DslSyntaxError, LookupFailure, RfodError
 from .ast import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, DomainTable, Eq, Exists,
     Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Term, Var,
@@ -81,11 +104,10 @@ class Token(NamedTuple):
     column: int
 
 
-def tokenize(text: str, line: int = 1) -> list:
-    tokens = []
-    append = tokens.append
+def _lexemes(text: str, line: int = 1, pos: int = 0):
+    """The tokens of ``text`` from offset ``pos`` on, ending in ``eof``."""
     line_start = 0
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, pos):
         kind = m.lastgroup
         if kind == "newline":
             line += 1
@@ -99,9 +121,42 @@ def tokenize(text: str, line: int = 1) -> list:
             kind = value
         elif kind == "error":
             raise DslSyntaxError(f"unexpected character {value!r}", line, col)
-        append(Token(kind, value, line, col))
-    append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+        yield Token(kind, value, line, col)
+    yield Token("eof", "", line, len(text) - line_start + 1)
+
+
+def tokenize(text: str, line: int = 1) -> list:
+    return list(_lexemes(text, line))
+
+
+#: the shortest text the memo keeps, and the length of its keys
+_HEAD = 12
+#: the most texts the memo keeps under one key: the first ones read, the
+#: shortest suffixes of a chain before its longer ones, so that a chain
+#: repeating one operand does not make every look-up compare long texts
+_BUCKET = 4
+_IDENT_CHARS = frozenset(string.ascii_letters + string.digits + "_'^")
+_ITEM_ENDS = frozenset({",", "comma_label", "turnstile", "eof"})
+_ENDS = _ITEM_ENDS | {")", ";", '"'}
+# a text read as one of these is no operand list: a binder (a
+# parenthesised one is, but is not reused there) or a context variable
+_NO_CHAIN = frozenset({Forall, Exists, Bowtie, ContextVar})
+#: where the memo is read -> (the tokens that may follow the text there,
+#: the node classes it may not be read as); a chain stops only before an
+#: operator that binds more loosely than its own
+_LEVELS = {
+    "item": (_ITEM_ENDS, frozenset()),
+    "*": (_ENDS, _NO_CHAIN),
+    "orop": (_ENDS | {"*"}, _NO_CHAIN | {Star}),
+    "&": (_ENDS | {"*", "orop"}, _NO_CHAIN | {Star, Or}),
+}
+# a token of those can follow a text only where the next character starts
+# one (a comment, which ends the line, starts with '-') or the line ends
+_MAY_END = re.compile(r'[ \t\r]*(?:[,|);"*\\-]|$)')
+
+
+def _longest_first(entry) -> int:
+    return entry[1] - entry[2]
 
 
 @lru_cache(maxsize=4096)
@@ -117,28 +172,61 @@ def _shown(tok: Token) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str, line: int = 1):
-        self.tokens = tokenize(text, line)
+    """One parse over ``text``, which is lexed a token at a time, as far as
+    the parse reads it.  With a memo (a dict that one ``parse_script`` call
+    shares between its lines) the text must be one line, and a span whose
+    reading the memo holds is not lexed at all."""
+
+    def __init__(self, text: str, line: int = 1, memo: Optional[dict] = None):
+        self.text = text
+        self.line = line
+        self.memo = memo
+        self._lexer = _lexemes(text, line)
+        self.tokens = [next(self._lexer)]
         self.i = 0
-        self.depth = 0  # open parentheses and binders
+        self.depth = 0        # open parentheses and binders
+        self.peak = 0         # the deepest depth reached so far
+        self._looked = -1     # the offset last looked up, and what it found
+        self._found = ()
+        self._kept = None     # the span last kept or taken from the memo
+        self._taken_end = 0   # where the last span taken from the memo ends
+
+    def read(self, rule):
+        """What ``rule()`` reads, which must be the whole text."""
+        try:
+            node = rule()
+            self.finish()
+        except RfodError:
+            self.drain()
+            raise
+        return node
 
     # -- token plumbing ----------------------------------------------------
+    # tokens[i] always exists: stepping past it lexes the next one
+
+    def _advance(self) -> None:
+        self.i += 1
+        if self.i == len(self.tokens):
+            self.tokens.append(next(self._lexer))
+
     def peek(self, ahead: int = 0) -> Token:
         i = self.i + ahead
         tokens = self.tokens
+        while i >= len(tokens) and tokens[-1].kind != "eof":
+            tokens.append(next(self._lexer))
         return tokens[i] if i < len(tokens) else tokens[-1]
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
         if tok.kind != "eof":
-            self.i += 1
+            self._advance()
         return tok
 
     def expect(self, kind: str) -> Token:
         tok = self.tokens[self.i]
         if tok.kind != kind:
             self.fail(f"expected {kind!r}, found {_shown(tok)!r}", tok)
-        self.i += 1
+        self._advance()
         return tok
 
     def fail(self, message: str, tok: Optional[Token] = None):
@@ -148,7 +236,7 @@ class _Parser:
     def accept(self, kind: str) -> bool:
         if self.tokens[self.i].kind != kind:
             return False
-        self.i += 1
+        self._advance()
         return True
 
     def at_end(self) -> bool:
@@ -158,22 +246,96 @@ class _Parser:
         if not self.at_end():
             self.fail(f"trailing input {_shown(self.peek())!r}")
 
+    def lex_to(self, kind: str) -> bool:
+        """Lex up to the first token of ``kind``; whether the text has one."""
+        tokens = self.tokens
+        while tokens[-1].kind not in (kind, "eof"):
+            tokens.append(next(self._lexer))
+        return any(tok.kind == kind for tok in tokens)
+
+    def drain(self) -> None:
+        """Lex the rest of the text, so that a bad character anywhere in it
+        is reported before an error of the parse or of the line."""
+        self.tokens.extend(self._lexer)
+
+    # -- the memo ------------------------------------------------------------
+    # Its keys are the first _HEAD characters of a text read before, its
+    # values the texts' spans, longest first: (line, start, end, node,
+    # depth), where depth bounds how deep the text nests.
+
+    def _recall(self, ends: frozenset, exclude: frozenset):
+        """The node the memo holds for the text at the current token, if
+        the plain reading of this text is that very node: the whole text
+        stands here, followed by a token of ``ends``, and it is read at a
+        level that ``exclude`` does not rule out.  The parse then goes on
+        after that text, which is never lexed."""
+        if self.memo is None:
+            return None
+        pos = self.tokens[self.i].column - 1
+        if pos != self._looked:
+            self._looked = pos
+            self._found = self._match(pos)
+        for node, stop, depth, lexer, follow in self._found:
+            if (follow.kind in ends and type(node) not in exclude
+                    and self.depth + depth <= MAX_NESTING):
+                del self.tokens[self.i:]
+                self.tokens.append(follow)
+                self._lexer = lexer
+                self._looked = -1
+                self._kept = (pos, stop)
+                self._taken_end = stop
+                self.peak = max(self.peak, self.depth + depth)
+                return node
+        return None
+
+    def _match(self, pos: int) -> list:
+        """The texts of the memo standing at ``pos``, longest first, with
+        the token after each: those whose last character does not run on
+        into the next one, so that lexing from ``pos`` cuts them as before."""
+        text = self.text
+        found = []
+        for src, start, end, node, depth in self.memo.get(
+                text[pos:pos + _HEAD], ()):
+            stop = pos + end - start
+            if (stop <= len(text) and text.startswith(src[start:end], pos)
+                    and not (text[stop - 1] in _IDENT_CHARS
+                             and text[stop:stop + 1] in _IDENT_CHARS)
+                    and _MAY_END.match(text, stop)):
+                lexer = _lexemes(text, self.line, stop)
+                found.append((node, stop, depth, lexer, next(lexer)))
+        return found
+
+    def _remember(self, start: int, node, depth: int) -> None:
+        """Keep ``node`` as the reading of the text from ``start`` to the
+        last token read, which was begun at ``depth``."""
+        if self.memo is None:
+            return
+        tok = self.tokens[self.i - 1]
+        end = max(self._taken_end, tok.column - 1 + len(tok.text))
+        if end - start < _HEAD or (start, end) == self._kept:
+            return
+        self._kept = (start, end)
+        bucket = self.memo.setdefault(self.text[start:start + _HEAD], [])
+        if len(bucket) < _BUCKET:
+            bucket.append((self.text, start, end, node, self.peak - depth))
+            bucket.sort(key=_longest_first)
+
     # -- terms and domain references ---------------------------------------
     def parse_term(self) -> Term:
         tok = self.tokens[self.i]
         kind = tok.kind
         if kind == "ident":
-            self.i += 1
+            self._advance()
             return Var(tok.text)
         try:
             if kind == "outcome":
-                self.i += 1
+                self._advance()
                 return _outcome(tok.text)
             if kind == "<":
                 # reached only by an outcome term that is not one lexeme:
                 # one spread over lines or comments, or a malformed one,
                 # whose error this reading places at its failing token
-                self.i += 1
+                self._advance()
                 state = self.expect("ident").text
                 self.expect(",")
                 prob = self.parse_rational()
@@ -183,7 +345,7 @@ class _Parser:
             # a probability out of range, placed at the term
             self.fail(str(exc), tok)
         if kind == "#":
-            self.i += 1
+            self._advance()
             return Sharp(self.expect("ident").text)
         self.fail(f"expected a term, found {_shown(tok)!r}", tok)
 
@@ -210,6 +372,8 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"formula nested deeper than {MAX_NESTING} levels", tok)
+        if self.depth > self.peak:
+            self.peak = self.depth
 
     def parse_formula(self) -> Formula:
         tok = self.peek()
@@ -248,18 +412,33 @@ class _Parser:
         return self._chain(self.parse_unit, "&", And)
 
     def _chain(self, operand, op: str, node) -> Formula:
-        """operand (op operand)*, built right-nested."""
-        first = operand()
-        if self.tokens[self.i].kind != op:
-            return first
-        operands = [first]
-        while self.tokens[self.i].kind == op:
-            self.i += 1
+        """operand (op operand)*, built right-nested.  The rest of the chain
+        from any operand on is taken from the memo when it holds that text,
+        and every suffix read is kept in it."""
+        tokens = self.tokens
+        ends, exclude = _LEVELS[op]
+        depth = self.depth
+        operands = []
+        starts = []
+        while True:
+            starts.append(tokens[self.i].column - 1)
+            rest = self._recall(ends, exclude)
+            if rest is not None:
+                break
             operands.append(operand())
-        f = operands.pop()
+            if tokens[self.i].kind != op:
+                if len(operands) == 1:
+                    return operands[0]
+                rest = operands.pop()
+                self._remember(starts[-1], rest, depth)
+                break
+            self._advance()
+        # the longer suffixes; one that ends in a span taken from the memo
+        # still runs to that span's end
         while operands:
-            f = node(operands.pop(), f)
-        return f
+            rest = node(operands.pop(), rest)
+            self._remember(starts[len(operands)], rest, depth)
+        return rest
 
     def parse_unit(self) -> Formula:
         tok = self.peek()
@@ -301,15 +480,20 @@ class _Parser:
                   f"{_shown(self.peek())!r}")
 
     # -- sequents ------------------------------------------------------------
-    _ITEM_STOPPERS = frozenset({",", "comma_label", "turnstile", "eof"})
-
     def parse_item(self):
+        start = self.tokens[self.i].column - 1
+        item = self._recall(*_LEVELS["item"])
+        if item is not None:
+            return item
         tok = self.peek()
         if (tok.kind == "ident" and not tok.text.startswith("bot_")
-                and self.peek(1).kind in self._ITEM_STOPPERS):
+                and self.peek(1).kind in _ITEM_ENDS):
             self.next()
-            return ContextVar(tok.text)
-        return self.parse_formula()
+            item = ContextVar(tok.text)
+        else:
+            item = self.parse_formula()
+        self._remember(start, item, self.depth)
+        return item
 
     def parse_sequent(self) -> Sequent:
         antecedent = []
@@ -365,21 +549,16 @@ def parse_sequent(text: str, table: Optional[DomainTable] = None,
                   predicates: Optional[dict] = None) -> Sequent:
     """Parse a sequent; optionally validate names against declarations."""
     p = _Parser(text)
-    s = p.parse_sequent()
-    p.finish()
+    s = p.read(p.parse_sequent)
     _validate_names(s, table, predicates)
     return s
 
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    f = p.parse_formula()
-    p.finish()
-    return f
+    return p.read(p.parse_formula)
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    t = p.parse_term()
-    p.finish()
-    return t
+    return p.read(p.parse_term)

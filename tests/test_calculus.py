@@ -455,6 +455,15 @@ def test_eq_equality_reads_positions():
         assert "positions=" in report.first_failure.reason
 
 
+@pytest.mark.parametrize("positions,accepted", [
+    ("", True), ("positions=1 ", True), ("positions=2 ", False)])
+def test_eq_equality_places_its_equality_at_index(positions, accepted):
+    text = ("step 1 hypothesis :: G |- A(<t1, 1/3>)\n"
+            'step 2 eq_equality backward term="<t1, 1/3>" var=z index=0 '
+            f"{positions}from 1 :: z = <t1, 1/3>, G |- A(z)\n")
+    assert check_script(parse_script(text)).accepted is accepted
+
+
 def test_subst_requires_closed_term():
     premise = seq("G, x in D |- A(x)")
     bad = rule_step(seq("G, y in D |- A(y)"), RuleId.SUBST, [premise],

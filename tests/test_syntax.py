@@ -18,12 +18,14 @@ from rfod.syntax import (
     Exists, Forall, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Var,
     alpha_eq, bound_vars, children, free_vars, forgetful_formula,
     map_children, parse_formula, parse_sequent, parse_term, render,
-    replace_term_occurrences, subst_formula, substitute, walk,
+    render_sequent, replace_term_occurrences, subst_formula, substitute,
+    walk,
 )
-from rfod.calculus import dualize
+from rfod.calculus import TheoryConfig, dualize
 from rfod.gen import (
     make_rng, random_formula, random_probability_list, random_sequent,
 )
+from rfod.theorems import derive_lemma1, schematic_domain
 
 
 def test_parse_context_var_and_membership():
@@ -119,6 +121,49 @@ def test_sharp_equals_probability_one_outcome():
     assert Var("s") != Sharp("s")
     # probability participates in formula identity too
     assert Member(Outcome("s", Fraction(1)), "D") == Member(Sharp("s"), "D")
+
+
+def test_equality_and_hash_are_structural_at_any_depth():
+    d = schematic_domain("D", 1200)
+    root = derive_lemma1(None, "A", d,
+                         cfg=TheoryConfig(focused_domains=frozenset({"D"})))
+    (leaf,) = [n.conclusion for n in root.walk()
+               if n.rule.value == "hypothesis"]
+    back = parse_sequent(render_sequent(leaf))
+    assert back is not leaf
+    assert back == leaf
+    assert hash(back) == hash(leaf)
+    assert back != Sequent(leaf.antecedent, (leaf.succedent[0].right,))
+
+
+@pytest.mark.parametrize("a,b", [
+    # the binder's variable counts, though the two are alpha-equal
+    ("forall x in D . A(x)", "forall y in D . A(y)"),
+    # the class counts
+    ("A(x) & B(x)", "A(x) \\/ B(x)"),
+    ("forall x in D . A(x)", "exists x in D . A(x)"),
+    # the head counts
+    ("A(x)", "B(x)"),
+    ("x in D", "x in E"),
+    ("bot_X", "bot_Y"),
+    ("A(x, y)", "A(x)"),
+])
+def test_unequal_formulas(a, b):
+    fa, fb = parse_formula(a), parse_formula(b)
+    assert fa != fb and not fa == fb
+    assert fa == parse_formula(a) and hash(fa) == hash(parse_formula(a))
+    assert hash(fa) != hash(fb)
+
+
+def test_equal_terms_make_equal_formulas():
+    a = parse_sequent("G, A(<s, 1>) |- x = #s")
+    b = parse_sequent("G, A(#s) |- x = <s, 1>")
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_sequent("G, A(#s) |- x = <s, 1/2>")
+    assert parse_sequent("G |- A(x)") != parse_sequent("G' |- A(x)")
+    assert parse_sequent("G, A(x) |- ") != parse_sequent("G |- A(x)")
+    assert parse_sequent("G |- A(x) ,_S B(x)") != \
+        parse_sequent("G |- A(x) ,_T B(x)")
 
 
 def test_free_vars():
@@ -422,6 +467,20 @@ def test_parse_error_position_and_message(kind, text, exc, line, column,
     assert getattr(err.value, "line", None) == line
     assert getattr(err.value, "column", None) == column
     assert getattr(err.value, "message", str(err.value)) == message
+
+
+@pytest.mark.parametrize("kind,text,column", [
+    ("formula", "A(x) B(x) ?", 11),
+    ("formula", "(A(x) & ) \\/ ~", 14),
+    ("term", "x y ?", 5),
+    # an error of the sequent as a whole, not of its parse
+    ("sequent", "G, G |- A(x) ) ?", 16),
+])
+def test_a_bad_character_is_reported_first(kind, text, column):
+    with pytest.raises(DslSyntaxError) as err:
+        _PARSERS[kind](text)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert err.value.message == f"unexpected character {text[-1]!r}"
 
 
 @pytest.mark.parametrize("text", [

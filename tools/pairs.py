@@ -14,7 +14,8 @@ holds for every workload and end-to-end metric the medians and quartiles
 of both sides, the pairs the change wins, whether its median is worse than
 the metric's bound, each side's failed operations, and whether the
 verdict digests that each run leaves in ``.bench_out/`` are equal in
-every pair.
+every pair.  The exit status is 1 when, on any workload, the digests
+differ in a pair, either side failed an operation or a run was incorrect.
 """
 from __future__ import annotations
 
@@ -138,7 +139,23 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
-    return 0
+    faults = [f"{name}: {fault}" for name, w in doc["workloads"].items()
+              for fault in faults_of(w)]
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    return 1 if faults else 0
+
+
+def faults_of(workload: dict) -> list:
+    """What makes the pairs of one workload unusable as a comparison."""
+    faults = [] if workload["digests_equal"] else ["verdict digests differ"]
+    for side in ("parent", "change"):
+        if workload["failed"][side]:
+            faults.append(f"{workload['failed'][side]} failed operations "
+                          f"on the {side} side")
+        if not workload["correct"][side]:
+            faults.append(f"an incorrect run on the {side} side")
+    return faults
 
 
 if __name__ == "__main__":
