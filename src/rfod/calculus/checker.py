@@ -32,7 +32,7 @@ from .rules import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)  # compared by identity
 class Derivation:
     """One rule application; leaves are identities, axioms or hypotheses."""
 
@@ -45,6 +45,9 @@ class Derivation:
     def __post_init__(self):
         object.__setattr__(self, "premises", tuple(self.premises))
 
+    def __repr__(self):
+        return f"Derivation({self.rule.value}, {self.conclusion!r})"
+
     def walk(self):
         """Post-order walk, visiting shared nodes once."""
         seen = set()
@@ -53,8 +56,8 @@ class Derivation:
             node, expanded = stack.pop()
             if expanded:
                 yield node
-            elif id(node) not in seen:
-                seen.add(id(node))
+            elif node not in seen:
+                seen.add(node)
                 stack.append((node, True))
                 stack.extend((p, False) for p in reversed(node.premises))
 

@@ -29,7 +29,7 @@ from ..errors import FragmentError, RuleError
 from ..syntax.ast import (
     BINDERS, And, Atom, Bot, Bowtie, Correlated, DomainTable, Eq, Exists,
     Forall, Formula, Member, Neq, Or, Sequent, Star, Term, Var, alpha_eq,
-    alpha_eq_all, bound_vars, children, free_vars, is_singleton_literal,
+    _var_names, alpha_eq_all, children, free_vars, is_singleton_literal,
     rebuild, rewrite, term_state,
 )
 from ..syntax.printer import render_sequent
@@ -169,16 +169,14 @@ def _find_connective(s: Sequent, rule: RuleId, params: Optional[dict]) -> int:
 def _fresh_choice(s: Sequent, params: Optional[dict], key: str = "var") -> str:
     if params and key in params:
         z = params[key]
-        if z in free_vars(s):
+        if z in _var_names(s) and z in free_vars(s):  # the cheap walk first
             raise RuleError(f"variable {z} is not fresh for {render_sequent(s)}")
         return z
-    return fresh_var(free_vars(s) | bound_vars(s))
+    return fresh_var(_var_names(s))
 
 
 def pick_bound_name(bodies, preferred: str = "x") -> str:
-    taken = set()
-    for b in bodies:
-        taken |= free_vars(b) | bound_vars(b)
+    taken = set().union(*map(_var_names, bodies))
     if preferred not in taken:
         return preferred
     if preferred + "'" not in taken:
@@ -316,9 +314,12 @@ def decompose_equality(s: Sequent, params: Optional[dict]) -> list:
     if "var" in params:
         z = _fresh_choice(s, params)
     else:
-        z = fresh_var(free_vars(s) | bound_vars(s) | free_vars(t))
+        z = fresh_var(_var_names(s) | _var_names(t))
     _require(not (isinstance(t, Var) and t.name == z),
              "abstracted term and fresh variable coincide")
+    for k in params.get("positions", ()):  # a missing occurrence leaves s
+        _require(replace_term_occurrences(s, t, Var(z), (k,)) is not s,
+                 f"positions= names no occurrence {k} of the term")
     abstracted = replace_term_occurrences(s, t, Var(z),
                                           params.get("positions"))
     ant = abstracted.antecedent

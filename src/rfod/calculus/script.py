@@ -50,26 +50,48 @@ class ProofScript:
 
 
 # ---------------------------------------------------------------------------
-# parameter encoding
+# parameters and config keys
 
-_INT_PARAMS = {"slot", "index", "member", "body", "position"}
-_TERM_PARAMS = {"term"}
-_FORMULA_PARAMS = {"cut", "formula"}
-_LIST_PARAMS = {"positions"}
+def _integer(p: _Parser, owner: str) -> int:
+    tok = p.next()
+    if tok.kind != "rational" or not tok.text.isdigit():
+        p.fail(f"{owner}: expected an integer, found {_shown(tok)!r}", tok)
+    return int(tok.text)
 
 
-def _encode_value(key: str, value) -> str:
-    if key in _TERM_PARAMS:
-        text = render_term(value)
-    elif key in _FORMULA_PARAMS:
-        text = render_formula(value)
-    elif key in _LIST_PARAMS:
-        text = ";".join(str(v) for v in value)
-    else:
-        text = str(value)
-    if any(ch in text for ch in " \t\"'"):
-        return '"%s"' % text.replace('"', '\\"')
-    return text
+def _integers(p: _Parser, owner: str) -> list:
+    values = [_integer(p, owner)]
+    while p.accept(";"):
+        values.append(_integer(p, owner))
+    return values
+
+
+#: parameter key -> (read its value off a step line, the value's text);
+#: any other key holds a name: a variable, label, state or domain name
+_NAME = (lambda p, owner: p.parse_domain_ref(), str)
+_PARAMS = {
+    **dict.fromkeys(("slot", "index", "member", "body", "position"),
+                    (_integer, str)),
+    "positions": (_integers, lambda v: ";".join(map(str, v))),
+    "term": (lambda p, owner: p.parse_term(), render_term),
+    **dict.fromkeys(("cut", "formula"),
+                    (lambda p, owner: p.parse_formula(), render_formula)),
+}
+
+#: script config key -> the TheoryConfig field it sets
+_CONFIG_KEYS = {"singleton_axioms": "singleton_axioms",
+                "classical_right_contexts": "right_contexts_in_forall"}
+
+
+def _numbered(d: Derivation):
+    """(id, step, premise ids, parameter texts) of every step of ``d``,
+    premises first, shared steps once."""
+    ids: dict = {}
+    for node in d.walk():
+        ids[node] = len(ids) + 1
+        yield (ids[node], node, [ids[p] for p in node.premises],
+               {k: _PARAMS.get(k, _NAME)[1](v)
+                for k, v in sorted(node.params.items())})
 
 
 # ---------------------------------------------------------------------------
@@ -82,35 +104,29 @@ def serialize_derivation(d: Derivation, domains: Optional[DomainTable] = None,
     lines = []
     if title:
         lines.append(f"-- {title}")
+    focused = config.focused_domains if config is not None else ()
     if config is not None:
-        lines.append("config singleton_axioms "
-                     + ("on" if config.singleton_axioms else "off"))
-        lines.append("config classical_right_contexts "
-                     + ("on" if config.right_contexts_in_forall else "off"))
-        focused = set(config.focused_domains)
-    else:
-        focused = set()
-    if domains is not None:
-        for dom in domains.domains():
-            line = f"domain {render_domain(dom)}"
-            if dom.kind != "measured":
-                line += f" {dom.kind}"
-            if dom.focused or dom.name in focused:
-                line += " focused"
-            lines.append(line)
+        lines += [f"config {key} {'on' if getattr(config, name) else 'off'}"
+                  for key, name in _CONFIG_KEYS.items()]
+    for dom in domains.domains() if domains is not None else ():
+        line = f"domain {render_domain(dom)}"
+        if dom.kind != "measured":
+            line += f" {dom.kind}"
+        if dom.focused or dom.name in focused:
+            line += " focused"
+        lines.append(line)
     for name in sorted(predicates or {}):
         lines.append(f"predicate {name}/{(predicates or {})[name]}")
-    ids: dict = {}
-    for node in d.walk():
-        ids[id(node)] = len(ids) + 1
-        parts = [f"step {ids[id(node)]}", node.rule.value]
+    for n, node, refs, params in _numbered(d):
+        parts = [f"step {n}", node.rule.value]
         if node.direction:
             parts.append(node.direction)
-        for key in sorted(node.params):
-            parts.append(f"{key}={_encode_value(key, node.params[key])}")
-        if node.premises:
-            refs = ",".join(str(ids[id(p)]) for p in node.premises)
-            parts.append(f"from {refs}")
+        for key, text in params.items():
+            if any(ch in text for ch in " \t\"'"):
+                text = '"%s"' % text.replace('"', '\\"')
+            parts.append(f"{key}={text}")
+        if refs:
+            parts.append(f"from {','.join(map(str, refs))}")
         parts.append(f":: {render_sequent(node.conclusion)}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
@@ -121,27 +137,22 @@ def derivation_to_json(d: Derivation, domains: Optional[DomainTable] = None,
                        config: Optional[TheoryConfig] = None) -> dict:
     doc: dict = {"steps": []}
     if config is not None:
-        doc["config"] = {
-            "singleton_axioms": config.singleton_axioms,
-            "classical_right_contexts": config.right_contexts_in_forall,
-            "focused_domains": sorted(config.focused_domains),
-        }
+        doc["config"] = {key: getattr(config, name)
+                         for key, name in _CONFIG_KEYS.items()}
+        doc["config"]["focused_domains"] = sorted(config.focused_domains)
     if domains is not None:
         doc["domains"] = [domain_to_json(dom, dom.name in
                                          (config.focused_domains if config else ()))
                           for dom in domains.domains()]
     if predicates:
         doc["predicates"] = {k: v for k, v in sorted(predicates.items())}
-    ids: dict = {}
-    for node in d.walk():
-        ids[id(node)] = len(ids) + 1
+    for n, node, refs, params in _numbered(d):
         doc["steps"].append({
-            "id": ids[id(node)],
+            "id": n,
             "rule": node.rule.value,
             "direction": node.direction,
-            "params": {k: _encode_value(k, v).strip('"')
-                       for k, v in sorted(node.params.items())},
-            "premises": [ids[id(p)] for p in node.premises],
+            "params": params,
+            "premises": refs,
             "conclusion": render_sequent(node.conclusion),
         })
     return doc
@@ -166,7 +177,7 @@ _DIRECTIONS = {"forward", "backward"}
 
 def parse_script(text: str) -> ProofScript:
     script = ProofScript()
-    flags = {"singleton_axioms": True, "classical_right_contexts": False}
+    flags: dict = {}  # TheoryConfig field -> value, from config lines
     seen_ids: dict = {}
     memo: dict = {}  # every line reads a repeated text as the same node
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -184,14 +195,14 @@ def parse_script(text: str) -> ProofScript:
                 p.finish()
             elif first.text == "config":
                 key = p.next().text
-                if key not in flags:
+                if key not in _CONFIG_KEYS:
                     raise RfodError(f"unknown config key {key}")
                 p.drain()
                 value = " ".join(tok.text for tok in p.tokens[p.i:-1])
                 if value not in ("on", "off"):
                     raise RfodError(f"config {key}: expected 'on' or 'off', "
                                     f"found {value!r}")
-                flags[key] = value == "on"
+                flags[_CONFIG_KEYS[key]] = value == "on"
             elif first.text == "step":
                 _parse_step_line(p, script, seen_ids)
                 seen_ids[script.steps[-1][0]] = (lineno, first.column)
@@ -213,33 +224,9 @@ def parse_script(text: str) -> ProofScript:
                                  f"step", *seen_ids[step_id])
         used.update(refs)
     script.config = TheoryConfig(
-        singleton_axioms=flags["singleton_axioms"],
         focused_domains=frozenset(dom.name for dom in script.domains.domains()
-                                  if dom.focused),
-        right_contexts_in_forall=flags["classical_right_contexts"])
+                                  if dom.focused), **flags)
     return script
-
-
-def _integer(p: _Parser, owner: str) -> int:
-    tok = p.next()
-    if tok.kind != "rational" or not tok.text.isdigit():
-        p.fail(f"{owner}: expected an integer, found {_shown(tok)!r}", tok)
-    return int(tok.text)
-
-
-def _read_value(p: _Parser, key: str):
-    if key in _INT_PARAMS:
-        return _integer(p, f"parameter {key}")
-    if key in _LIST_PARAMS:
-        values = [_integer(p, f"parameter {key}")]
-        while p.accept(";"):
-            values.append(_integer(p, f"parameter {key}"))
-        return values
-    if key in _TERM_PARAMS:
-        return p.parse_term()
-    if key in _FORMULA_PARAMS:
-        return p.parse_formula()
-    return p.parse_domain_ref()  # a variable, label, state or domain name
 
 
 def _parse_domain_decl(p: _Parser, script: ProofScript) -> None:
@@ -295,7 +282,8 @@ def _parse_step_line(p: _Parser, script: ProofScript, seen_ids: dict) -> None:
                 raise RfodError("'from' needs premise ids")
         elif tok.kind == "ident" and p.accept("="):
             quoted = p.accept('"')
-            params[tok.text] = _read_value(p, tok.text)
+            params[tok.text] = _PARAMS.get(tok.text, _NAME)[0](
+                p, f"parameter {tok.text}")
             if quoted:
                 p.expect('"')
         else:

@@ -31,8 +31,6 @@ TOLERANCES = {
     "outcome_prune": 1e-9,   # Born weights below this are dropped
     "hermitian": 1e-9,       # density-operator symmetry check
     "eigen_floor": -1e-9,    # density eigenvalues must not dip below
-    "purity": 1e-6,          # mixed-state discriminator margin
-    "schmidt": 1e-7,         # reconstruction error and a2 threshold
     "entangled": 1e-7,       # a2 above this means entangled
 }
 RATIONAL_DENOMINATOR_LIMIT = 10**6
@@ -337,13 +335,13 @@ def emit_assertion(state: QState, basis: Optional[Basis] = None,
     if not data.entangled():
         left = measure(QState(data.left[0]), local)
         right = measure(QState(data.right[0]), local)
-        d1 = Domain(left.name, left.elements, left.focused, left.kind)
-        d2 = Domain(left.name + "'", right.elements, right.focused, right.kind)
+        primed = Domain(left.name + "'", right.elements, right.focused,
+                        right.kind)
         if table is not None:
-            table.register(d1)
-            table.register(d2)
-        return Sequent((ctx, Member(Var("z"), d1.name),
-                        Member(Var("y"), d2.name)),
+            table.register(left)
+            table.register(primed)
+        return Sequent((ctx, Member(Var("z"), left.name),
+                        Member(Var("y"), primed.name)),
                        (Atom(pred, (Var("z"),)), Atom(pred2, (Var("y"),))))
     probs = _rationalize([c ** 2 for c in data.coefficients])
     elements = tuple(Outcome(f"s{k + 1}", p) for k, p in enumerate(probs))

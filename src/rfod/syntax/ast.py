@@ -9,15 +9,19 @@ The layout of every node class is spelled out once, in the ``_SHAPES``
 table: the node's children in reading order, the node rebuilt from new
 children, and its other fields that alpha-equivalence compares (a
 binder's ``var`` is the one field handled outside the table).  Every
-structural operation goes through it: ``children``, ``walk``,
-``map_children``, ``rewrite``, ``free_vars``, ``bound_vars`` and
-``alpha_eq`` here, and substitution and dualization, which are built on
-``rewrite``.  Whatever walks a whole formula does so with an explicit
-stack, so the depth of a formula costs it no recursion.  ``rewrite``
-returns a node itself when every child comes back identical, so an
-operation that changes nothing below a node keeps that subtree shared,
-and ``alpha_eq`` answers ``a is b`` at once wherever no bound variable
-is renamed.
+structural operation rides one of three loops over it, each on an
+explicit stack, so the depth of a formula costs none of them recursion:
+- ``walk`` yields every node in reading order: ``bound_vars``, ``hash``;
+- ``rewrite`` rebuilds a node bottom-up under a context it threads down:
+  ``map_children``, ``free_vars`` (the context is the set of bound names),
+  and substitution, occurrence replacement and dualization elsewhere;
+- the pairwise loop of ``alpha_eq`` compares two nodes: ``alpha_eq``
+  itself and, with renaming off, structural ``==``.
+``rewrite`` returns a node itself when every child comes back identical,
+so an operation that changes nothing below a node keeps that subtree
+shared, and ``alpha_eq`` answers ``a is b`` at once wherever no bound
+variable is renamed.  The ``repr`` of a formula, item or sequent is its
+canonical text, from the printer's own explicit-stack loop.
 """
 from __future__ import annotations
 
@@ -109,50 +113,27 @@ def term_state(t: Term) -> str:
 # formulas
 
 class _Syntax:
-    """Structural ``==`` and ``hash`` of formulas, items and sequents, on
-    an explicit stack: node classes, their ``_SHAPES`` heads and binder
-    variables must agree, terms compare by term equality."""
+    """Formulas, items and sequents: ``==``, hash and repr, none recursive."""
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        if not isinstance(other, _Syntax):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            ca = type(a)
-            cb = type(b)
-            if ca is not cb and not (ca in _CLOSED and cb in _CLOSED):
-                return False
-            head_a, kids_a = _SHAPES[ca][0](a)
-            head_b, kids_b = _SHAPES[cb][0](b)
-            if (head_a != head_b or len(kids_a) != len(kids_b)
-                    or ca in BINDERS and a.var != b.var):
-                return False
-            stack.extend(zip(kids_a, kids_b))
-        return True
-
     def __hash__(self):
-        parts = []
-        stack = [self]
-        while stack:
-            n = stack.pop()
-            cls = type(n)
-            head, kids = _SHAPES[cls][0](n)
-            parts.append((None if cls in _CLOSED else cls, head,
-                          n.var if cls in BINDERS else None, len(kids)))
-            stack.extend(kids)
-        return hash(tuple(parts))
+        return hash(tuple(map(_node_key, walk(self))))
+
+    def __repr__(self):
+        from .printer import render
+        return f"{type(self).__name__}({render(self)!r})"
+
+
+#: a formula, item or sequent class: ``_Syntax`` gives ``==``, hash, repr
+_node = dataclass(frozen=True, eq=False, repr=False)
 
 
 class Formula(_Syntax):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Atom(Formula):
     pred: str
     args: tuple
@@ -161,64 +142,64 @@ class Atom(Formula):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Member(Formula):
     term: Term
     domain: str
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Neq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Star(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Bot(Formula):
     """Falsum; the optional label names the incompatible observable's domain."""
 
     label: Optional[str] = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Forall(Formula):
     var: str
     domain: str
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Exists(Formula):
     var: str
     domain: str
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Bowtie(Formula):
     """Predicative binary connective internalising the correlated comma."""
 
@@ -231,14 +212,14 @@ class Bowtie(Formula):
 # ---------------------------------------------------------------------------
 # sequents
 
-@dataclass(frozen=True, eq=False)
+@_node
 class ContextVar(_Syntax):
     """Schematic context metavariable (G, G', Delta, ...)."""
 
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Correlated(_Syntax):
     """Succedent slot A ,_S A': two formulas sharing one random variable."""
 
@@ -251,7 +232,7 @@ Item = Union[Formula, ContextVar]
 SuccItem = Union[Formula, ContextVar, Correlated]
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Sequent(_Syntax):
     antecedent: tuple
     succedent: tuple
@@ -393,6 +374,13 @@ def walk(node):
         stack.extend(reversed(children(n)))
 
 
+def _node_key(n):  # what == compares at a node; outcome and sharp as one
+    cls = type(n)
+    head, kids = _SHAPES[cls][0](n)
+    return (None if cls in _CLOSED else cls, head,
+            n.var if cls in BINDERS else None, len(kids))
+
+
 # ---------------------------------------------------------------------------
 # free and bound variables
 
@@ -403,23 +391,16 @@ def free_vars(node) -> frozenset:
     they stand for do not depend on the instantiated variables.
     """
     acc = set()
-    bound = {}  # name -> number of enclosing binders of that name
-    stack = [node]
-    while stack:
-        n = stack.pop()
+
+    def enter(n, bound):
         cls = type(n)
         if cls is Var:
-            if not bound.get(n.name):
+            if n.name not in bound:
                 acc.add(n.name)
-        elif cls is str:
-            # a binder's var: the scope it opened is done
-            bound[n] -= 1
-        else:
-            kids = _SHAPES[cls][0](n)[1]
-            if cls in BINDERS:
-                bound[n.var] = bound.get(n.var, 0) + 1
-                stack.append(n.var)
-            stack.extend(kids)
+            return n, None
+        return n, (bound | {n.var} if cls in BINDERS else bound)
+
+    rewrite(node, enter, frozenset())
     return frozenset(acc)
 
 
@@ -427,11 +408,18 @@ def bound_vars(node) -> frozenset:
     return frozenset(n.var for n in walk(node) if type(n) in BINDERS)
 
 
+def _var_names(node) -> frozenset:
+    """``free_vars | bound_vars`` in one walk: every variable name used."""
+    return frozenset(n.name if type(n) is Var else n.var for n in walk(node)
+                     if type(n) is Var or type(n) in BINDERS)
+
+
 # ---------------------------------------------------------------------------
 # alpha equivalence
 
-def alpha_eq(a, b) -> bool:
-    """Structural equality up to renaming of bound variables.
+def alpha_eq(a, b, rename=True) -> bool:
+    """Structural equality up to renaming of bound variables; with
+    ``rename`` off, structural ``==``: binder pairs bind the same name.
 
     A pair is compared under the renaming that its enclosing binders set
     up, or under none (``None``) while every binder pair so far bound the
@@ -467,6 +455,8 @@ def alpha_eq(a, b) -> bool:
         if head_a != head_b or len(kids_a) != len(kids_b):
             return False
         if ca in BINDERS and (env is not None or a.var != b.var):
+            if not rename:
+                return False
             ab, ba = ({}, {}) if env is None else (dict(env[0]), dict(env[1]))
             ab[a.var] = b.var
             ba[b.var] = a.var
@@ -475,6 +465,13 @@ def alpha_eq(a, b) -> bool:
             if x is not y or env is not None:
                 push((x, y, env))
     return True
+
+
+def _structural_eq(a, b, _pairs=alpha_eq):  # == calls no name alpha_eq
+    return _pairs(a, b, False) if isinstance(b, _Syntax) else NotImplemented
+
+
+_Syntax.__eq__ = _structural_eq
 
 
 def alpha_eq_all(xs: Iterable, ys: Iterable) -> bool:

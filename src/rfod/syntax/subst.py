@@ -35,11 +35,11 @@ def subst_formula(f, v: str, t: Term):
             return node, ()
         if node.var == v:
             return node, None
+        if not (type(t) is Var and t.name == node.var):
+            return node, ()
         free = free_vars(node)
         if v not in free:
             return node, None
-        if not (type(t) is Var and t.name == node.var):
-            return node, ()
         new = fresh_var(free | {v, t.name})
         renamed = (subst_formula(c, node.var, Var(new))
                    for c in children(node))
@@ -60,11 +60,7 @@ def substitute(f: Formula, v: str, t: Term, mode: str = "plain") -> Formula:
         raise SubstitutionError(f"unknown substitution mode {mode!r}")
     if not is_closed(t):
         raise SubstitutionError(f"substituted term must be closed, got {t!r}")
-    if mode == "plain":
-        return subst_formula(f, v, t)
-    if not isinstance(t, Sharp):
-        raise SubstitutionError("forgetful substitution requires a sharp term")
-    return forgetful_formula(f, v, t)
+    return subst_sequent(f, v, t, mode)
 
 
 def forgetful_formula(f, v: str, t: Sharp):

@@ -20,7 +20,7 @@ from .calculus.rules import (
 from .syntax.ast import (
     And, Atom, Bot, ContextVar, Correlated, Domain, DomainTable, Eq, Exists,
     Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Term,
-    Var, alpha_eq, alpha_eq_all, bound_vars, domain_kind, free_vars,
+    Var, _var_names, alpha_eq, alpha_eq_all, domain_kind, free_vars,
     is_closed, sharp_domain_name, sharp_pred_name, singleton_literal_name,
     term_prob,
 )
@@ -60,10 +60,7 @@ def _gamma_tuple(gamma) -> tuple:
 
 
 def _fresh(avoid_nodes, extra=()) -> str:
-    taken = set(extra)
-    for node in avoid_nodes:
-        taken |= free_vars(node) | bound_vars(node)
-    return fresh_var(taken)
+    return fresh_var(set(extra).union(*map(_var_names, avoid_nodes)))
 
 
 def schematic_domain(name: str, m: int, kind: str = "measured") -> Domain:

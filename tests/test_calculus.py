@@ -455,6 +455,25 @@ def test_eq_equality_reads_positions():
         assert "positions=" in report.first_failure.reason
 
 
+@pytest.mark.parametrize("positions", ["1;2", "0;1"])
+def test_eq_equality_positions_name_occurrences(tmp_path, positions):
+    # an entry naming no occurrence rejects the step, even when the other
+    # entries abstract the step's occurrences
+    script = tmp_path / "positions.script"
+    script.write_text(
+        "step 1 hypothesis :: G |- A(<t1, 1/3>)\n"
+        'step 2 eq_equality backward term="<t1, 1/3>" var=z '
+        f"positions={positions} from 1 :: G, z = <t1, 1/3> |- A(z)\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["check", str(script)]) == 1
+    assert "REJECTED: positions= names no occurrence" in out.getvalue()
+    with pytest.raises(RuleError, match="no occurrence 2"):
+        equation_step(seq("G |- A(<t1, 1/3>)"), RuleId.EQ_EQUALITY,
+                      "backward", {"term": parse_term("<t1, 1/3>"),
+                                   "positions": [2]})
+
+
 @pytest.mark.parametrize("positions,accepted", [
     ("", True), ("positions=1 ", True), ("positions=2 ", False)])
 def test_eq_equality_places_its_equality_at_index(positions, accepted):
