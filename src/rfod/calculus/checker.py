@@ -5,11 +5,12 @@ A derivation is a tree (shared subtrees allowed) of rule applications.
 configuration and a domain declaration table, and reports the first
 failure, the open assumptions, and the axioms used.
 
-The definitory equations are defined once, in ``rules``.  The checker
-validates an equation step by recomputing it with the ``rules`` rewrite
-and comparing the result with the other side up to alpha-equivalence.
-The step's own parameters pass through unchanged; the missing ones range
-over every combination of the values each can take on the two sides.
+Every rule with premises is one function in ``rules``, which the theorem
+builders build with too.  The checker validates such a step in one loop:
+it completes the step's parameters (its own pass through unchanged, the
+missing ones range over every value each can take), recomputes the step
+with the rule's function and compares with ``alpha_eq``.  Leaves are
+checked against their schemas.
 """
 from __future__ import annotations
 
@@ -17,18 +18,16 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
-from ..errors import DomainError, RuleError
+from ..errors import RuleError
 from ..syntax.ast import (
-    BINDERS, ContextVar, DomainTable, Eq, Exists, Formula, Member, Sequent,
-    Sharp, Var, alpha_eq, alpha_eq_all, is_closed, sharp_domain_name,
-    term_state,
+    BINDERS, DomainTable, Eq, Exists, Formula, Member, Sequent, Sharp, Var,
+    alpha_eq, alpha_eq_all, is_closed, sharp_domain_name, term_state,
 )
 from ..syntax.printer import render_sequent
-from ..syntax.subst import subst_formula, subst_sequent
 from .rules import (
-    AXIOMS, BACKWARD, FORWARD, RuleId, TheoryConfig, Verdict,
-    _CONNECTIVE_AT, _DECOMPOSE, _element_matches, _require, compose_equality,
-    dualize, flatten_or,
+    AXIOMS, BACKWARD, EQUATIONS, FORWARD, RuleId, TheoryConfig, Verdict,
+    _CONNECTIVE_AT, _DECOMPOSE, _PICK, _TWO_PREMISES, _element_matches,
+    _lookup, _require, compose_equality, conclude, flatten_or,
 )
 
 
@@ -95,54 +94,57 @@ class CheckReport:
 # Every validator takes the arguments of validate_step, which has already
 # checked the number of premises.
 
-def _conc_of(premises) -> list:
-    return [p.conclusion if isinstance(p, Derivation) else p for p in premises]
-
-
-#: the pieces a backward step may conclude, by its pick parameter
-_PICK = {None: slice(None), "left": slice(1), "right": slice(-1, None)}
-
-
-def _validate_equation(c: Sequent, rule: RuleId, direction: str,
+def _validate_premised(c: Sequent, rule: RuleId, direction: Optional[str],
                        premises: Sequence[Sequent], params: dict,
                        cfg: TheoryConfig, table: DomainTable) -> None:
-    """Recompute the step with ``rules`` and compare it with the other side.
+    """Recompute the step with its function in ``rules`` under each
+    completion of its parameters, and compare up to alpha-equivalence.
 
-    The connective side is decomposed, except for the equality equation,
-    whose connective side (the one with the antecedent z = t) is composed:
-    a script need not record which occurrences of t were abstracted (when
-    positions= does, the plain side must decompose to it as well).
+    A rule that is not an equation computes the conclusion.  An equation
+    step's connective side is decomposed and compared with the other side,
+    except for the equality equation, whose connective side (the one with
+    the antecedent z = t) is composed: a script need not record which
+    occurrences of t were abstracted (when positions= does, the plain side
+    must decompose to it as well).  When no completion can be computed, the
+    first failure is the reason.
     """
+    equation = rule in EQUATIONS
     equality = rule is RuleId.EQ_EQUALITY
-    on_conclusion = (direction == FORWARD) != equality
+    on_conclusion = (direction == FORWARD) != equality or not equation
     connective, plain = (c, premises[0]) if on_conclusion else (premises[0], c)
     picked = _PICK.get(params.get("pick"))
+
+    def matches(p: dict) -> bool:
+        if not equation:
+            return alpha_eq(conclude(rule, premises, p, cfg, table), c)
+        if equality:
+            pieces = [compose_equality(connective, p)]
+            _require("positions" not in p or alpha_eq_all(
+                _DECOMPOSE[rule](plain, p, cfg), [connective]),
+                "positions= does not abstract the step's occurrences")
+        else:
+            pieces = _DECOMPOSE[rule](connective, p, cfg)
+        if on_conclusion:
+            return alpha_eq_all(pieces, premises)
+        return bool(picked) and any(alpha_eq(piece, c)
+                                    for piece in pieces[picked])
+
     failure = None
     recomputed = False
-    for p in _completions(rule, connective, plain, params) or [params]:
+    for p in _completions(rule, connective, plain, params):
         try:
-            if equality:
-                pieces = [compose_equality(connective, p)]
-                _require("positions" not in p or alpha_eq_all(
-                    _DECOMPOSE[rule](plain, p, cfg), [connective]),
-                    "positions= does not abstract the step's occurrences")
-            else:
-                pieces = _DECOMPOSE[rule](connective, p, cfg)
+            if matches(p):
+                return
         except RuleError as exc:
             failure = failure or exc
             continue
         recomputed = True
-        if on_conclusion:
-            if alpha_eq_all(pieces, premises):
-                return
-        elif picked and any(alpha_eq(piece, c) for piece in pieces[picked]):
-            return
     if failure is not None and not recomputed:
         raise failure
     raise RuleError(f"the sides of the step do not match {rule.value}")
 
 
-#: rule -> the parameters _completions can supply, in the order of its product
+#: equation -> the parameters _completions can supply, in product order
 _COMPLETABLE = {
     rule: tuple(k for k in (key, *(("member", "body") if cls is Exists else ()),
                             *(("var",) if cls in BINDERS else ()))
@@ -154,11 +156,33 @@ _COMPLETABLE = {
 def _completions(rule: RuleId, connective: Sequent, plain: Sequent,
                  params: dict) -> list:
     """The step's parameters, one set per reading of the two sides: every
-    combination of the values the missing ones can take.  They are the
-    connective's position among the items of its class, a binder's variable
-    from the variable memberships on the plain side and, for the
-    existential, the positions of that membership and of the body."""
-    missing = [k for k in _COMPLETABLE[rule] if k not in params]
+    combination of the values the missing ones can take.  For an equation
+    they are the connective's position among the items of its class, a
+    binder's variable from the variable memberships on the plain side and,
+    for the existential, the positions of that membership and of the body.
+    Any other rule has its conclusion as the connective side: cut's index
+    and weaken_l's position range over the positions of its antecedent and
+    exists_r's witness over its memberships, and the values no script
+    records (exists_r's existential, weaken_l's formula) are read off it."""
+    ant = connective.antecedent
+    if rule is RuleId.CUT:  # the second premise's antecedent is at most one longer
+        return [dict(params, index=j) for j in ([params["index"]]
+                if "index" in params else range(len(ant) + 1))]
+    if rule is RuleId.WEAKEN_L:
+        return [dict({"formula": ant[j]}, **dict(params, position=j))
+                for j in ([params["position"]] if "position" in params
+                          else range(len(ant))) if 0 <= j < len(ant)]
+    if rule is RuleId.EXISTS_R:
+        ex = connective.succedent[0] if len(connective.succedent) == 1 else None
+        _require(isinstance(ex, Exists),
+                 "conclusion must be a single existential formula")
+        return [dict(params, term=f.term, existential=ex) for f in ant
+                if isinstance(f, Member) and f.domain == ex.domain
+                and params.get("term", f.term) == f.term]
+    if rule in (RuleId.SUBST, RuleId.F_SUBST):
+        return _subst_pairs(connective, plain, params, "state"
+                            if rule is RuleId.F_SUBST else "term")
+    missing = [k for k in _COMPLETABLE.get(rule, ()) if k not in params]
     if not missing:
         return [params]
     key, side, cls = _CONNECTIVE_AT[rule]
@@ -179,10 +203,35 @@ def _completions(rule: RuleId, connective: Sequent, plain: Sequent,
                               and names.get(p["member"]) != p["var"]):
             continue
         options.append(p)
+    return options or [params]
+
+
+def _subst_pairs(c: Sequent, premise: Sequent, params: dict,
+                 key: str) -> list:
+    """The parameters of a substitution step, one set per (variable, value)
+    pair it may have used: the step's var= and key= parameters, or else
+    every variable membership of the premise whose place the conclusion
+    fills with a membership of a closed term, if it agrees with the one of
+    the two the step gives.  The value is that term, or with key "state"
+    (forgetful substitution) its state label."""
+    forgetful = key == "state"
+    if "var" in params and key in params:
+        return [params]
+    pairs = [(pm.term.name, term_state(pc.term) if forgetful else pc.term)
+             for pm, pc in zip(premise.antecedent, c.antecedent)
+             if isinstance(pm, Member) and isinstance(pm.term, Var)
+             and isinstance(pc, Member) and is_closed(pc.term)
+             and pc.domain == (sharp_domain_name(pm.domain) if forgetful
+                               else pm.domain)]
+    options = [dict(params, var=v, **{key: value}) for v, value in pairs
+               if params.get("var", v) == v
+               and params.get(key, value) == value]
+    _require(bool(options), "cannot determine the substitution; "
+                            "pass var=<v> {}=<{}>", key, key[0])
     return options
 
 
-# -- one-directional rules ---------------------------------------------------
+# -- identity and reflexivity ------------------------------------------------
 
 def _validate_identity(c: Sequent, rule: RuleId, direction: Optional[str],
                        premises: Sequence[Sequent], params: dict,
@@ -205,170 +254,7 @@ def _validate_reflexivity(c: Sequent, rule: RuleId, direction: Optional[str],
     _require(eq.left == eq.right, "reflexivity needs both sides equal")
 
 
-def _positions(params: dict, key: str, items: tuple):
-    """The in-range position a step's key= gives, or every position."""
-    if key in params:
-        return [params[key]] if 0 <= params[key] < len(items) else []
-    return range(len(items))
-
-
-def _validate_cut(c: Sequent, rule: RuleId, direction: Optional[str],
-                  premises: Sequence[Sequent], params: dict,
-                  cfg: TheoryConfig, table: DomainTable) -> None:
-    left, right = premises
-    _require(len(left.succedent) == 1 and isinstance(left.succedent[0], Formula),
-             "first cut premise must conclude a single formula")
-    cut_formula = params.get("cut", left.succedent[0])
-    _require(alpha_eq(cut_formula, left.succedent[0]),
-             "cut formula does not match the first premise")
-    _require(alpha_eq_all(right.succedent, c.succedent),
-             "cut keeps the succedent of the second premise")
-    for j in _positions(params, "index", right.antecedent):
-        if not (isinstance(right.antecedent[j], Formula)
-                and alpha_eq(right.antecedent[j], cut_formula)):
-            continue
-        spliced = (right.antecedent[:j] + left.antecedent
-                   + right.antecedent[j + 1:])
-        if alpha_eq_all(spliced, c.antecedent):
-            return
-    raise RuleError("conclusion does not splice the cut premises")
-
-
-def _subst_pairs(c: Sequent, premise: Sequent, params: dict, key: str):
-    """The (variable, value) pairs a substitution step may have used: the
-    step's var= and key= parameters, or else every variable membership of
-    the premise whose place the conclusion fills with a membership of a
-    closed term, if it agrees with the one of the two the step gives.  The
-    value is that term, or with key "state" (forgetful substitution) its
-    state label.  A variable that also names a context metavariable of the
-    premise rejects the step once its pair is reached."""
-    forgetful = key == "state"
-    if "var" in params and key in params:
-        pairs = [(params["var"], params[key])]
-    else:
-        pairs = [(pm.term.name, term_state(pc.term) if forgetful else pc.term)
-                 for pm, pc in zip(premise.antecedent, c.antecedent)
-                 if isinstance(pm, Member) and isinstance(pm.term, Var)
-                 and isinstance(pc, Member) and is_closed(pc.term)
-                 and pc.domain == (sharp_domain_name(pm.domain) if forgetful
-                                   else pm.domain)]
-        pairs = [(v, value) for v, value in pairs
-                 if params.get("var", v) == v
-                 and params.get(key, value) == value]
-    _require(bool(pairs), f"cannot determine the substitution; "
-                          f"pass var=<v> {key}=<{key[0]}>")
-    for v, value in pairs:
-        if any(isinstance(i, ContextVar) and i.name == v
-               for i in premise.antecedent + premise.succedent):
-            raise RuleError(
-                f"variable {v} also names a context metavariable; its "
-                f"occurrences there are unknowable")
-        yield v, value
-
-
-def _validate_subst(c: Sequent, rule: RuleId, direction: Optional[str],
-                    premises: Sequence[Sequent], params: dict,
-                    cfg: TheoryConfig, table: DomainTable) -> None:
-    premise = premises[0]
-    for v, t in _subst_pairs(c, premise, params, "term"):
-        if not is_closed(t):
-            raise RuleError(f"substituted term {t!r} is not closed")
-        if alpha_eq(subst_sequent(premise, v, t), c):
-            return
-    raise RuleError("conclusion is not a substitution instance of the premise")
-
-
-def _validate_f_subst(c: Sequent, rule: RuleId, direction: Optional[str],
-                      premises: Sequence[Sequent], params: dict,
-                      cfg: TheoryConfig, table: DomainTable) -> None:
-    if not cfg.singleton_axioms:
-        raise RuleError("forgetful substitution is disabled: it rests on "
-                        "the singleton axioms (singleton_axioms off)")
-    premise = premises[0]
-    for v, s in _subst_pairs(c, premise, params, "state"):
-        mem_domains = [i.domain for i in premise.antecedent
-                       if isinstance(i, Member) and isinstance(i.term, Var)
-                       and i.term.name == v]
-        if not mem_domains:
-            continue
-        domain = _lookup(table.resolve, mem_domains[-1], {})
-        _require(s in domain.labels,
-                 f"state {s} is not an outcome of domain {domain.name}")
-        if alpha_eq(subst_sequent(premise, v, Sharp(s), mode="forgetful"), c):
-            return
-    raise RuleError("conclusion is not a forgetful-substitution instance "
-                    "of the premise")
-
-
-def _validate_exists_r(c: Sequent, rule: RuleId, direction: Optional[str],
-                       premises: Sequence[Sequent], params: dict,
-                       cfg: TheoryConfig, table: DomainTable) -> None:
-    premise = premises[0]
-    _require(len(c.succedent) == 1 and isinstance(c.succedent[0], Exists),
-             "conclusion must be a single existential formula")
-    _require(len(premise.succedent) == 1
-             and isinstance(premise.succedent[0], Formula),
-             "premise must conclude a single formula")
-    ex = c.succedent[0]
-    a = premise.succedent[0]
-    same_ctx = alpha_eq_all(c.antecedent, premise.antecedent)
-    extended = (len(c.antecedent) == len(premise.antecedent) + 1
-                and alpha_eq_all(c.antecedent[:-1], premise.antecedent))
-    _require(same_ctx or extended,
-             "conclusion context must extend the premise by at most the "
-             "witness membership")
-    # an extended context holds the witness membership last
-    candidates = c.antecedent[-1:] if extended else c.antecedent
-    witnesses = [i.term for i in candidates
-                 if isinstance(i, Member) and i.domain == ex.domain
-                 and ("term" not in params or i.term == params["term"])]
-    for t in witnesses:
-        if alpha_eq(subst_formula(ex.body, ex.var, t), a):
-            return
-    raise RuleError("no witness membership matches the premise formula")
-
-
-def _validate_weaken_l(c: Sequent, rule: RuleId, direction: Optional[str],
-                       premises: Sequence[Sequent], params: dict,
-                       cfg: TheoryConfig, table: DomainTable) -> None:
-    premise = premises[0]
-    _require(alpha_eq_all(c.succedent, premise.succedent),
-             "weakening keeps the succedent")
-    _require(len(c.antecedent) == len(premise.antecedent) + 1,
-             "weakening adds exactly one antecedent item")
-    for j in _positions(params, "position", c.antecedent):
-        rest = c.antecedent[:j] + c.antecedent[j + 1:]
-        if alpha_eq_all(rest, premise.antecedent):
-            if "formula" in params and not alpha_eq(params["formula"],
-                                                    c.antecedent[j]):
-                continue
-            return
-    raise RuleError("conclusion is not a one-formula weakening of the premise")
-
-
-def _validate_dualize(c: Sequent, rule: RuleId, direction: Optional[str],
-                      premises: Sequence[Sequent], params: dict,
-                      cfg: TheoryConfig, table: DomainTable) -> None:
-    _require(alpha_eq(dualize(premises[0]), c),
-             "conclusion is not the dual of the premise")
-
-
 # -- axioms -------------------------------------------------------------------
-
-def _lookup(lookup, name: str, params: dict, sharp: bool = False):
-    """Resolve the domain of an axiom's conclusion.  An undeclared one
-    rejects the step, and so does a domain= that names another domain (for
-    a sharp fact, another set than the one whose companion it is in)."""
-    if "domain" in params:
-        named = params["domain"]
-        expected = sharp_domain_name(named) if sharp else named
-        _require(expected == name, f"the conclusion is in {name}, not in "
-                                   f"{expected} (domain={named})")
-    try:
-        return lookup(name)
-    except DomainError as exc:
-        raise RuleError(str(exc)) from exc
-
 
 def _validate_ax_focus(c: Sequent, rule: RuleId, direction: Optional[str],
                        premises: Sequence[Sequent], params: dict,
@@ -437,30 +323,16 @@ def _validate_hypothesis(c: Sequent, rule: RuleId, direction: Optional[str],
 # ---------------------------------------------------------------------------
 # dispatch
 
-#: rule -> (validator, number of premises); for an equation the number is
-#: that of a forward step, and a backward step always has one premise
-_RULES = {
-    RuleId.EQ_FORALL_R: (_validate_equation, 1),
-    RuleId.EQ_AND_R: (_validate_equation, 2),
-    RuleId.EQ_STAR_R: (_validate_equation, 1),
-    RuleId.EQ_BOT_R: (_validate_equation, 1),
-    RuleId.EQ_OR_L: (_validate_equation, 2),
-    RuleId.EQ_EXISTS_L: (_validate_equation, 1),
-    RuleId.EQ_EQUALITY: (_validate_equation, 1),
-    RuleId.EQ_BOWTIE_R: (_validate_equation, 1),
-    RuleId.IDENTITY: (_validate_identity, 0),
-    RuleId.REFLEXIVITY: (_validate_reflexivity, 0),
-    RuleId.CUT: (_validate_cut, 2),
-    RuleId.SUBST: (_validate_subst, 1),
-    RuleId.F_SUBST: (_validate_f_subst, 1),
-    RuleId.EXISTS_R: (_validate_exists_r, 1),
-    RuleId.WEAKEN_L: (_validate_weaken_l, 1),
-    RuleId.DUALIZE: (_validate_dualize, 1),
-    RuleId.AX_SINGLETON: (_validate_ax_focus, 0),
-    RuleId.AX_FOCUS: (_validate_ax_focus, 0),
-    RuleId.AX_MEMBER: (_validate_ax_member, 0),
-    RuleId.AX_SHARP_MEMBER: (_validate_ax_member, 0),
-    RuleId.HYPOTHESIS: (_validate_hypothesis, 0),
+#: leaf rule -> its schema; every other rule has premises, and
+#: _validate_premised recomputes its steps
+_LEAVES = {
+    RuleId.IDENTITY: _validate_identity,
+    RuleId.REFLEXIVITY: _validate_reflexivity,
+    RuleId.AX_SINGLETON: _validate_ax_focus,
+    RuleId.AX_FOCUS: _validate_ax_focus,
+    RuleId.AX_MEMBER: _validate_ax_member,
+    RuleId.AX_SHARP_MEMBER: _validate_ax_member,
+    RuleId.HYPOTHESIS: _validate_hypothesis,
 }
 
 
@@ -472,9 +344,10 @@ def validate_step(conclusion: Sequent, rule: RuleId, direction: Optional[str],
     params = params or {}
     cfg = cfg or TheoryConfig()
     table = table or DomainTable()
-    premises = _conc_of(premises)
-    validator, count = _RULES[rule]
-    if validator is _validate_equation:
+    premises = [p.conclusion if isinstance(p, Derivation) else p
+                for p in premises]
+    count = 0 if rule in _LEAVES else 2 if rule in _TWO_PREMISES else 1
+    if rule in EQUATIONS:
         if direction == BACKWARD:
             count = 1
         elif direction != FORWARD:
@@ -482,7 +355,8 @@ def validate_step(conclusion: Sequent, rule: RuleId, direction: Optional[str],
     if len(premises) != count:
         raise RuleError(f"{rule.value} takes {count} premise(s), "
                         f"got {len(premises)}")
-    validator(conclusion, rule, direction, premises, params, cfg, table)
+    _LEAVES.get(rule, _validate_premised)(conclusion, rule, direction,
+                                          premises, params, cfg, table)
 
 
 def rule_step(conclusion: Sequent, rule: RuleId, premises: Sequence[Sequent],

@@ -1,23 +1,23 @@
-"""Rule catalog: definitory equations, one-directional rules, axioms.
+"""Rule catalog: every rule with premises is one function from its
+premises' conclusions and complete parameters to its conclusion, and a
+failed side condition raises ``RuleError``.  The checker recomputes a
+step with these functions, and the theorem builders build with them
+through ``conclude``, so each parameter means the same thing in both.
 
 Each definitory equation is an "iff" between a sequent containing a
 connective and sequent(s) without it.  ``forward`` composes the connective
 (the conclusion carries it), ``backward`` decomposes.  The equality
 equation is the one exception to that reading: Leibniz rewriting consumes
 the equality, so its composed side is the equality-free sequent and
-``backward`` is the step that abstracts a term into a fresh variable.
-
-The ``decompose_*`` functions are the only definition of the eight
-equations, and each is read both ways.  ``equation_step`` applies one
-backward as it is.  Forward, it puts the connective together from its
-parts on the plain side and keeps the result only when the
-decomposition gives the plain side back, so every side condition is
-checked in one place.  The equality equation is read forward by
-``compose_equality`` alone: its decomposition cannot say which
-occurrences of the term it abstracted.  The checker validates an
-equation step by recomputing it the same way.  It passes the step's
-parameters through unchanged and infers only the missing ones, so each
-parameter means the same thing in all three.
+``backward`` is the step that abstracts a term into a fresh variable.  The
+``decompose_*`` functions define the eight equations, and ``equation_step``
+reads each both ways: forward, it puts the connective together from the
+plain side and keeps the result only when the decomposition gives the
+plain side back, so every side condition is checked in one place.  The
+equality equation is read forward by ``compose_equality`` alone: its
+decomposition cannot say which occurrences of the term it abstracted.
+The other rules with premises are ``cut``, ``substitute`` (plain and
+forgetful), ``exists_r``, ``weaken_l`` and ``dualize``.
 """
 from __future__ import annotations
 
@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from ..errors import FragmentError, RuleError
+from ..errors import DomainError, FragmentError, RuleError
 from ..syntax.ast import (
-    BINDERS, And, Atom, Bot, Bowtie, Correlated, DomainTable, Eq, Exists,
-    Forall, Formula, Member, Neq, Or, Sequent, Star, Term, Var, alpha_eq,
-    _var_names, alpha_eq_all, children, free_vars, is_singleton_literal,
-    rebuild, rewrite, term_state,
+    BINDERS, And, Atom, Bot, Bowtie, ContextVar, Correlated, DomainTable, Eq,
+    Exists, Forall, Formula, Member, Neq, Or, Sequent, Sharp, Star, Term, Var,
+    alpha_eq, _var_names, alpha_eq_all, children, free_vars, is_closed,
+    is_singleton_literal, rebuild, rewrite, sharp_domain_name, term_state,
 )
 from ..syntax.printer import render_sequent
 from ..syntax.subst import (
@@ -65,6 +65,9 @@ class RuleId(Enum):
     # open assumption leaf
     HYPOTHESIS = "hypothesis"
 
+    # members are singletons: hash them by identity, in C, not by name
+    __hash__ = object.__hash__
+
 
 EQUATIONS = frozenset({
     RuleId.EQ_FORALL_R, RuleId.EQ_AND_R, RuleId.EQ_STAR_R, RuleId.EQ_BOT_R,
@@ -74,6 +77,8 @@ AXIOMS = frozenset({
     RuleId.AX_SINGLETON, RuleId.AX_FOCUS, RuleId.AX_MEMBER,
     RuleId.AX_SHARP_MEMBER,
 })
+#: the rules with two premises (an equation's when read forward)
+_TWO_PREMISES = frozenset({RuleId.EQ_AND_R, RuleId.EQ_OR_L, RuleId.CUT})
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -119,9 +124,10 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _require(cond: bool, message: str):
+def _require(cond: bool, message: str, *args):
+    """Raise RuleError unless cond, formatting the message only then."""
     if not cond:
-        raise RuleError(message)
+        raise RuleError(message.format(*args) if args else message)
 
 
 #: where each equation's connective sits: the parameter naming its
@@ -209,10 +215,6 @@ def flatten_or(f: Formula) -> list:
         f = f.right
     out.append(f)
     return out
-
-
-def build_or(parts: Sequence[Formula]) -> Formula:
-    return _right_spine(Or, parts)
 
 
 def build_and(parts: Sequence[Formula]) -> Formula:
@@ -319,12 +321,12 @@ def decompose_equality(s: Sequent, params: Optional[dict]) -> list:
              "abstracted term and fresh variable coincide")
     for k in params.get("positions", ()):  # a missing occurrence leaves s
         _require(replace_term_occurrences(s, t, Var(z), (k,)) is not s,
-                 f"positions= names no occurrence {k} of the term")
+                 "positions= names no occurrence {} of the term", k)
     abstracted = replace_term_occurrences(s, t, Var(z),
                                           params.get("positions"))
     ant = abstracted.antecedent
     j = params.get("index", len(ant))  # where z = t goes; last by default
-    _require(0 <= j <= len(ant), f"index {j} out of range")
+    _require(0 <= j <= len(ant), "index {} out of range", j)
     return [Sequent(ant[:j] + (Eq(Var(z), t),) + ant[j:],
                     abstracted.succedent)]
 
@@ -336,7 +338,7 @@ def compose_equality(s: Sequent, params: Optional[dict]) -> Sequent:
     else:
         candidates = range(len(s.antecedent) - 1, -1, -1)
     for j in candidates:
-        _require(0 <= j < len(s.antecedent), f"index {j} out of range")
+        _require(0 <= j < len(s.antecedent), "index {} out of range", j)
         item = s.antecedent[j]
         if not (isinstance(item, Eq) and isinstance(item.left, Var)):
             continue
@@ -411,19 +413,19 @@ def _compose(plain: list, eq: RuleId, params: Optional[dict],
             hits = [i for i, f in enumerate(items) if z in free_vars(f)]
         else:
             hits = [m - 1] if cls is Exists else [0] if len(items) == 2 else []
-        _require(len(hits) == 1, f"cannot tell where the parts of the "
-                                 f"{cls.__name__} are, pass {part_key}=<index>")
+        _require(len(hits) == 1, "cannot tell where the parts of the "
+                                 "{.__name__} are, pass {}=<index>", cls, part_key)
         k = hits[0]
     width = 2 if cls is Star else 0 if cls is Bot else 1
     parts = [f for q in plain for f in getattr(q, side)[k:k + width]]
     _require(k >= 0 and len(parts) == width * len(plain),
-             f"{side} position {k} out of range")
+             "{} position {} out of range", side, k)
     if cls is Bowtie:
         _require(isinstance(parts[0], Correlated),
                  "a bowtie closes a correlated slot")
         parts = children(parts[0])
     _require(all(isinstance(f, Formula) for f in parts),
-             f"the parts of a {cls.__name__} must be formulas")
+             "the parts of a {.__name__} must be formulas", cls)
     if cls in BINDERS:
         x = p.get("bound") or pick_bound_name(parts)
         made = cls(x, domain, *(subst_formula(f, z, Var(x)) for f in parts))
@@ -440,9 +442,9 @@ def _compose(plain: list, eq: RuleId, params: Optional[dict],
             for n in ("antecedent", "succedent")}
     kept[side].insert(at, made)
     composed = Sequent(kept["antecedent"], kept["succedent"])
-    _require(alpha_eq_all(_DECOMPOSE[eq](composed, p, cfg), plain),
-             f"{render_sequent(composed)} does not decompose back to the "
-             f"plain side of {eq.value}")
+    if not alpha_eq_all(_DECOMPOSE[eq](composed, p, cfg), plain):
+        raise RuleError(f"{render_sequent(composed)} does not decompose back "
+                        f"to the plain side of {eq.value}")
     return composed
 
 
@@ -455,15 +457,15 @@ def equation_step(s, eq: RuleId, direction: str, params: Optional[dict] = None,
     composes it (for the two-premise equations pass a list of sequents).
     """
     cfg = cfg or TheoryConfig()
-    _require(eq in EQUATIONS, f"{eq.value} is not a definitory equation")
+    _require(eq in EQUATIONS, "{.value} is not a definitory equation", eq)
     if direction == BACKWARD:
         _require(isinstance(s, Sequent), "backward step takes one sequent")
         return _DECOMPOSE[eq](s, params, cfg)
-    _require(direction == FORWARD, f"unknown direction {direction!r}")
+    _require(direction == FORWARD, "unknown direction {!r}", direction)
     seqs = [s] if isinstance(s, Sequent) else list(s)
-    count = 2 if eq in (RuleId.EQ_AND_R, RuleId.EQ_OR_L) else 1
+    count = 2 if eq in _TWO_PREMISES else 1
     _require(len(seqs) == count,
-             f"{eq.value} composes from {count} sequent(s)")
+             "{.value} composes from {} sequent(s)", eq, count)
     if eq is RuleId.EQ_EQUALITY:
         return [compose_equality(seqs[0], params)]
     return [_compose(seqs, eq, params, cfg)]
@@ -518,3 +520,130 @@ def dualize(s: Sequent) -> Sequent:
     new_ant = members + tuple(_dual_formula(f) for f in reversed(s.succedent))
     new_succ = tuple(_dual_formula(f) for f in reversed(others))
     return Sequent(new_ant, new_succ)
+
+
+# ---------------------------------------------------------------------------
+# the other rules with premises
+
+def _sequent(antecedent: tuple, succedent: tuple) -> Sequent:
+    """A sequent a rule puts together; one that repeats a context variable
+    on a side rejects the step."""
+    try:
+        return Sequent(antecedent, succedent)
+    except DomainError as exc:
+        raise RuleError(str(exc)) from exc
+
+
+def cut(left: Sequent, right: Sequent, params: dict) -> Sequent:
+    """Gamma |- A and Delta, A, Delta' |- Theta give Delta, Gamma, Delta'
+    |- Theta, with A at ``index`` of the second premise's antecedent; a
+    ``cut`` formula, when given, must be A."""
+    _require(len(left.succedent) == 1 and isinstance(left.succedent[0], Formula),
+             "first cut premise must conclude a single formula")
+    a, j, ant = left.succedent[0], params["index"], right.antecedent
+    _require("cut" not in params or alpha_eq(params["cut"], a),
+             "cut formula does not match the first premise")
+    _require(0 <= j < len(ant) and isinstance(ant[j], Formula)
+             and alpha_eq(ant[j], a),
+             "antecedent item {} of the second premise is not the cut formula",
+             j)
+    return _sequent(ant[:j] + left.antecedent + ant[j + 1:], right.succedent)
+
+
+def _lookup(lookup, name: str, params: dict, sharp: bool = False):
+    """Resolve a domain a step names.  An undeclared one rejects the step,
+    and so does a domain= that names another domain (for a sharp fact,
+    another set than the one whose companion it is in)."""
+    if "domain" in params:
+        named = params["domain"]
+        expected = sharp_domain_name(named) if sharp else named
+        _require(expected == name, "the conclusion is in {}, not in {} "
+                                   "(domain={})", name, expected, named)
+    try:
+        return lookup(name)
+    except DomainError as exc:
+        raise RuleError(str(exc)) from exc
+
+
+def substitute(premise: Sequent, params: dict, forgetful: bool = False,
+               cfg: Optional[TheoryConfig] = None,
+               table: Optional[DomainTable] = None) -> Sequent:
+    """The premise with the variable ``var`` replaced by the closed
+    ``term`` or, forgetfully, by the sharp state of ``state``, an outcome
+    of the last domain the premise's antecedent puts ``var`` in.  Forgetful
+    substitution rests on the singleton axioms."""
+    v = params["var"]
+    if any(isinstance(i, ContextVar) and i.name == v
+           for i in premise.antecedent + premise.succedent):
+        raise RuleError(f"variable {v} also names a context metavariable; "
+                        f"its occurrences there are unknowable")
+    if not forgetful:
+        t = params["term"]
+        _require(is_closed(t), "substituted term {!r} is not closed", t)
+        return subst_sequent(premise, v, t)
+    _require(cfg is None or cfg.singleton_axioms,
+             "forgetful substitution is disabled: it rests on the singleton "
+             "axioms (singleton_axioms off)")
+    domains = [i.domain for i in premise.antecedent
+               if isinstance(i, Member) and isinstance(i.term, Var)
+               and i.term.name == v]
+    _require(bool(domains), "the premise puts {} in no domain", v)
+    domain = _lookup((table or DomainTable()).resolve, domains[-1], {})
+    s = params["state"]
+    _require(s in domain.labels,
+             "state {} is not an outcome of domain {.name}", s, domain)
+    return subst_sequent(premise, v, Sharp(s), mode="forgetful")
+
+
+def exists_r(premise: Sequent, params: dict) -> Sequent:
+    """Gamma |- A(t) gives Gamma, t in D |- (exists x in D . A(x)) for the
+    ``existential`` and the witness ``term``; the membership is added only
+    when Gamma lacks it."""
+    ex, t = params["existential"], params["term"]
+    _require(isinstance(ex, Exists), "exists_r concludes an existential")
+    _require(len(premise.succedent) == 1 and alpha_eq(
+        subst_formula(ex.body, ex.var, t), premise.succedent[0]),
+        "the premise must conclude the existential's body at the witness")
+    member = Member(t, ex.domain)
+    ant = premise.antecedent
+    return Sequent(ant if member in ant else ant + (member,), (ex,))
+
+
+def weaken_l(premise: Sequent, params: dict) -> Sequent:
+    """Gamma |- Delta gives Gamma |- Delta with ``formula`` put at
+    ``position`` of the antecedent."""
+    j, ant = params["position"], premise.antecedent
+    _require(0 <= j <= len(ant), "position {} out of range", j)
+    return _sequent(ant[:j] + (params["formula"],) + ant[j:],
+                    premise.succedent)
+
+
+#: the pieces a backward step may conclude, by its pick parameter
+_PICK = {None: slice(None), "left": slice(1), "right": slice(-1, None)}
+
+
+def conclude(rule: RuleId, premises: Sequence[Sequent], params: dict,
+             cfg: Optional[TheoryConfig] = None,
+             table: Optional[DomainTable] = None,
+             direction: Optional[str] = None) -> Sequent:
+    """The conclusion of a rule with premises, from their conclusions and
+    complete parameters; a backward equation step with two pieces needs
+    pick=left|right."""
+    if rule in EQUATIONS:
+        if direction == FORWARD:
+            return equation_step(premises, rule, FORWARD, params, cfg)[0]
+        pieces = equation_step(premises[0], rule, direction, params, cfg)
+        pieces = pieces[_PICK.get(params.get("pick"), slice(0))]
+        _require(len(pieces) == 1, "{.value} gives no single sequent", rule)
+        return pieces[0]
+    if rule is RuleId.CUT:
+        return cut(*premises, params)
+    if rule in (RuleId.SUBST, RuleId.F_SUBST):
+        return substitute(premises[0], params, rule is RuleId.F_SUBST, cfg,
+                          table)
+    if rule is RuleId.EXISTS_R:
+        return exists_r(premises[0], params)
+    if rule is RuleId.WEAKEN_L:
+        return weaken_l(premises[0], params)
+    _require(rule is RuleId.DUALIZE, "{.value} has no premises", rule)
+    return dualize(premises[0])

@@ -1,9 +1,12 @@
 """Mechanical constructions of the named results.
 
 Every builder returns plain `Derivation` trees that re-check under
-`calculus.check`; nothing here bypasses the rule catalog.  Fresh variables
-follow the deterministic supply z, y, z1, z2, ... so the emitted scripts
-are reproducible.
+`calculus.check`.  Every rule with premises is one function in `rules`,
+which the checker recomputes a step with; a node built here gets its
+conclusion from the same function, except an equality abstraction, whose
+decomposition would also abstract the term inside the context.  Fresh
+variables follow the deterministic supply z, y, z1, z2, ... so the
+emitted scripts are reproducible.
 """
 from __future__ import annotations
 
@@ -14,19 +17,16 @@ from typing import Optional, Sequence, Tuple, Union
 from .errors import PreconditionError
 from .calculus.checker import Derivation
 from .calculus.rules import (
-    BACKWARD, FORWARD, RuleId, TheoryConfig, bot_label, build_and, build_or,
-    correlation_label, dualize, pick_bound_name,
+    BACKWARD, FORWARD, RuleId, TheoryConfig, bot_label, build_and,
+    conclude, correlation_label, pick_bound_name,
 )
 from .syntax.ast import (
-    And, Atom, Bot, ContextVar, Correlated, Domain, DomainTable, Eq, Exists,
-    Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Term,
-    Var, _var_names, alpha_eq, alpha_eq_all, domain_kind, free_vars,
-    is_closed, sharp_domain_name, sharp_pred_name, singleton_literal_name,
-    term_prob,
+    And, Atom, Bot, ContextVar, Correlated, Domain, DomainTable, Eq, Forall,
+    Formula, Member, Neq, Outcome, Sequent, Sharp, Term, Var, _var_names,
+    alpha_eq, alpha_eq_all, domain_kind, free_vars, is_closed,
+    sharp_domain_name, sharp_pred_name, singleton_literal_name, term_prob,
 )
-from .syntax.subst import (
-    fresh_var, replace_term_occurrences, subst_formula, subst_sequent,
-)
+from .syntax.subst import fresh_var, replace_term_occurrences, subst_formula
 
 #: a predicate is a symbol name or a (hole-variable, formula) template
 Pred = Union[str, Tuple[str, Formula]]
@@ -63,6 +63,18 @@ def _fresh(avoid_nodes, extra=()) -> str:
     return fresh_var(set(extra).union(*map(_var_names, avoid_nodes)))
 
 
+def _step(rule: RuleId, premises: tuple, params: Optional[dict] = None,
+          direction: Optional[str] = None, cfg: Optional[TheoryConfig] = None,
+          table: Optional[DomainTable] = None, **unrecorded) -> Derivation:
+    """The node of ``rule`` over ``premises``, its conclusion computed by
+    the rule; ``unrecorded`` values reach the rule but not the node's
+    parameters (and so not the script)."""
+    params = params or {}
+    conclusion = conclude(rule, [p.conclusion for p in premises],
+                          {**params, **unrecorded}, cfg, table, direction)
+    return Derivation(conclusion, rule, direction, params, premises)
+
+
 def schematic_domain(name: str, m: int, kind: str = "measured") -> Domain:
     """Uniform m-outcome domain with labels t1..tm, for schematic replays."""
     if m < 1:
@@ -85,42 +97,23 @@ def derive_reflection(domain: Union[Domain, str], pred: Pred = "A") -> Derivatio
     x = _pred_bound_name(pred)
     closed = Forall(x, name, apply_pred(pred, Var(x)))
     identity = Derivation(Sequent((closed,), (closed,)), RuleId.IDENTITY)
-    z = _fresh([closed])
-    conclusion = Sequent((closed, Member(Var(z), name)),
-                         (apply_pred(pred, Var(z)),))
-    return Derivation(conclusion, RuleId.EQ_FORALL_R, BACKWARD,
-                      {"var": z}, (identity,))
+    return _step(RuleId.EQ_FORALL_R, (identity,), {"var": _fresh([closed])},
+                 BACKWARD)
 
 
 # ---------------------------------------------------------------------------
 # Lemma: from the conjunction over a focused domain to the universal
 
-def _split_conjunction(leaf: Derivation, gamma: tuple) -> list:
+def _split_conjunction(leaf: Derivation) -> list:
     """EQ_AND_R backward down the right-associated spine; returns one node
     per conjunct, in order."""
     out = []
-    node, formula = leaf, leaf.conclusion.succedent[0]
-    while isinstance(formula, And):
-        out.append(Derivation(Sequent(gamma, (formula.left,)), RuleId.EQ_AND_R,
-                              BACKWARD, {"pick": "left"}, (node,)))
-        node = Derivation(Sequent(gamma, (formula.right,)), RuleId.EQ_AND_R,
-                          BACKWARD, {"pick": "right"}, (node,))
-        formula = formula.right
+    node = leaf
+    while isinstance(node.conclusion.succedent[0], And):
+        out.append(_step(RuleId.EQ_AND_R, (node,), {"pick": "left"}, BACKWARD))
+        node = _step(RuleId.EQ_AND_R, (node,), {"pick": "right"}, BACKWARD)
     out.append(node)
     return out
-
-
-def _focus_leaf(domain: Domain, z: str, disjunction: Formula,
-                cfg: Optional[TheoryConfig] = None) -> Derivation:
-    """Axiom leaf closing a focus cut.  Plain singletons go through the
-    singleton axiom; anything declared focused (by flag or configuration)
-    goes through the focus axiom."""
-    conclusion = Sequent((Member(Var(z), domain.name),), (disjunction,))
-    singleton_axioms = cfg.singleton_axioms if cfg is not None else True
-    use_singleton = (domain.kind == "singleton" and not domain.focused
-                     and singleton_axioms)
-    rule = RuleId.AX_SINGLETON if use_singleton else RuleId.AX_FOCUS
-    return Derivation(conclusion, rule, params={"domain": domain.name})
 
 
 def derive_lemma1(gamma, pred: Pred, domain: Domain,
@@ -140,17 +133,15 @@ def derive_lemma1(gamma, pred: Pred, domain: Domain,
     elif not alpha_eq(leaf.conclusion, Sequent(gamma, (conj,))):
         raise PreconditionError("supplied leaf does not conclude the "
                                 "conjunction over the domain")
-    conjunct_nodes = _split_conjunction(leaf, gamma)
     z = _fresh(list(gamma) + [conj], _pred_free_vars(pred))
     body = apply_pred(pred, Var(z))
     eq_nodes = [_eq_abstraction(node, gamma, e, z, (body,))
-                for node, e in zip(conjunct_nodes, elements)]
-    merged, disj = _or_merge(eq_nodes, len(gamma), elements, z)
-    cut = _focus_cut(merged, disj, domain, z, len(gamma), cfg)
-    x = _pred_bound_name(pred)
-    root = Sequent(gamma, (Forall(x, domain.name, apply_pred(pred, Var(x))),))
-    return Derivation(root, RuleId.EQ_FORALL_R, FORWARD,
-                      {"var": z, "bound": x, "slot": 0}, (cut,))
+                for node, e in zip(_split_conjunction(leaf), elements)]
+    cut = _focus_cut(_or_merge(eq_nodes, len(gamma)), domain, z, len(gamma),
+                     cfg)
+    return _step(RuleId.EQ_FORALL_R, (cut,),
+                 {"var": z, "bound": _pred_bound_name(pred), "slot": 0},
+                 FORWARD)
 
 
 def derive_prop1(pred: Pred, domain: Domain,
@@ -180,8 +171,6 @@ def derive_prop2(domain: Domain,
     by the six-stage chain: instantiate at inequality, open the universal,
     dualize, close the existential, build z in D |- (exists x in D) z = x,
     and cut the existential formula."""
-    name = domain.name
-    elements = domain.elements
     z = "z"
     hyp_concl = prop2_hypothesis(domain, z)
     if hypothesis is None:
@@ -193,28 +182,17 @@ def derive_prop2(domain: Domain,
                 "conjunction-to-universal instance at inequality")
         hyp = hypothesis
     y = _fresh([hyp_concl], {z})
-    opened = Sequent(hyp_concl.antecedent + (Member(Var(y), name),),
-                     (Neq(Var(z), Var(y)),))
-    step2 = Derivation(opened, RuleId.EQ_FORALL_R, BACKWARD, {"var": y}, (hyp,))
-    dualized = dualize(opened)
-    step3 = Derivation(dualized, RuleId.DUALIZE, premises=(step2,))
-    disj = build_or([Eq(Var(z), e) for e in elements])
-    x = pick_bound_name([Eq(Var(z), Var(z))])
-    existential = Exists(x, name, Eq(Var(z), Var(x)))
-    step4 = Derivation(Sequent((existential,), (disj,)), RuleId.EQ_EXISTS_L,
-                       FORWARD, {"index": 0, "member": 0, "body": 1}, (step3,))
+    step2 = _step(RuleId.EQ_FORALL_R, (hyp,), {"var": y}, BACKWARD)
+    step3 = _step(RuleId.DUALIZE, (step2,))
+    step4 = _step(RuleId.EQ_EXISTS_L, (step3,),
+                  {"index": 0, "member": 0, "body": 1}, FORWARD)
+    existential = step4.conclusion.antecedent[0]
     refl = Derivation(Sequent((), (Eq(Var(z), Var(z)),)), RuleId.REFLEXIVITY)
-    weakened = Derivation(Sequent((Member(Var(z), name),),
-                                  (Eq(Var(z), Var(z)),)),
-                          RuleId.WEAKEN_L, params={"position": 0},
-                          premises=(refl,))
-    built = Derivation(Sequent((Member(Var(z), name),), (existential,)),
-                       RuleId.EXISTS_R, params={"term": Var(z)},
-                       premises=(weakened,))
-    root = Sequent((Member(Var(z), name),), (disj,))
-    return Derivation(root, RuleId.CUT,
-                      params={"cut": existential, "index": 0},
-                      premises=(built, step4))
+    weakened = _step(RuleId.WEAKEN_L, (refl,), {"position": 0},
+                     formula=Member(Var(z), domain.name))
+    built = _step(RuleId.EXISTS_R, (weakened,), {"term": Var(z)},
+                  existential=existential)
+    return _step(RuleId.CUT, (built, step4), {"cut": existential, "index": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -271,29 +249,29 @@ def _eq_abstraction(node: Derivation, gamma: tuple, term: Term, var: str,
                       {"term": term, "var": var}, (node,))
 
 
-def _or_merge(nodes: Sequence[Derivation], index: int, terms: Sequence[Term],
-              var: str) -> Tuple[Derivation, Formula]:
+def _or_merge(nodes: Sequence[Derivation], index: int) -> Derivation:
+    """EQ_OR_L forward from the last node back: the antecedent item at
+    ``index`` becomes the disjunction of the nodes' items there."""
     merged = nodes[-1]
-    disj: Formula = Eq(Var(var), terms[-1])
-    for node, term in zip(reversed(list(nodes[:-1])), reversed(list(terms[:-1]))):
-        disj = Or(Eq(Var(var), term), disj)
-        ant = list(merged.conclusion.antecedent)
-        ant[index] = disj
-        conclusion = Sequent(tuple(ant), merged.conclusion.succedent)
-        merged = Derivation(conclusion, RuleId.EQ_OR_L, FORWARD,
-                            {"index": index}, (node, merged))
-    return merged, disj
+    for node in reversed(nodes[:-1]):
+        merged = _step(RuleId.EQ_OR_L, (node, merged), {"index": index},
+                       FORWARD)
+    return merged
 
 
-def _focus_cut(merged: Derivation, disj: Formula, domain: Domain, var: str,
-               index: int, cfg: Optional[TheoryConfig] = None) -> Derivation:
-    focus = _focus_leaf(domain, var, disj, cfg)
-    ant = list(merged.conclusion.antecedent)
-    ant[index] = Member(Var(var), domain.name)
-    conclusion = Sequent(tuple(ant), merged.conclusion.succedent)
-    return Derivation(conclusion, RuleId.CUT,
-                      params={"cut": disj, "index": index},
-                      premises=(focus, merged))
+def _focus_cut(merged: Derivation, domain: Domain, var: str, index: int,
+               cfg: Optional[TheoryConfig] = None) -> Derivation:
+    """Cut the disjunction at ``index`` against the axiom leaf var in D |-
+    disjunction.  Plain singletons go through the singleton axiom; anything
+    declared focused (by flag or configuration) goes through the focus
+    axiom."""
+    disj = merged.conclusion.antecedent[index]
+    singleton = (domain.kind == "singleton" and not domain.focused
+                 and (cfg is None or cfg.singleton_axioms))
+    focus = Derivation(Sequent((Member(Var(var), domain.name),), (disj,)),
+                       RuleId.AX_SINGLETON if singleton else RuleId.AX_FOCUS,
+                       params={"domain": domain.name})
+    return _step(RuleId.CUT, (focus, merged), {"cut": disj, "index": index})
 
 
 def generalize(batch: Sequence[Judgement], mode: str = "single",
@@ -348,8 +326,7 @@ def _generalize_shared(batch, name, table, arity: int) -> Derivation:
     for j, t in zip(batch, terms):
         leaf = Derivation(Sequent(gamma, j.succedents), RuleId.HYPOTHESIS)
         nodes.append(_eq_abstraction(leaf, gamma, t, z, templates))
-    merged, disj = _or_merge(nodes, len(gamma), terms, z)
-    return _focus_cut(merged, disj, domain, z, len(gamma))
+    return _focus_cut(_or_merge(nodes, len(gamma)), domain, z, len(gamma))
 
 
 def _generalize_two(batch, name1, name2, table):
@@ -394,20 +371,12 @@ def _generalize_two(batch, name1, name2, table):
         leaf = Derivation(Sequent(gamma, j.succedents), RuleId.HYPOTHESIS)
         eq1 = _eq_abstraction(leaf, gamma, ts[k // n], z,
                               (template1, subst_formula(template2, y, ws[k % n])))
-        eq2 = Derivation(
-            Sequent(gamma + (Eq(Var(z), ts[k // n]), Eq(Var(y), ws[k % n])),
-                    succ),
-            RuleId.EQ_EQUALITY, BACKWARD,
-            {"term": ws[k % n], "var": y}, (eq1,))
-        per_j.append(eq2)
-    columns = []
-    for jj in range(n):
-        nodes = [per_j[i * n + jj] for i in range(m)]
-        columns.append(_or_merge(nodes, L, ts, z))
-    rows = [c[0] for c in columns]
-    merged, disj2 = _or_merge(rows, L + 1, ws, y)
-    cut1 = _focus_cut(merged, columns[0][1], d1, z, L)
-    root = _focus_cut(cut1, disj2, d2, y, L + 1)
+        per_j.append(_eq_abstraction(eq1, gamma + (Eq(Var(z), ts[k // n]),),
+                                     ws[k % n], y, succ))
+    rows = [_or_merge([per_j[i * n + jj] for i in range(m)], L)
+            for jj in range(n)]
+    cut1 = _focus_cut(_or_merge(rows, L + 1), d1, z, L)
+    root = _focus_cut(cut1, d2, y, L + 1)
     return root.conclusion, root
 
 
@@ -439,18 +408,14 @@ def check_reversibility(domain: Domain, cfg: TheoryConfig,
     hyp = Derivation(start, RuleId.HYPOTHESIS)
     eq_nodes = []
     for e in domain.elements:
-        inst = Derivation(subst_sequent(start, z, e), RuleId.SUBST,
-                          params={"var": z, "term": e}, premises=(hyp,))
+        inst = _step(RuleId.SUBST, (hyp,), {"var": z, "term": e})
         fact = Derivation(Sequent((), (Member(e, domain.name),)),
                           RuleId.AX_MEMBER, params={"domain": domain.name})
-        freed = Derivation(Sequent(gamma, (apply_pred(pred, e),)),
-                           RuleId.CUT,
-                           params={"cut": Member(e, domain.name),
-                                   "index": len(gamma)},
-                           premises=(fact, inst))
+        freed = _step(RuleId.CUT, (fact, inst),
+                      {"cut": Member(e, domain.name), "index": len(gamma)})
         eq_nodes.append(_eq_abstraction(freed, gamma, e, z, (body,)))
-    merged, disj = _or_merge(eq_nodes, len(gamma), list(domain.elements), z)
-    root = _focus_cut(merged, disj, domain, z, len(gamma), cfg)
+    root = _focus_cut(_or_merge(eq_nodes, len(gamma)), domain, z, len(gamma),
+                      cfg)
     assert alpha_eq(root.conclusion, start)
     return ReversibilityVerdict(domain.name, True, root)
 
@@ -486,16 +451,12 @@ def derive_collapse_and_repeat(domain: Domain, i: int, pred: Pred = "A",
     if not isinstance(pred, str):
         raise PreconditionError("collapse takes a predicate symbol")
     label = domain.labels[i - 1]
-    collapse = _collapse(domain.name, pred, label)
-    closed = collapse.conclusion.antecedent[0]
-    sharp_atom = collapse.conclusion.succedent[0]
+    collapse = _collapse(domain.name, pred, label, DomainTable([domain]))
     singleton = Domain(singleton_literal_name(label), (Sharp(label),),
                        kind="singleton")
     consequence = derive_prop1(sharp_pred_name(pred), singleton, cfg=cfg)
-    repeat_root = Sequent((closed,), (consequence.conclusion.succedent[0],))
-    repeat = Derivation(repeat_root, RuleId.CUT,
-                        params={"cut": sharp_atom, "index": 0},
-                        premises=(collapse, consequence))
+    repeat = _step(RuleId.CUT, (collapse, consequence),
+                   {"cut": collapse.conclusion.succedent[0], "index": 0})
     return collapse, repeat
 
 
@@ -509,23 +470,19 @@ def derive_remeasure(domain: Domain, i: int, pred: Pred = "A") -> Derivation:
     return _collapse(singleton_literal_name(label), sharp, label)
 
 
-def _collapse(name: str, pred: str, label: str) -> Derivation:
+def _collapse(name: str, pred: str, label: str,
+              table: Optional[DomainTable] = None) -> Derivation:
     """(forall x in name . pred(x)) |- pred^f(#label): reflection, the
     forgetful substitution of #label, and a cut against the declared sharp
     membership."""
     refl = derive_reflection(name, pred)
-    z = refl.params["var"]
-    shadow = subst_sequent(refl.conclusion, z, Sharp(label), mode="forgetful")
-    fsubst = Derivation(shadow, RuleId.F_SUBST,
-                        params={"var": z, "state": label}, premises=(refl,))
+    fsubst = _step(RuleId.F_SUBST, (refl,),
+                   {"var": refl.params["var"], "state": label}, table=table)
     fact_formula = Member(Sharp(label), sharp_domain_name(name))
     fact = Derivation(Sequent((), (fact_formula,)), RuleId.AX_SHARP_MEMBER,
                       params={"domain": name})
-    closed = refl.conclusion.antecedent[0]
-    sharp_atom = Atom(sharp_pred_name(pred), (Sharp(label),))
-    return Derivation(Sequent((closed,), (sharp_atom,)), RuleId.CUT,
-                      params={"cut": fact_formula, "index": 1},
-                      premises=(fact, fsubst))
+    return _step(RuleId.CUT, (fact, fsubst),
+                 {"cut": fact_formula, "index": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +498,7 @@ def derive_distributivity(domain_a: Domain, domain_b: Domain,
         raise PreconditionError(
             "distributivity needs classical right contexts in the "
             "universal equation")
+    cfg = cfg or TheoryConfig(right_contexts_in_forall=True)
     gamma = _gamma_tuple(gamma)
     z = _fresh(list(gamma), _pred_free_vars(pred_a) | _pred_free_vars(pred_b))
     y = fresh_var(free_vars(Sequent(gamma, ())) | {z}
@@ -552,32 +510,16 @@ def derive_distributivity(domain_a: Domain, domain_b: Domain,
     x = _pred_bound_name(pred_a)
     x2 = pick_bound_name([apply_pred(pred_b, Var(y))], x + "'")
 
+    def forward(rule, node, **params):
+        return _step(rule, (node,), params, FORWARD, cfg)
+
     # route 1: star first, then both universals (no right context arises)
-    starred = Derivation(Sequent(leaf_concl.antecedent, (Star(fa, fb),)),
-                         RuleId.EQ_STAR_R, FORWARD, {"slot": 0}, (leaf,))
-    inner = Forall(x2, domain_b.name,
-                   Star(fa, apply_pred(pred_b, Var(x2))))
-    bind_y = Derivation(
-        Sequent(gamma + (Member(Var(z), domain_a.name),), (inner,)),
-        RuleId.EQ_FORALL_R, FORWARD,
-        {"var": y, "bound": x2, "slot": 0}, (starred,))
-    outer = Forall(x, domain_a.name,
-                   Forall(x2, domain_b.name,
-                          Star(apply_pred(pred_a, Var(x)),
-                               apply_pred(pred_b, Var(x2)))))
-    nested = Derivation(Sequent(gamma, (outer,)), RuleId.EQ_FORALL_R, FORWARD,
-                        {"var": z, "bound": x, "slot": 0}, (bind_y,))
+    starred = forward(RuleId.EQ_STAR_R, leaf, slot=0)
+    bind_y = forward(RuleId.EQ_FORALL_R, starred, var=y, bound=x2, slot=0)
+    nested = forward(RuleId.EQ_FORALL_R, bind_y, var=z, bound=x, slot=0)
 
     # route 2: universals first (right context), then star
-    ub = Forall(x2, domain_b.name, apply_pred(pred_b, Var(x2)))
-    bind_y2 = Derivation(
-        Sequent(gamma + (Member(Var(z), domain_a.name),), (fa, ub)),
-        RuleId.EQ_FORALL_R, FORWARD,
-        {"var": y, "bound": x2, "slot": 1}, (leaf,))
-    ua = Forall(x, domain_a.name, apply_pred(pred_a, Var(x)))
-    bind_z2 = Derivation(Sequent(gamma, (ua, ub)), RuleId.EQ_FORALL_R,
-                         FORWARD, {"var": z, "bound": x, "slot": 0},
-                         (bind_y2,))
-    split = Derivation(Sequent(gamma, (Star(ua, ub),)), RuleId.EQ_STAR_R,
-                       FORWARD, {"slot": 0}, (bind_z2,))
+    bind_y2 = forward(RuleId.EQ_FORALL_R, leaf, var=y, bound=x2, slot=1)
+    bind_z2 = forward(RuleId.EQ_FORALL_R, bind_y2, var=z, bound=x, slot=0)
+    split = forward(RuleId.EQ_STAR_R, bind_z2, slot=0)
     return nested, split

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rfod.calculus import rules
 from rfod.cli import DERIVE_TARGETS, main as cli_main
 from rfod.errors import DslSyntaxError, FragmentError, RuleError
 from rfod.calculus import (
@@ -161,6 +162,25 @@ def test_forward_reading_parameters_mean_what_decomposition_reads():
     assert render(out[0]) == "B, exists x in D . A(x) |- C"
 
 
+def test_forward_reading_renders_only_on_failure(monkeypatch):
+    # the message naming the composed sequent is built only when it is
+    # raised, so neither a forward step nor a builder pays for it
+    rendered = []
+    monkeypatch.setattr(rules, "render_sequent",
+                        lambda s: rendered.append(s) or "")
+    for text, eq in (("G, z in D |- A(z)", RuleId.EQ_FORALL_R),
+                     ("G |- A(t) ;; G |- B(t)", RuleId.EQ_AND_R),
+                     ("A(z), z in D |- C(t)", RuleId.EQ_EXISTS_L),
+                     ("G |- A(t), B(t)", RuleId.EQ_BOT_R)):
+        _forward(text, eq)
+    for _ in _steps_with_premises(3):
+        pass
+    assert rendered == []
+    with pytest.raises(RuleError):
+        _forward("A(z), z in D |- B(z)", RuleId.EQ_FORALL_R)
+    assert rendered
+
+
 def test_bot_requires_right_context():
     with pytest.raises(RuleError):
         equation_step(seq("G |- bot"), RuleId.EQ_BOT_R, "backward")
@@ -191,7 +211,8 @@ def test_binder_var_must_match_plain_side():
         assert verdict.ok is ok, verdict.reason
 
 
-def _equation_steps(m):
+def _steps_with_premises(m):
+    """Every node with premises of the derive builders at size m."""
     d = schematic_domain("D", m)
     cfg = TheoryConfig(focused_domains=frozenset({"D"}),
                        right_contexts_in_forall=True)
@@ -201,10 +222,11 @@ def _equation_steps(m):
              derive_collapse_and_repeat(d, 1)[1],
              *derive_distributivity(schematic_domain("DZ", m),
                                     schematic_domain("DZ'", m), cfg=cfg)]
+    table = DomainTable([d])
     for root in roots:
         for node in root.walk():
-            if node.rule in EQUATIONS:
-                yield node, cfg
+            if node.premises:
+                yield node, cfg, table
 
 
 def _terms(node):
@@ -219,12 +241,16 @@ def _terms(node):
 
 
 def test_equation_mutants_rejected():
+    """Term mutants of the conclusion of every step with premises, and
+    every equation step read in the other direction.  Weakening takes any
+    formula, so weaken_l survives a mutant of the formula it adds."""
     mutants = flipped = 0
+    survivors = []
     for m in (2, 3):
-        for node, cfg in _equation_steps(m):
+        for node, cfg, table in _steps_with_premises(m):
             c = node.conclusion
             assert validate_step(c, node.rule, node.direction, node.premises,
-                                 node.params, cfg) is None
+                                 node.params, cfg, table) is None
             for t in dict.fromkeys(_terms(c)):
                 k = 1
                 while True:
@@ -232,17 +258,23 @@ def test_equation_mutants_rejected():
                                                       positions=[k])
                     if mutant == c:
                         break
-                    with pytest.raises(RuleError):
+                    try:
                         validate_step(mutant, node.rule, node.direction,
-                                      node.premises, node.params, cfg)
+                                      node.premises, node.params, cfg, table)
+                        survivors.append((node.rule, render(mutant)))
+                    except RuleError:
+                        pass
                     mutants += 1
                     k += 1
+            if node.rule not in EQUATIONS:
+                continue
             other = "backward" if node.direction == "forward" else "forward"
             with pytest.raises(RuleError):
                 validate_step(c, node.rule, other, node.premises,
-                              node.params, cfg)
+                              node.params, cfg, table)
             flipped += 1
-    assert (mutants, flipped) == (214, 64)
+    assert survivors == [(RuleId.WEAKEN_L, "#fresh in D |- z = z")] * 2
+    assert (mutants, flipped) == (296, 64)
 
 
 def _derived_scripts(tmp_path, m):
@@ -284,6 +316,98 @@ def test_parameter_mutants_rejected(tmp_path):
                                           script.config, script.domains)
                         mutants += 1
     assert mutants == 220
+
+
+def _script_mutants(tmp_path):
+    """(m, target, script, step, premise conclusions) of every step of every
+    derived script at m in {2, 3}, its earlier steps' conclusions by id."""
+    for m in (2, 3):
+        for target, script in zip(DERIVE_TARGETS,
+                                  _derived_scripts(tmp_path, m)):
+            done = {}
+            for step in script.steps:
+                done[step[0]] = step[5]
+                yield m, target, script, step, [done[r] for r in step[4]], done
+
+
+def _accepts(script, c, rule, direction, premises, params):
+    try:
+        validate_step(c, rule, direction, premises, params, script.config,
+                      script.domains)
+        return True
+    except RuleError:
+        return False
+
+
+def test_premise_mutants_rejected(tmp_path):
+    """One premise repointed at an earlier step with another conclusion,
+    and the two premises of a step swapped.  exists_r may add the witness
+    membership itself, so prop2's survives being pointed at the
+    reflexivity leaf instead of its weakening."""
+    repointed = swapped = 0
+    survivors = []
+    for m, target, script, step, premises, done in _script_mutants(tmp_path):
+        step_id, rule, direction, params, refs, c = step
+        for i, ref in enumerate(refs):
+            for other, conclusion in done.items():
+                if other == step_id or alpha_eq(conclusion, done[ref]):
+                    continue
+                mutant = premises[:i] + [conclusion] + premises[i + 1:]
+                if _accepts(script, c, rule, direction, mutant, params):
+                    survivors.append((m, target, rule, ref, other))
+                repointed += 1
+        if len(refs) == 2 and not alpha_eq(*premises):
+            assert not _accepts(script, c, rule, direction, premises[::-1],
+                                params)
+            swapped += 1
+    assert survivors == [(m, "prop2", RuleId.EXISTS_R, "2", "1")
+                         for m in (2, 3)]
+    assert (repointed, swapped) == (676, 28)
+
+
+def test_rule_name_mutants_rejected(tmp_path):
+    """Every step renamed to every other rule, in each direction of an
+    equation.  A leaf renamed hypothesis is accepted as an open assumption,
+    and the singleton axiom is the focus axiom over a one-element domain."""
+    renamed = 0
+    survivors = []
+    for m, target, script, step, premises, _ in _script_mutants(tmp_path):
+        step_id, rule, direction, params, refs, c = step
+        for other in RuleId:
+            if other is rule:
+                continue
+            for way in ("forward", "backward") if other in EQUATIONS else (
+                    None,):
+                renamed += 1
+                if not _accepts(script, c, other, way, premises, params):
+                    continue
+                survivors.append((m, target, rule, other))
+                if other is not RuleId.HYPOTHESIS:
+                    continue
+                opened = dataclasses.replace(script, steps=[
+                    (i, other, None, p, r, s) if i == step_id
+                    else (i, ru, d, p, r, s)
+                    for i, ru, d, p, r, s in script.steps])
+                report = check_script(opened)
+                assert report.accepted
+                assert any(a is c for a in report.assumptions)
+    leaves = {"reflection": [RuleId.IDENTITY],
+              "lemma1": [RuleId.AX_FOCUS],
+              "prop1": [RuleId.AX_FOCUS, RuleId.IDENTITY],
+              "prop2": [RuleId.REFLEXIVITY],
+              "prop3": [RuleId.AX_FOCUS] + [RuleId.AX_MEMBER] * 2,
+              "collapse": [RuleId.AX_SHARP_MEMBER, RuleId.IDENTITY,
+                           RuleId.AX_SINGLETON, RuleId.IDENTITY]}
+    expected = []
+    for m in (2, 3):
+        for target in DERIVE_TARGETS:
+            for leaf in leaves.get(target, []) + [RuleId.AX_MEMBER] * (
+                    m == 3 and target == "prop3"):
+                if leaf is RuleId.AX_SINGLETON:
+                    expected.append((m, target, leaf, RuleId.AX_FOCUS))
+                expected.append((m, target, leaf, RuleId.HYPOTHESIS))
+    assert survivors == expected
+    assert renamed == 3496
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +626,10 @@ def test_cut_splices_contexts():
     verdict = rule_step(seq("G, z in D |- A(z)"), RuleId.CUT, [left, right])
     assert verdict.ok, verdict.reason
     assert not rule_step(seq("G |- A(z)"), RuleId.CUT, [left, right]).ok
+    # a fact cut away at the last position leaves a shorter antecedent
+    fact = seq("|- #a in D^f")
+    used = seq("B(t), #a in D^f |- C(t)")
+    assert rule_step(seq("B(t) |- C(t)"), RuleId.CUT, [fact, used]).ok
 
 
 # ---------------------------------------------------------------------------
