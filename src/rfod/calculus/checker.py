@@ -352,6 +352,8 @@ def validate_step(conclusion: Sequent, rule: RuleId, direction: Optional[str],
             count = 1
         elif direction != FORWARD:
             raise RuleError(f"{rule.value} needs direction forward|backward")
+    elif direction is not None:
+        raise RuleError(f"{rule.value} takes no direction")
     if len(premises) != count:
         raise RuleError(f"{rule.value} takes {count} premise(s), "
                         f"got {len(premises)}")

@@ -67,7 +67,7 @@ def _integers(p: _Parser, owner: str) -> list:
 
 
 #: parameter key -> (read its value off a step line, the value's text);
-#: any other key holds a name: a variable, label, state or domain name
+#: a step line carries no other key
 _NAME = (lambda p, owner: p.parse_domain_ref(), str)
 _PARAMS = {
     **dict.fromkeys(("slot", "index", "member", "body", "position"),
@@ -76,6 +76,8 @@ _PARAMS = {
     "term": (lambda p, owner: p.parse_term(), render_term),
     **dict.fromkeys(("cut", "formula"),
                     (lambda p, owner: p.parse_formula(), render_formula)),
+    **dict.fromkeys(("var", "bound", "label", "state", "domain", "pick"),
+                    _NAME),
 }
 
 #: script config key -> the TheoryConfig field it sets
@@ -281,9 +283,10 @@ def _parse_step_line(p: _Parser, script: ProofScript, seen_ids: dict) -> None:
             if not refs:
                 raise RfodError("'from' needs premise ids")
         elif tok.kind == "ident" and p.accept("="):
+            if tok.text not in _PARAMS:
+                p.fail(f"unknown parameter {tok.text}", tok)
             quoted = p.accept('"')
-            params[tok.text] = _PARAMS.get(tok.text, _NAME)[0](
-                p, f"parameter {tok.text}")
+            params[tok.text] = _PARAMS[tok.text][0](p, f"parameter {tok.text}")
             if quoted:
                 p.expect('"')
         else:

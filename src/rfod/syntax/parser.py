@@ -33,21 +33,23 @@ no recursion depth.
 
 A proof script repeats its formulas from line to line, so one
 ``parse_script`` call reads its lines with one memo, which lives as long
-as that call.  The memo maps the source text of every sequent item and
-of every suffix of an ``&``, ``\\/`` or ``*`` chain read so far (if at
-least ``_HEAD`` characters long) to the node built for it; it holds the
-text's place in its line, not a copy.  A text the memo holds is taken
-from it, neither lexed nor parsed again, and the very node is returned,
-only where the plain parse would read the same span to the same node:
+as that call.  The memo maps the source text of every top-level formula
+(a sequent item or a parameter value) and of every suffix of an ``&``,
+``\\/`` or ``*`` chain at any depth, read so far and at least ``_HEAD``
+characters long, to the node built for it; it holds the text's place in
+its line, not a copy.  The memo is read only where a top-level formula
+starts.  A text it holds is taken there, neither lexed nor parsed again,
+and the very node is returned, only where the plain parse would read the
+same span to the same node:
 
 - the text stands at the start of a token, and its last character does
   not run on into the next one (``x`` then ``'``);
-- the token after it ends the construct: after an item ``,``, ``,_L``,
-  ``|-`` or the end of the line; after a chain suffix one of these,
-  ``)``, ``;``, ``"`` or an operator binding more loosely than the
-  chain's;
-- the text nests no deeper than ``MAX_NESTING`` allows where it now
-  stands.
+- the token after it ends a formula: ``,``, ``,_L``, ``|-``, ``)``,
+  ``;``, ``"`` or the end of the line.
+
+No nesting test is needed: a text is kept only after the plain parse
+read it, token by token and within ``MAX_NESTING`` where it stood, so it
+nests no deeper than the limit allows at the top level.
 
 A text is lexed only as far as the parse reads it.  Before any error is
 raised the rest of the text is lexed, so a bad character anywhere in it
@@ -137,22 +139,11 @@ _HEAD = 12
 _BUCKET = 4
 _IDENT_CHARS = frozenset(string.ascii_letters + string.digits + "_'^")
 _ITEM_ENDS = frozenset({",", "comma_label", "turnstile", "eof"})
+#: the tokens that may follow a text taken from the memo
 _ENDS = _ITEM_ENDS | {")", ";", '"'}
-# a text read as one of these is no operand list: a binder (a
-# parenthesised one is, but is not reused there) or a context variable
-_NO_CHAIN = frozenset({Forall, Exists, Bowtie, ContextVar})
-#: where the memo is read -> (the tokens that may follow the text there,
-#: the node classes it may not be read as); a chain stops only before an
-#: operator that binds more loosely than its own
-_LEVELS = {
-    "item": (_ITEM_ENDS, frozenset()),
-    "*": (_ENDS, _NO_CHAIN),
-    "orop": (_ENDS | {"*"}, _NO_CHAIN | {Star}),
-    "&": (_ENDS | {"*", "orop"}, _NO_CHAIN | {Star, Or}),
-}
 # a token of those can follow a text only where the next character starts
 # one (a comment, which ends the line, starts with '-') or the line ends
-_MAY_END = re.compile(r'[ \t\r]*(?:[,|);"*\\-]|$)')
+_MAY_END = re.compile(r'[ \t\r]*(?:[,|);"-]|$)')
 
 
 def _longest_first(entry) -> int:
@@ -174,8 +165,11 @@ def _shown(tok: Token) -> str:
 class _Parser:
     """One parse over ``text``, which is lexed a token at a time, as far as
     the parse reads it.  With a memo (a dict that one ``parse_script`` call
-    shares between its lines) the text must be one line, and a span whose
-    reading the memo holds is not lexed at all."""
+    shares between its lines) the text must be one line.  The memo is read
+    only by ``parse_formula`` at depth 0, where a sequent item or a
+    parameter value starts, and a text it holds there is taken, never
+    lexed, when one of ``_ENDS`` follows it.  That text was read within
+    ``MAX_NESTING`` where it was kept, so it needs no nesting test."""
 
     def __init__(self, text: str, line: int = 1, memo: Optional[dict] = None):
         self.text = text
@@ -185,11 +179,7 @@ class _Parser:
         self.tokens = [next(self._lexer)]
         self.i = 0
         self.depth = 0        # open parentheses and binders
-        self.peak = 0         # the deepest depth reached so far
-        self._looked = -1     # the offset last looked up, and what it found
-        self._found = ()
         self._kept = None     # the span last kept or taken from the memo
-        self._taken_end = 0   # where the last span taken from the memo ends
 
     def read(self, rule):
         """What ``rule()`` reads, which must be the whole text."""
@@ -260,64 +250,53 @@ class _Parser:
 
     # -- the memo ------------------------------------------------------------
     # Its keys are the first _HEAD characters of a text read before, its
-    # values the texts' spans, longest first: (line, start, end, node,
-    # depth), where depth bounds how deep the text nests.
+    # values the texts' spans, longest first: (line, start, end, node).
 
-    def _recall(self, ends: frozenset, exclude: frozenset):
-        """The node the memo holds for the text at the current token, if
-        the plain reading of this text is that very node: the whole text
-        stands here, followed by a token of ``ends``, and it is read at a
-        level that ``exclude`` does not rule out.  The parse then goes on
-        after that text, which is never lexed."""
-        if self.memo is None:
+    def _recall(self, pos: int):
+        """The node the memo holds for the text at offset ``pos``, the
+        current token, if the plain reading of this text is that very node.
+        The parse then goes on after that text, which is never lexed."""
+        hit = self._match(pos)
+        if hit is None:
             return None
-        pos = self.tokens[self.i].column - 1
-        if pos != self._looked:
-            self._looked = pos
-            self._found = self._match(pos)
-        for node, stop, depth, lexer, follow in self._found:
-            if (follow.kind in ends and type(node) not in exclude
-                    and self.depth + depth <= MAX_NESTING):
-                del self.tokens[self.i:]
-                self.tokens.append(follow)
-                self._lexer = lexer
-                self._looked = -1
-                self._kept = (pos, stop)
-                self._taken_end = stop
-                self.peak = max(self.peak, self.depth + depth)
-                return node
-        return None
+        node, stop, lexer, follow = hit
+        del self.tokens[self.i:]
+        self.tokens.append(follow)
+        self._lexer = lexer
+        self._kept = (pos, stop)
+        return node
 
-    def _match(self, pos: int) -> list:
-        """The texts of the memo standing at ``pos``, longest first, with
-        the token after each: those whose last character does not run on
-        into the next one, so that lexing from ``pos`` cuts them as before."""
+    def _match(self, pos: int):
+        """(node, end, lexer, token after it) of the longest text of the
+        memo standing at ``pos`` whose last character does not run on into
+        the next one, so that lexing from ``pos`` cuts it as before, and
+        that a token of ``_ENDS`` follows; None if there is none."""
         text = self.text
-        found = []
-        for src, start, end, node, depth in self.memo.get(
-                text[pos:pos + _HEAD], ()):
+        for src, start, end, node in self.memo.get(text[pos:pos + _HEAD], ()):
             stop = pos + end - start
             if (stop <= len(text) and text.startswith(src[start:end], pos)
                     and not (text[stop - 1] in _IDENT_CHARS
                              and text[stop:stop + 1] in _IDENT_CHARS)
                     and _MAY_END.match(text, stop)):
                 lexer = _lexemes(text, self.line, stop)
-                found.append((node, stop, depth, lexer, next(lexer)))
-        return found
+                follow = next(lexer)
+                if follow.kind in _ENDS:
+                    return node, stop, lexer, follow
+        return None
 
-    def _remember(self, start: int, node, depth: int) -> None:
+    def _remember(self, start: int, node) -> None:
         """Keep ``node`` as the reading of the text from ``start`` to the
-        last token read, which was begun at ``depth``."""
+        last token read."""
         if self.memo is None:
             return
         tok = self.tokens[self.i - 1]
-        end = max(self._taken_end, tok.column - 1 + len(tok.text))
+        end = tok.column - 1 + len(tok.text)
         if end - start < _HEAD or (start, end) == self._kept:
             return
         self._kept = (start, end)
         bucket = self.memo.setdefault(self.text[start:start + _HEAD], [])
         if len(bucket) < _BUCKET:
-            bucket.append((self.text, start, end, node, self.peak - depth))
+            bucket.append((self.text, start, end, node))
             bucket.sort(key=_longest_first)
 
     # -- terms and domain references ---------------------------------------
@@ -372,10 +351,19 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"formula nested deeper than {MAX_NESTING} levels", tok)
-        if self.depth > self.peak:
-            self.peak = self.depth
 
     def parse_formula(self) -> Formula:
+        """A formula; at depth 0 it is taken from the memo or kept in it."""
+        if self.depth or self.memo is None:
+            return self._formula()
+        start = self.tokens[self.i].column - 1
+        node = self._recall(start)
+        if node is None:
+            node = self._formula()
+            self._remember(start, node)
+        return node
+
+    def _formula(self) -> Formula:
         tok = self.peek()
         if tok.kind in ("forall", "exists"):
             self.enter(tok)
@@ -412,32 +400,23 @@ class _Parser:
         return self._chain(self.parse_unit, "&", And)
 
     def _chain(self, operand, op: str, node) -> Formula:
-        """operand (op operand)*, built right-nested.  The rest of the chain
-        from any operand on is taken from the memo when it holds that text,
-        and every suffix read is kept in it."""
+        """operand (op operand)*, built right-nested; every suffix read is
+        kept in the memo."""
         tokens = self.tokens
-        ends, exclude = _LEVELS[op]
-        depth = self.depth
         operands = []
         starts = []
         while True:
             starts.append(tokens[self.i].column - 1)
-            rest = self._recall(ends, exclude)
-            if rest is not None:
-                break
             operands.append(operand())
             if tokens[self.i].kind != op:
-                if len(operands) == 1:
-                    return operands[0]
-                rest = operands.pop()
-                self._remember(starts[-1], rest, depth)
                 break
             self._advance()
-        # the longer suffixes; one that ends in a span taken from the memo
-        # still runs to that span's end
+        rest = operands.pop()
+        if operands:
+            self._remember(starts[-1], rest)
         while operands:
             rest = node(operands.pop(), rest)
-            self._remember(starts[len(operands)], rest, depth)
+            self._remember(starts[len(operands)], rest)
         return rest
 
     def parse_unit(self) -> Formula:
@@ -481,19 +460,12 @@ class _Parser:
 
     # -- sequents ------------------------------------------------------------
     def parse_item(self):
-        start = self.tokens[self.i].column - 1
-        item = self._recall(*_LEVELS["item"])
-        if item is not None:
-            return item
         tok = self.peek()
         if (tok.kind == "ident" and not tok.text.startswith("bot_")
                 and self.peek(1).kind in _ITEM_ENDS):
             self.next()
-            item = ContextVar(tok.text)
-        else:
-            item = self.parse_formula()
-        self._remember(start, item, self.depth)
-        return item
+            return ContextVar(tok.text)
+        return self.parse_formula()
 
     def parse_sequent(self) -> Sequent:
         antecedent = []

@@ -18,7 +18,7 @@ from .errors import PreconditionError
 from .calculus.checker import Derivation
 from .calculus.rules import (
     BACKWARD, FORWARD, RuleId, TheoryConfig, bot_label, build_and,
-    conclude, correlation_label, pick_bound_name,
+    conclude, correlation_label, equation_step, pick_bound_name,
 )
 from .syntax.ast import (
     And, Atom, Bot, ContextVar, Correlated, Domain, DomainTable, Eq, Forall,
@@ -105,13 +105,17 @@ def derive_reflection(domain: Union[Domain, str], pred: Pred = "A") -> Derivatio
 # Lemma: from the conjunction over a focused domain to the universal
 
 def _split_conjunction(leaf: Derivation) -> list:
-    """EQ_AND_R backward down the right-associated spine; returns one node
-    per conjunct, in order."""
+    """EQ_AND_R backward down the right-associated spine, each level
+    decomposed once; returns one node per conjunct, in order."""
     out = []
     node = leaf
     while isinstance(node.conclusion.succedent[0], And):
-        out.append(_step(RuleId.EQ_AND_R, (node,), {"pick": "left"}, BACKWARD))
-        node = _step(RuleId.EQ_AND_R, (node,), {"pick": "right"}, BACKWARD)
+        left, right = equation_step(node.conclusion, RuleId.EQ_AND_R,
+                                    BACKWARD)
+        out.append(Derivation(left, RuleId.EQ_AND_R, BACKWARD,
+                              {"pick": "left"}, (node,)))
+        node = Derivation(right, RuleId.EQ_AND_R, BACKWARD,
+                          {"pick": "right"}, (node,))
     out.append(node)
     return out
 

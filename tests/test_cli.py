@@ -201,6 +201,34 @@ def test_step_the_last_step_does_not_use_is_a_script_error(tmp_path, capsys):
     assert err == "error: 2:1: step 1 is not used by the last step\n"
 
 
+def test_unknown_parameter_key_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.seq"
+    bad.write_text("step 1 hypothesis :: |- z = z\n"
+                   "step 2 weaken_l position=0 foo=bar from 1 :: "
+                   "z in D |- z = z\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (2, "")
+    # 'foo' is the 28th character of the second line
+    assert err == "error: 2:28: unknown parameter foo\n"
+
+
+@pytest.mark.parametrize("text,step", [
+    ("step 1 hypothesis :: |- z = z\n"
+     "step 2 weaken_l backward position=0 from 1 :: z in D |- z = z\n",
+     "weaken_l"),
+    ("step 1 hypothesis backward :: |- z = z\n", "hypothesis"),
+])
+def test_direction_on_a_rule_without_one_is_rejected(tmp_path, capsys, text,
+                                                     step):
+    bad = tmp_path / "bad.seq"
+    bad.write_text(text)
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1
+    assert f"FAIL ({step} takes no direction)" in out
+    assert "REJECTED" in out
+    assert "Traceback" not in out + err
+
+
 def test_singleton_literal_domain_holds_only_its_singleton(tmp_path, capsys):
     bad = tmp_path / "bad.seq"
     bad.write_text("domain {u} = { <a, 1/2>, <b, 1/2> }\nstep 1 ax_focus :: "

@@ -172,7 +172,7 @@ def test_memo_reads_a_text_only_where_the_plain_parse_does(
     assert isinstance(reading, list) is accepted
 
 
-def test_memo_keeps_a_chain_that_ends_in_a_text_it_holds(plain_reading):
+def test_memo_reuses_a_repeated_item(plain_reading):
     text = ("step 1 hypothesis :: G |- B(<t2, 1/2>) & C(<t3, 1/2>)\n"
             "step 2 weaken_l from 1 :: G, A(<t1, 1/2>) & B(<t2, 1/2>) "
             "& C(<t3, 1/2>) |- B(<t2, 1/2>) & C(<t3, 1/2>)\n"
@@ -182,7 +182,23 @@ def test_memo_keeps_a_chain_that_ends_in_a_text_it_holds(plain_reading):
     steps = parse_script(text).steps
     assert steps == plain_reading(text)
     assert steps[2][5].antecedent[1] is steps[1][5].antecedent[1]
-    assert steps[1][5].antecedent[1].right is steps[0][5].succedent[0]
+
+
+def test_memo_is_read_only_where_a_top_level_formula_starts(tmp_path,
+                                                            monkeypatch):
+    looked = []  # (depth, the token before the text) of every look-up
+    match = _Parser._match
+
+    def recording(self, pos):
+        looked.append((self.depth, self.tokens[self.i - 1].kind))
+        return match(self, pos)
+
+    monkeypatch.setattr(_Parser, "_match", recording)
+    for target in ("lemma1", "prop3", "distributivity"):
+        parse_script(_derive(tmp_path, target, 3, True))
+    assert looked
+    assert {depth for depth, _ in looked} == {0}
+    assert not {before for _, before in looked} & {"&", "orop", "*"}
 
 
 def test_memo_respects_the_nesting_limit_where_a_text_is_reused():

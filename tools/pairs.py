@@ -9,8 +9,9 @@ uncommitted changes included, is the change.  For every workload of
 BENCHMARK.json the benchmark command runs once on each side per pair, both
 with the benchmark's default seed and with ``run_seconds`` (or
 ``--seconds``), and the side that runs first alternates from pair to pair.
-The summary, written to ``BENCH_<n>.json`` at the root of the checkout,
-holds for every workload and end-to-end metric the medians and quartiles
+The summary, written to ``BENCH_<n>.json`` at the root of the checkout
+(its path printed on stdout, a line per metric on stderr), holds for
+every workload and end-to-end metric the medians and quartiles
 of both sides, the pairs the change wins, whether its median is worse than
 the metric's bound, each side's failed operations, and whether the
 verdict digests that each run leaves in ``.bench_out/`` are equal in
@@ -139,11 +140,26 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
+    for line in summary_lines(doc):
+        print(line, file=sys.stderr)
     faults = [f"{name}: {fault}" for name, w in doc["workloads"].items()
               for fault in faults_of(w)]
     for fault in faults:
         print(fault, file=sys.stderr)
     return 1 if faults else 0
+
+
+def summary_lines(doc: dict):
+    """One line per workload and end-to-end metric: both medians, the
+    change in %, the pairs the change wins, and WORSE past the bound."""
+    for name, workload in doc["workloads"].items():
+        for metric, m in workload["metrics"].items():
+            pct = m["median_change_pct"]
+            yield (f"{name} {metric}: {m['parent']['median']:.6g} -> "
+                   f"{m['change']['median']:.6g} {m['unit']} "
+                   f"({'n/a' if pct is None else f'{pct:+.1f}%'}), "
+                   f"wins {m['change_wins']}/{doc['pairs']}"
+                   + (" WORSE" if m["worse_than_bound"] else ""))
 
 
 def faults_of(workload: dict) -> list:
