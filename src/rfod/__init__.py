@@ -4,6 +4,9 @@ The `syntax` package holds the term/formula/sequent language with its
 parser and canonical printer; `calculus` the rule catalog, checker and
 proof scripts; `theorems` the mechanical replays of the named results;
 `quantum` the small Hilbert-space backend; `cli` the command line.
+
+`import rfod` imports `quantum` but not numpy: numpy loads at the first
+use of a quantum function, so checking and deriving never pay for it.
 """
 
 from .errors import (

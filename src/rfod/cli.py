@@ -126,15 +126,28 @@ def _load_basis(spec: str) -> quantum.Basis:
 
 
 def _load_json(spec: str, what: str):
+    text = _read(spec[1:]) if spec.startswith("@") else spec
     try:
-        if spec.startswith("@"):
-            with open(spec[1:]) as handle:
-                return json.load(handle)
-        return json.loads(spec)
-    except FileNotFoundError:
-        raise LookupFailure(f"{what} file not found: {spec[1:]}")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DslSyntaxError(f"bad {what} JSON: {exc}", 1, 1)
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise LookupFailure(f"cannot read {path}: {reason}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise LookupFailure(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _print_report(report: CheckReport, as_json: bool) -> int:
@@ -166,13 +179,7 @@ def _print_report(report: CheckReport, as_json: bool) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        with open(args.file) as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        print(f"error: file not found: {args.file}", file=sys.stderr)
-        return EXIT_USAGE
-    script = parse_script(text)
+    script = parse_script(_read(args.file))
     cfg = _theory_config(args, script.config)
     report = check_script(script, cfg)
     return _print_report(report, args.json)
@@ -231,7 +238,8 @@ def _cmd_derive(args) -> int:
             # the construction needs classical right contexts; default them on
             cfg = TheoryConfig(cfg.singleton_axioms, cfg.focused_domains, True)
         d1 = theorems.schematic_domain(name, args.m)
-        d2 = theorems.schematic_domain(name + "'", args.n or args.m)
+        n = args.m if args.n is None else args.n
+        d2 = theorems.schematic_domain(name + "'", n)
         table.register(d1)
         table.register(d2)
         nested, split = theorems.derive_distributivity(d1, d2, cfg=cfg,
@@ -258,8 +266,7 @@ def _cmd_derive(args) -> int:
 
     text = serialize_derivation(derivation, table, config=cfg, title=title)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        _write(args.out, text)
     report = check(derivation, cfg, table)
     if args.json:
         doc = derivation_to_json(derivation, table, config=cfg)

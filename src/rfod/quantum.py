@@ -8,6 +8,9 @@ emitted assertions land in the same sequent syntax the kernel checks.
 
 All tolerances live in TOLERANCES; probabilities crossing into the
 syntax layer are rounded to rationals and renormalized.
+
+numpy loads at first use: importing this module (and so `rfod`) does not
+import it, and `check` and `derive` never do.
 """
 from __future__ import annotations
 
@@ -17,9 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, DslSyntaxError, PreconditionError
 from .syntax.ast import (
     Atom, ContextVar, Correlated, Domain, DomainTable, Member, Outcome,
     Sequent, Sharp, Var, domain_kind,
@@ -34,6 +35,19 @@ TOLERANCES = {
     "entangled": 1e-7,       # a2 above this means entangled
 }
 RATIONAL_DENOMINATOR_LIMIT = 10**6
+
+
+class _Numpy:
+    """Stands in for numpy until the first attribute read, which imports it
+    and rebinds the module-level `np` to numpy itself."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 
 class IdentificationMode(enum.Enum):
@@ -53,7 +67,7 @@ class QState:
         if amp.shape[0] not in (2, 4):
             raise DomainError(f"state dimension must be 2 or 4, got {amp.shape[0]}")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > TOLERANCES["norm"]:
+        if not abs(norm - 1.0) <= TOLERANCES["norm"]:  # NaN fails too
             raise DomainError(f"state is not normalized (norm {norm})")
 
     @property
@@ -82,7 +96,7 @@ class Basis:
         for i, v in enumerate(vectors):
             if v.shape[0] != dim:
                 raise DomainError("basis vectors differ in dimension")
-            if abs(np.linalg.norm(v) - 1.0) > TOLERANCES["norm"]:
+            if not abs(np.linalg.norm(v) - 1.0) <= TOLERANCES["norm"]:
                 raise DomainError(f"basis vector {i} is not normalized")
             for w in vectors[i + 1:]:
                 if abs(np.vdot(v, w)) > TOLERANCES["orthogonality"]:
@@ -360,18 +374,41 @@ def state_to_json(psi: QState) -> list:
     return [[float(a.real), float(a.imag)] for a in psi.amplitudes]
 
 
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def state_from_json(doc) -> QState:
+    """Amplitudes from a JSON list of reals or [re, im] pairs."""
+    if not isinstance(doc, list):
+        raise DslSyntaxError("state JSON must be a list of amplitudes", 1, 1)
     amps = []
     for entry in doc:
-        if isinstance(entry, (int, float)):
-            amps.append(complex(entry, 0.0))
+        if _real(entry):
+            amps.append(complex(entry))
+        elif (isinstance(entry, list) and len(entry) == 2
+              and all(map(_real, entry))):
+            amps.append(complex(*entry))
         else:
-            re, im = entry
-            amps.append(complex(float(re), float(im)))
+            raise DslSyntaxError("amplitude must be a number or a [re, im] "
+                                 f"pair, got {entry!r}", 1, 1)
     return QState(np.array(amps, dtype=complex))
 
 
 def basis_from_json(doc: dict) -> Basis:
+    """Basis from a JSON object: "vectors" (states as in state_from_json),
+    optional "labels" (strings) and "name"."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("vectors"), list)
+            and doc["vectors"]):
+        raise DslSyntaxError(
+            'basis JSON must be an object with a non-empty "vectors" list',
+            1, 1)
     vectors = [state_from_json(v).amplitudes for v in doc["vectors"]]
     labels = doc.get("labels") or [f"s{i}" for i in range(len(vectors))]
-    return Basis(doc.get("name", "B"), tuple(vectors), tuple(labels))
+    name = doc.get("name", "B")
+    if not (isinstance(labels, list) and isinstance(name, str)
+            and all(isinstance(label, str) for label in labels)):
+        raise DslSyntaxError(
+            'basis "name" must be a string and "labels" a list of strings',
+            1, 1)
+    return Basis(name, tuple(vectors), tuple(labels))

@@ -1,5 +1,8 @@
 """Command dispatch, exit codes, and the derive/check round trip."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,3 +285,98 @@ def test_deep_parentheses_are_a_parse_error(tmp_path, capsys, levels,
         assert code == 2
         assert err == (f"error: 1:{len(prefix) + 101}: formula nested "
                        "deeper than 100 levels\n")
+
+
+def test_derive_distributivity_n_zero_is_not_m(capsys):
+    code, out, err = run(capsys, "derive", "distributivity", "--n", "0")
+    assert code == 1
+    assert "ACCEPTED" not in out
+    assert err == "error: domain needs at least one element\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["translate", "--state", "5"], "state JSON must be a list"),
+    (["translate", "--state", "[[1]]"], "[re, im] pair, got [1]"),
+    (["translate", "--state", '["a", 0]'], "[re, im] pair, got 'a'"),
+    (["translate", "--state", '{"a": 1}'], "state JSON must be a list"),
+    (["translate", "--state", "[true, false]"], "pair, got True"),
+    (["measure", "--state", "zero", "--basis", "[1]"],
+     'non-empty "vectors" list'),
+    (["measure", "--state", "zero", "--basis", '{"vectors": []}'],
+     'non-empty "vectors" list'),
+    (["measure", "--state", "zero", "--basis",
+      '{"vectors": [[1, 0], [0, 1]], "labels": [0, 1]}'],
+     '"labels" a list of strings'),
+])
+def test_malformed_state_or_basis_json_is_a_usage_error(capsys, argv,
+                                                        message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: 1:1: ") and message in err
+
+
+def test_unreadable_or_unwritable_files_are_usage_errors(tmp_path, capsys):
+    binary = tmp_path / "latin1.seq"
+    binary.write_bytes(b"\xff\xfe\n")
+    missing = tmp_path / "no" / "such.script"
+    for argv, verb, path, reason in [
+            (["check", str(tmp_path)], "read", tmp_path, "Is a directory"),
+            (["check", str(binary)], "read", binary, "can't decode"),
+            (["check", str(missing)], "read", missing,
+             "No such file or directory"),
+            (["translate", "--state", f"@{tmp_path}"], "read", tmp_path,
+             "Is a directory"),
+            (["derive", "reflection", "--out", str(tmp_path)], "write",
+             tmp_path, "Is a directory"),
+            (["derive", "reflection", "--out", str(missing)], "write",
+             missing, "No such file or directory")]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(f"error: cannot {verb} {path}: ") \
+            and reason in err, err
+
+
+def fresh(code):
+    """stdout of `code` run in a new interpreter that finds this rfod."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", str(GOLDEN / "reflection.script")], ["derive", "reflection"]])
+def test_check_and_derive_leave_numpy_unloaded(argv):
+    out = fresh("import sys, rfod.cli\n"
+                f"assert rfod.cli.main({argv!r}) == 0\n"
+                "print('numpy' in sys.modules)")
+    assert "ACCEPTED" in out
+    assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["translate", "--state", "plus"],
+     "domain DZ = { <s0, 1/2>, <s1, 1/2> } uniform\nG, z in DZ |- A(z)\n"),
+    (["measure", "--state", "plus", "--basis", "X"],
+     "DX = { (plus_x, 1) }  [singleton]\n")])
+def test_translate_and_measure_load_numpy(argv, expected):
+    out = fresh("import sys, rfod.cli\n"
+                f"assert rfod.cli.main({argv!r}) == 0\n"
+                "print('numpy' in sys.modules)")
+    assert out == expected + "True\n"
+
+
+def test_bare_import_holds_quantum_but_not_numpy():
+    # the benchmark's tracer reads sys.modules["rfod.quantum"] after a bare
+    # `import rfod`
+    out = fresh("import sys, rfod\n"
+                "print('rfod.quantum' in sys.modules, 'numpy' in sys.modules)")
+    assert out == "True False\n"
+
+
+def test_first_quantum_call_binds_numpy_itself():
+    out = fresh("import sys\n"
+                "from rfod import quantum\n"
+                "print(quantum.np is sys.modules.get('numpy'))\n"
+                "quantum.named_state('plus')\n"
+                "print(quantum.np is sys.modules['numpy'])")
+    assert out == "False\nTrue\n"

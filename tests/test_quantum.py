@@ -276,6 +276,14 @@ def test_basis_invariants():
         Basis("B", ([1, 0],), ("a",))
     with pytest.raises(DomainError):
         Basis("B", ([1, 0], [0, 0.5]), ("a", "b"))
+    with pytest.raises(DomainError):
+        Basis("B", ([1, 0], [0, math.nan]), ("a", "b"))
+
+
+def test_non_finite_state_is_not_normalized():
+    for amplitudes in ([math.nan, 0], [math.inf, 0]):
+        with pytest.raises(DomainError, match="not normalized"):
+            QState(np.array(amplitudes, dtype=complex))
 
 
 def test_bridge_focusing_status_matches_reversibility():
