@@ -14,14 +14,14 @@ checked against their schemas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
 from ..errors import RuleError
 from ..syntax.ast import (
     BINDERS, DomainTable, Eq, Exists, Formula, Member, Sequent, Sharp, Var,
-    alpha_eq, alpha_eq_all, is_closed, sharp_domain_name, term_state,
+    _Frozen, _Record, _setters, alpha_eq, alpha_eq_all, is_closed,
+    sharp_domain_name, term_state,
 )
 from ..syntax.printer import render_sequent
 from .rules import (
@@ -31,18 +31,23 @@ from .rules import (
 )
 
 
-@dataclass(frozen=True, eq=False, repr=False)  # compared by identity
-class Derivation:
-    """One rule application; leaves are identities, axioms or hypotheses."""
+class Derivation(_Frozen):
+    """One rule application; leaves are identities, axioms or hypotheses.
+    Compared by identity."""
 
-    conclusion: Sequent
-    rule: RuleId
-    direction: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    premises: tuple = ()
+    __slots__ = ("conclusion", "rule", "direction", "params", "premises")
 
-    def __post_init__(self):
-        object.__setattr__(self, "premises", tuple(self.premises))
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, conclusion: Sequent, rule: RuleId,
+                 direction: Optional[str] = None,
+                 params: Optional[dict] = None, premises: tuple = ()):
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_direction(self, direction)
+        _set_params(self, {} if params is None else params)
+        _set_premises(self, tuple(premises))
 
     def __repr__(self):
         return f"Derivation({self.rule.value}, {self.conclusion!r})"
@@ -61,24 +66,36 @@ class Derivation:
                 stack.extend((p, False) for p in reversed(node.premises))
 
 
-@dataclass
-class StepReport:
-    index: int
-    rule: RuleId
-    direction: Optional[str]
-    conclusion: Sequent
-    ok: bool
-    reason: Optional[str] = None
+(_set_conclusion, _set_rule, _set_direction, _set_params,
+ _set_premises) = _setters(Derivation)
 
 
-@dataclass
-class CheckReport:
-    accepted: bool
-    steps: list
-    first_failure: Optional[StepReport]
-    assumptions: list
-    axioms_used: list
-    notes: list
+class StepReport(_Record):
+    __slots__ = ("index", "rule", "direction", "conclusion", "ok", "reason")
+
+    def __init__(self, index: int, rule: RuleId, direction: Optional[str],
+                 conclusion: Sequent, ok: bool, reason: Optional[str] = None):
+        self.index = index
+        self.rule = rule
+        self.direction = direction
+        self.conclusion = conclusion
+        self.ok = ok
+        self.reason = reason
+
+
+class CheckReport(_Record):
+    __slots__ = ("accepted", "steps", "first_failure", "assumptions",
+                 "axioms_used", "notes")
+
+    def __init__(self, accepted: bool, steps: list,
+                 first_failure: Optional[StepReport], assumptions: list,
+                 axioms_used: list, notes: list):
+        self.accepted = accepted
+        self.steps = steps
+        self.first_failure = first_failure
+        self.assumptions = assumptions
+        self.axioms_used = axioms_used
+        self.notes = notes
 
     def summary(self) -> str:
         if self.accepted:

@@ -21,7 +21,6 @@ forgetful), ``exists_r``, ``weaken_l`` and ``dualize``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -29,8 +28,9 @@ from ..errors import DomainError, FragmentError, RuleError
 from ..syntax.ast import (
     BINDERS, And, Atom, Bot, Bowtie, ContextVar, Correlated, DomainTable, Eq,
     Exists, Forall, Formula, Member, Neq, Or, Sequent, Sharp, Star, Term, Var,
-    alpha_eq, _var_names, alpha_eq_all, children, free_vars, is_closed,
-    is_singleton_literal, rebuild, rewrite, sharp_domain_name, term_state,
+    _Frozen, _Record, _var_names, alpha_eq, alpha_eq_all, children,
+    free_vars, is_closed, is_singleton_literal, rebuild, rewrite,
+    sharp_domain_name, term_state,
 )
 from ..syntax.printer import render_sequent
 from ..syntax.subst import (
@@ -84,17 +84,20 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
-class TheoryConfig:
+class TheoryConfig(_Frozen):
     """Axiom toggles and the additive/classical mode switch."""
 
-    singleton_axioms: bool = True
-    focused_domains: frozenset = frozenset()
-    right_contexts_in_forall: bool = False
+    __slots__ = ("singleton_axioms", "focused_domains",
+                 "right_contexts_in_forall")
 
-    def __post_init__(self):
+    def __init__(self, singleton_axioms: bool = True,
+                 focused_domains: frozenset = frozenset(),
+                 right_contexts_in_forall: bool = False):
+        object.__setattr__(self, "singleton_axioms", singleton_axioms)
         object.__setattr__(self, "focused_domains",
-                           frozenset(self.focused_domains))
+                           frozenset(focused_domains))
+        object.__setattr__(self, "right_contexts_in_forall",
+                           right_contexts_in_forall)
 
     def is_singleton_domain(self, name: str, table: Optional[DomainTable]) -> bool:
         if is_singleton_literal(name):
@@ -112,10 +115,12 @@ class TheoryConfig:
         return self.singleton_axioms and self.is_singleton_domain(name, table)
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    reason: Optional[str] = None
+class Verdict(_Record):
+    __slots__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: Optional[str] = None):
+        self.ok = ok
+        self.reason = reason
 
     def __bool__(self):
         return self.ok

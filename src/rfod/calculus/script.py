@@ -25,11 +25,10 @@ last one.  The JSON export carries the same content as a tree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import DslSyntaxError, RfodError
-from ..syntax.ast import Domain, DomainTable, term_prob, term_state
+from ..syntax.ast import Domain, DomainTable, _Record, term_prob, term_state
 from ..syntax.parser import _Parser, _shown
 from ..syntax.printer import (
     render_domain, render_formula, render_sequent, render_term,
@@ -38,12 +37,18 @@ from .checker import CheckReport, Derivation, TheoryConfig, check
 from .rules import RuleId
 
 
-@dataclass
-class ProofScript:
-    domains: DomainTable = field(default_factory=DomainTable)
-    predicates: dict = field(default_factory=dict)
-    config: TheoryConfig = field(default_factory=TheoryConfig)
-    steps: list = field(default_factory=list)  # (id, rule, dir, params, refs, sequent)
+class ProofScript(_Record):
+    __slots__ = ("domains", "predicates", "config", "steps")
+
+    def __init__(self, domains: Optional[DomainTable] = None,
+                 predicates: Optional[dict] = None,
+                 config: Optional[TheoryConfig] = None,
+                 steps: Optional[list] = None):
+        self.domains = DomainTable() if domains is None else domains
+        self.predicates = {} if predicates is None else predicates
+        self.config = TheoryConfig() if config is None else config
+        # (id, rule, dir, params, refs, sequent) per step
+        self.steps = [] if steps is None else steps
 
     def root(self) -> Derivation:
         return script_to_derivation(self)

@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, DslSyntaxError, PreconditionError
 from .syntax.ast import (
     Atom, ContextVar, Correlated, Domain, DomainTable, Member, Outcome,
-    Sequent, Sharp, Var, domain_kind,
+    Sequent, Sharp, Var, _Frozen, domain_kind,
 )
+from .syntax.parser import _IDENT, _KEYWORDS
 
 TOLERANCES = {
     "norm": 1e-9,            # unit-vector and trace checks
@@ -55,14 +56,16 @@ class IdentificationMode(enum.Enum):
     STRICT = "strict"
 
 
-@dataclass(frozen=True, eq=False)
-class QState:
+class QState(_Frozen):
     """Unit complex vector of dimension 2 or 4."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, amplitudes: np.ndarray):
+        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", amp)
         if amp.shape[0] not in (2, 4):
             raise DomainError(f"state dimension must be 2 or 4, got {amp.shape[0]}")
@@ -75,23 +78,25 @@ class QState:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class Basis:
+class Basis(_Frozen):
     """Named orthonormal basis with one state label per vector."""
 
-    name: str
-    vectors: tuple
-    labels: tuple
+    __slots__ = ("name", "vectors", "labels")
 
-    def __post_init__(self):
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, vectors: tuple, labels: tuple):
         vectors = tuple(np.asarray(v, dtype=complex).reshape(-1)
-                        for v in self.vectors)
+                        for v in vectors)
+        labels = tuple(labels)
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", labels)
         dim = vectors[0].shape[0]
         if len(vectors) != dim:
             raise DomainError("basis must have as many vectors as dimensions")
-        if len(self.labels) != dim:
+        if len(labels) != dim:
             raise DomainError("basis needs one label per vector")
         for i, v in enumerate(vectors):
             if v.shape[0] != dim:
@@ -113,14 +118,16 @@ class Basis:
             raise DomainError(f"basis {self.name} has no state label {label}")
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOp:
+class DensityOp(_Frozen):
     """Hermitian, unit-trace, positive matrix."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, matrix: np.ndarray):
+        m = np.asarray(matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError("density operator must be square")
@@ -132,21 +139,21 @@ class DensityOp:
             raise DomainError("density operator has a negative eigenvalue")
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtData:
+class SchmidtData(_Frozen):
     """Descending non-negative coefficients with the two local bases."""
 
-    coefficients: tuple
-    left: tuple
-    right: tuple
+    __slots__ = ("coefficients", "left", "right")
 
-    def __post_init__(self):
-        a = tuple(float(c) for c in self.coefficients)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, coefficients: tuple, left: tuple, right: tuple):
+        a = tuple(float(c) for c in coefficients)
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "left",
-                           tuple(np.asarray(v, dtype=complex) for v in self.left))
+                           tuple(np.asarray(v, dtype=complex) for v in left))
         object.__setattr__(self, "right",
-                           tuple(np.asarray(v, dtype=complex) for v in self.right))
+                           tuple(np.asarray(v, dtype=complex) for v in right))
         if a[0] < a[1] or a[1] < -TOLERANCES["norm"]:
             raise DomainError("coefficients must be descending and non-negative")
         if abs(a[0] ** 2 + a[1] ** 2 - 1.0) > TOLERANCES["norm"]:
@@ -397,7 +404,8 @@ def state_from_json(doc) -> QState:
 
 def basis_from_json(doc: dict) -> Basis:
     """Basis from a JSON object: "vectors" (states as in state_from_json),
-    optional "labels" (strings) and "name"."""
+    optional "labels" and "name": identifiers that are not keywords, the
+    labels distinct."""
     if not (isinstance(doc, dict) and isinstance(doc.get("vectors"), list)
             and doc["vectors"]):
         raise DslSyntaxError(
@@ -411,4 +419,12 @@ def basis_from_json(doc: dict) -> Basis:
         raise DslSyntaxError(
             'basis "name" must be a string and "labels" a list of strings',
             1, 1)
+    # the domain measure() makes, D<name> over the labels, must read back
+    for what, text in [("name", name)] + [("label", lab) for lab in labels]:
+        if text in _KEYWORDS or not re.fullmatch(_IDENT, text):
+            raise DslSyntaxError(f"basis {what} {text!r} must be an "
+                                 "identifier and not a keyword", 1, 1)
+    if len(set(labels)) != len(labels):
+        raise DslSyntaxError(f"basis labels {labels!r} are not distinct",
+                             1, 1)
     return Basis(name, tuple(vectors), tuple(labels))

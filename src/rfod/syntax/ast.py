@@ -1,9 +1,13 @@
 """Terms, formulas, sequents and domains.
 
 Everything here is immutable after construction, so values can be shared
-freely between threads.  Term equality identifies an outcome carrying
-probability 1 with the sharp term of the same state label; all other
-comparisons are structural.
+freely between threads.  A term, formula, item, sequent or domain keeps
+its fields in ``__slots__``: its ``__init__`` writes each field through
+the slot's descriptor, and ``__setattr__`` and ``__delattr__`` raise
+``AttributeError`` (``_Frozen``, which the kernel's other immutable
+records share).  Term equality
+identifies an outcome carrying probability 1 with the sharp term of the
+same state label; all other comparisons are structural.
 
 The layout of every node class is spelled out once, in the ``_SHAPES``
 table: the node's children in reading order, the node rebuilt from new
@@ -25,16 +29,71 @@ canonical text, from the printer's own explicit-stack loop.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from ..errors import DomainError
 
 # ---------------------------------------------------------------------------
+# records
+
+class _Record:
+    """A record's fields are the ``__slots__`` of its class and bases, which
+    its ``__init__`` takes in that order: the repr names them,
+    ``Name(field=value, ...)``, and ``==`` compares them between records of
+    one class.  A record can be changed, so it has no hash."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(f for c in reversed(type(self).__mro__)
+                     for f in c.__dict__.get("__slots__", ()))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields()))
+
+
+class _Frozen(_Record):
+    """A record that cannot change after ``__init__``, which writes each
+    field through its slot's descriptor (``object.__setattr__`` or a
+    setter from ``_setters``): assigning or deleting an attribute raises
+    ``AttributeError``.  It hashes by its fields, and copy and pickle
+    rebuild it through ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _setters(cls) -> tuple:
+    """The ``__set__`` of each slot descriptor of ``cls``, in ``__slots__``
+    order: the fastest write of a field that ``_Frozen`` refuses to set."""
+    return tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+
+# ---------------------------------------------------------------------------
 # terms
 
-class Term:
+class Term(_Frozen):
     """First-order term: variable, outcome pair, or sharp term."""
 
     __slots__ = ()
@@ -51,28 +110,29 @@ class Term:
         return hash(self._key())
 
 
-@dataclass(frozen=True, eq=False, repr=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_var_name(self, name)
 
     def _key(self):
         return ("var", self.name)
 
 
-@dataclass(frozen=True, eq=False, repr=True)
 class Outcome(Term):
     """Outcome pair (state label, probability), probability in (0, 1]."""
 
-    state: str
-    prob: Fraction
+    __slots__ = ("state", "prob")
 
-    def __post_init__(self):
-        p = self.prob
-        if not isinstance(p, Fraction):
-            p = Fraction(p)
-            object.__setattr__(self, "prob", p)
-        if not 0 < p <= 1:
-            raise DomainError(f"outcome probability must be in (0, 1], got {p}")
+    def __init__(self, state: str, prob: Fraction):
+        if not isinstance(prob, Fraction):
+            prob = Fraction(prob)
+        if not 0 < prob <= 1:
+            raise DomainError(
+                f"outcome probability must be in (0, 1], got {prob}")
+        _set_outcome_state(self, state)
+        _set_outcome_prob(self, prob)
 
     def _key(self):
         # <s, 1> and #s are interchangeable under term equality
@@ -81,14 +141,22 @@ class Outcome(Term):
         return ("outcome", self.state, self.prob)
 
 
-@dataclass(frozen=True, eq=False, repr=True)
 class Sharp(Term):
     """Outcome with the probability forgotten (reset to 1), written #s."""
 
-    state: str
+    __slots__ = ("state",)
+
+    def __init__(self, state: str):
+        _set_sharp_state(self, state)
 
     def _key(self):
         return ("sharp", self.state)
+
+
+# the setters each __init__ above writes its fields with
+_set_var_name, = _setters(Var)
+_set_outcome_state, _set_outcome_prob = _setters(Outcome)
+_set_sharp_state, = _setters(Sharp)
 
 
 def is_closed(t: Term) -> bool:
@@ -112,7 +180,7 @@ def term_state(t: Term) -> str:
 # ---------------------------------------------------------------------------
 # formulas
 
-class _Syntax:
+class _Syntax(_Frozen):
     """Formulas, items and sequents: ``==``, hash and repr, none recursive."""
 
     __slots__ = ()
@@ -125,122 +193,141 @@ class _Syntax:
         return f"{type(self).__name__}({render(self)!r})"
 
 
-#: a formula, item or sequent class: ``_Syntax`` gives ``==``, hash, repr
-_node = dataclass(frozen=True, eq=False, repr=False)
-
-
 class Formula(_Syntax):
     __slots__ = ()
 
 
-@_node
 class Atom(Formula):
-    pred: str
-    args: tuple
+    __slots__ = ("pred", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, pred: str, args: tuple):
+        _set_atom_pred(self, pred)
+        _set_atom_args(self, tuple(args))
 
 
-@_node
 class Member(Formula):
-    term: Term
-    domain: str
+    __slots__ = ("term", "domain")
+
+    def __init__(self, term: Term, domain: str):
+        _set_member_term(self, term)
+        _set_member_domain(self, domain)
 
 
-@_node
-class Eq(Formula):
-    left: Term
-    right: Term
+class _Pair(Formula):
+    """The layout of the binary formulas: two terms or two formulas."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set_pair_left(self, left)
+        _set_pair_right(self, right)
 
 
-@_node
-class Neq(Formula):
-    left: Term
-    right: Term
+class Eq(_Pair):
+    __slots__ = ()
 
 
-@_node
-class And(Formula):
-    left: Formula
-    right: Formula
+class Neq(_Pair):
+    __slots__ = ()
 
 
-@_node
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Pair):
+    __slots__ = ()
 
 
-@_node
-class Star(Formula):
-    left: Formula
-    right: Formula
+class Or(_Pair):
+    __slots__ = ()
 
 
-@_node
+class Star(_Pair):
+    __slots__ = ()
+
+
 class Bot(Formula):
     """Falsum; the optional label names the incompatible observable's domain."""
 
-    label: Optional[str] = None
+    __slots__ = ("label",)
+
+    def __init__(self, label: Optional[str] = None):
+        _set_bot_label(self, label)
 
 
-@_node
-class Forall(Formula):
-    var: str
-    domain: str
-    body: Formula
+class _Quantifier(Formula):
+    """The layout of ``Forall`` and ``Exists``."""
+
+    __slots__ = ("var", "domain", "body")
+
+    def __init__(self, var: str, domain: str, body: Formula):
+        _set_quantifier_var(self, var)
+        _set_quantifier_domain(self, domain)
+        _set_quantifier_body(self, body)
 
 
-@_node
-class Exists(Formula):
-    var: str
-    domain: str
-    body: Formula
+class Forall(_Quantifier):
+    __slots__ = ()
 
 
-@_node
+class Exists(_Quantifier):
+    __slots__ = ()
+
+
 class Bowtie(Formula):
     """Predicative binary connective internalising the correlated comma."""
 
-    var: str
-    domain: str
-    left: Formula
-    right: Formula
+    __slots__ = ("var", "domain", "left", "right")
+
+    def __init__(self, var: str, domain: str, left: Formula, right: Formula):
+        _set_bowtie_var(self, var)
+        _set_bowtie_domain(self, domain)
+        _set_bowtie_left(self, left)
+        _set_bowtie_right(self, right)
+
+
+# the setters each __init__ above writes its fields with
+_set_atom_pred, _set_atom_args = _setters(Atom)
+_set_member_term, _set_member_domain = _setters(Member)
+_set_pair_left, _set_pair_right = _setters(_Pair)
+_set_bot_label, = _setters(Bot)
+(_set_quantifier_var, _set_quantifier_domain,
+ _set_quantifier_body) = _setters(_Quantifier)
+(_set_bowtie_var, _set_bowtie_domain, _set_bowtie_left,
+ _set_bowtie_right) = _setters(Bowtie)
 
 
 # ---------------------------------------------------------------------------
 # sequents
 
-@_node
 class ContextVar(_Syntax):
     """Schematic context metavariable (G, G', Delta, ...)."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_context_name(self, name)
 
 
-@_node
 class Correlated(_Syntax):
     """Succedent slot A ,_S A': two formulas sharing one random variable."""
 
-    label: str
-    left: Formula
-    right: Formula
+    __slots__ = ("label", "left", "right")
+
+    def __init__(self, label: str, left: Formula, right: Formula):
+        _set_correlated_label(self, label)
+        _set_correlated_left(self, left)
+        _set_correlated_right(self, right)
 
 
 Item = Union[Formula, ContextVar]
 SuccItem = Union[Formula, ContextVar, Correlated]
 
 
-@_node
 class Sequent(_Syntax):
-    antecedent: tuple
-    succedent: tuple
+    __slots__ = ("antecedent", "succedent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "antecedent", tuple(self.antecedent))
-        object.__setattr__(self, "succedent", tuple(self.succedent))
-        for side in (self.antecedent, self.succedent):
+    def __init__(self, antecedent: tuple, succedent: tuple):
+        antecedent = tuple(antecedent)
+        succedent = tuple(succedent)
+        for side in (antecedent, succedent):
             seen = set()
             for item in side:
                 if isinstance(item, ContextVar):
@@ -248,6 +335,15 @@ class Sequent(_Syntax):
                         raise DomainError(
                             f"context variable {item.name} repeated on one side")
                     seen.add(item.name)
+        _set_sequent_antecedent(self, antecedent)
+        _set_sequent_succedent(self, succedent)
+
+
+# the setters each __init__ above writes its fields with
+_set_context_name, = _setters(ContextVar)
+(_set_correlated_label, _set_correlated_left,
+ _set_correlated_right) = _setters(Correlated)
+_set_sequent_antecedent, _set_sequent_succedent = _setters(Sequent)
 
 
 # ---------------------------------------------------------------------------
@@ -495,45 +591,46 @@ def domain_kind(probs) -> str:
     return "measured"
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(_Frozen):
     """Named random first-order domain: outcome terms plus focus status."""
 
-    name: str
-    elements: tuple
-    focused: bool = False
-    kind: str = "measured"
+    __slots__ = ("name", "elements", "focused", "kind")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if self.kind not in DOMAIN_KINDS:
-            raise DomainError(f"unknown domain kind {self.kind!r}")
-        if not self.elements:
-            raise DomainError(f"domain {self.name} has no elements")
+    def __init__(self, name: str, elements: tuple, focused: bool = False,
+                 kind: str = "measured"):
+        elements = tuple(elements)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "focused", focused)
+        object.__setattr__(self, "kind", kind)
+        if kind not in DOMAIN_KINDS:
+            raise DomainError(f"unknown domain kind {kind!r}")
+        if not elements:
+            raise DomainError(f"domain {name} has no elements")
         labels = []
         probs = []
-        for e in self.elements:
+        for e in elements:
             if not isinstance(e, (Outcome, Sharp)):
                 raise DomainError(
-                    f"domain {self.name}: element {e!r} is not an outcome term")
+                    f"domain {name}: element {e!r} is not an outcome term")
             labels.append(term_state(e))
             probs.append(term_prob(e))
         if len(set(labels)) != len(labels):
-            raise DomainError(f"domain {self.name}: state labels not distinct")
+            raise DomainError(f"domain {name}: state labels not distinct")
         total = sum(probs, Fraction(0))
         if total != 1:
             raise DomainError(
-                f"domain {self.name}: probabilities sum to {total}, not 1")
-        if self.kind == "singleton":
-            if len(self.elements) != 1 or probs[0] != 1:
+                f"domain {name}: probabilities sum to {total}, not 1")
+        if kind == "singleton":
+            if len(elements) != 1 or probs[0] != 1:
                 raise DomainError(
-                    f"domain {self.name}: singleton must hold one element of probability 1")
-        if self.kind == "uniform" and len(set(probs)) != 1:
+                    f"domain {name}: singleton must hold one element of probability 1")
+        if kind == "uniform" and len(set(probs)) != 1:
             raise DomainError(
-                f"domain {self.name}: uniform kind requires equal probabilities")
-        if is_singleton_literal(self.name) and labels != [self.name[1:-1]]:
-            raise DomainError(f"domain {self.name}: a singleton literal name "
-                              f"holds exactly {{ #{self.name[1:-1]} }}")
+                f"domain {name}: uniform kind requires equal probabilities")
+        if is_singleton_literal(name) and labels != [name[1:-1]]:
+            raise DomainError(f"domain {name}: a singleton literal name "
+                              f"holds exactly {{ #{name[1:-1]} }}")
 
     @property
     def labels(self) -> tuple:

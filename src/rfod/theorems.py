@@ -10,7 +10,6 @@ emitted scripts are reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -22,8 +21,8 @@ from .calculus.rules import (
 )
 from .syntax.ast import (
     And, Atom, Bot, ContextVar, Correlated, Domain, DomainTable, Eq, Forall,
-    Formula, Member, Neq, Outcome, Sequent, Sharp, Term, Var, _var_names,
-    alpha_eq, alpha_eq_all, domain_kind, free_vars, is_closed,
+    Formula, Member, Neq, Outcome, Sequent, Sharp, Term, Var, _Frozen,
+    _var_names, alpha_eq, alpha_eq_all, domain_kind, free_vars, is_closed,
     sharp_domain_name, sharp_pred_name, singleton_literal_name, term_prob,
 )
 from .syntax.subst import fresh_var, replace_term_occurrences, subst_formula
@@ -202,18 +201,15 @@ def derive_prop2(domain: Domain,
 # ---------------------------------------------------------------------------
 # generalization from experienced judgements
 
-@dataclass(frozen=True)
-class Judgement:
+class Judgement(_Frozen):
     """One experienced assertion Gamma |- ..., with its indexing term(s)."""
 
-    gamma: tuple
-    succedents: tuple
-    terms: tuple
+    __slots__ = ("gamma", "succedents", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", _gamma_tuple(self.gamma))
-        object.__setattr__(self, "succedents", tuple(self.succedents))
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, gamma: tuple, succedents: tuple, terms: tuple):
+        object.__setattr__(self, "gamma", _gamma_tuple(gamma))
+        object.__setattr__(self, "succedents", tuple(succedents))
+        object.__setattr__(self, "terms", tuple(terms))
 
 
 def _abstract_template(formula: Formula, term: Term, hole: str) -> Formula:
@@ -387,12 +383,16 @@ def _generalize_two(batch, name1, name2, table):
 # ---------------------------------------------------------------------------
 # reversibility of substitution
 
-@dataclass(frozen=True)
-class ReversibilityVerdict:
-    domain: str
-    reversible: bool
-    witness: Optional[Derivation] = None
-    missing_axiom: Optional[str] = None
+class ReversibilityVerdict(_Frozen):
+    __slots__ = ("domain", "reversible", "witness", "missing_axiom")
+
+    def __init__(self, domain: str, reversible: bool,
+                 witness: Optional[Derivation] = None,
+                 missing_axiom: Optional[str] = None):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "reversible", reversible)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "missing_axiom", missing_axiom)
 
 
 def check_reversibility(domain: Domain, cfg: TheoryConfig,

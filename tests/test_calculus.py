@@ -1,6 +1,5 @@
 """Equation engine, rules, axioms, dualize, checker and scripts."""
 import contextlib
-import dataclasses
 import io
 from fractions import Fraction
 from pathlib import Path
@@ -11,14 +10,14 @@ from rfod.calculus import rules
 from rfod.cli import DERIVE_TARGETS, main as cli_main
 from rfod.errors import DslSyntaxError, FragmentError, RuleError
 from rfod.calculus import (
-    EQUATIONS, Derivation, RuleId, TheoryConfig, check, check_script,
-    dualize, equation_step, parse_script, rule_step, serialize_derivation,
-    derivation_to_json, validate_step,
+    EQUATIONS, Derivation, ProofScript, RuleId, TheoryConfig, check,
+    check_script, dualize, equation_step, parse_script, rule_step,
+    serialize_derivation, derivation_to_json, validate_step,
 )
 from rfod.syntax import (
     Atom, Bot, Domain, DomainTable, Eq, Member, Or, Outcome, Sequent, Sharp,
-    Term, Var, alpha_eq, alpha_eq_all, parse_sequent, parse_term, render,
-    replace_term_occurrences,
+    Term, Var, alpha_eq, alpha_eq_all, children, parse_sequent, parse_term,
+    render, replace_term_occurrences,
 )
 from rfod.theorems import (
     check_reversibility, derive_collapse_and_repeat, derive_distributivity,
@@ -230,14 +229,10 @@ def _steps_with_premises(m):
 
 
 def _terms(node):
+    """Every term below a syntax node, in reading order."""
     if isinstance(node, Term):
-        yield node
-    elif isinstance(node, tuple):
-        for item in node:
-            yield from _terms(item)
-    elif dataclasses.is_dataclass(node):
-        for f in dataclasses.fields(node):
-            yield from _terms(getattr(node, f.name))
+        return [node]
+    return [t for kid in children(node) for t in _terms(kid)]
 
 
 def test_equation_mutants_rejected():
@@ -384,7 +379,8 @@ def test_rule_name_mutants_rejected(tmp_path):
                 survivors.append((m, target, rule, other))
                 if other is not RuleId.HYPOTHESIS:
                     continue
-                opened = dataclasses.replace(script, steps=[
+                opened = ProofScript(script.domains, script.predicates,
+                                     script.config, steps=[
                     (i, other, None, p, r, s) if i == step_id
                     else (i, ru, d, p, r, s)
                     for i, ru, d, p, r, s in script.steps])

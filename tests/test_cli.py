@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from rfod.calculus import parse_script
 from rfod.cli import main
+from rfod.syntax import render_domain
 
 ALL_TARGETS = ("reflection", "lemma1", "prop1", "prop2", "prop3",
                "collapse", "distributivity", "uncertainty")
@@ -315,6 +317,45 @@ def test_malformed_state_or_basis_json_is_a_usage_error(capsys, argv,
     assert err.startswith("error: 1:1: ") and message in err
 
 
+@pytest.mark.parametrize("basis,message", [
+    ('"labels": ["a b", "c"]', "label 'a b' must be an identifier and not "
+     "a keyword"),
+    ('"labels": ["forall", "c"]', "label 'forall' must be an identifier "
+     "and not a keyword"),
+    ('"name": "B x"', "name 'B x' must be an identifier and not a keyword"),
+    ('"name": "in"', "name 'in' must be an identifier and not a keyword"),
+    ('"labels": ["a", "a"]', "labels ['a', 'a'] are not distinct"),
+])
+def test_basis_names_and_labels_are_distinct_identifiers(capsys, basis,
+                                                         message):
+    code, out, err = run(capsys, "translate", "--state", "plus", "--basis",
+                         '{"vectors": [[1, 0], [0, 1]], %s}' % basis)
+    assert (code, out, err) == (2, "", f"error: 1:1: basis {message}\n")
+
+
+@pytest.mark.parametrize("state,basis,bipartite", [
+    ("plus", '"labels": ["a", "b"]', False),
+    ("zero", '"labels": ["up", "down"], "name": "Q"', False),
+    ("[0.6, 0.8]", '"labels": ["x\'", "y^f"], "name": "_B\'"', False),
+    ("[0.6, 0.8]", '"labels": ["in_", "bot1"], "name": "forall_"', False),
+    ("product_0plus", '"labels": ["u", "v"], "name": "L"', True),
+    ("bell", '"name": "W"', True),
+])
+def test_translated_domains_parse_back(capsys, state, basis, bipartite):
+    """Every domain translate prints for an accepted basis is a script
+    declaration that parse_script reads back as the same domain."""
+    argv = ["translate", "--state", state, "--basis",
+            '{"vectors": [[1, 0], [0, 1]], %s}' % basis]
+    code, out, _ = run(capsys, *argv + ["--bipartite"] * bipartite)
+    assert code == 0
+    declared = [line for line in out.splitlines()
+                if line.startswith("domain ")]
+    assert declared
+    table = parse_script("\n".join(declared) + "\n").domains
+    assert [f"domain {render_domain(d)} {d.kind}" + " focused" * d.focused
+            for d in table.domains()] == declared
+
+
 def test_unreadable_or_unwritable_files_are_usage_errors(tmp_path, capsys):
     binary = tmp_path / "latin1.seq"
     binary.write_bytes(b"\xff\xfe\n")
@@ -351,6 +392,19 @@ def test_check_and_derive_leave_numpy_unloaded(argv):
                 "print('numpy' in sys.modules)")
     assert "ACCEPTED" in out
     assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("run", [
+    "import rfod",
+    "import rfod.cli\n"
+    f"assert rfod.cli.main({['check', str(GOLDEN / 'reflection.script')]!r})"
+    " == 0",
+    "import rfod.cli\nassert rfod.cli.main(['derive', 'reflection']) == 0"],
+    ids=["import", "check", "derive"])
+def test_rfod_leaves_dataclasses_and_inspect_unloaded(run):
+    out = fresh(f"import sys\n{run}\n"
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv,expected", [
