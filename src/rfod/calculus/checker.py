@@ -421,7 +421,7 @@ def check(derivation: Derivation, cfg: Optional[TheoryConfig] = None,
             notes.append(f"step {index}: duality used as an explicit rule")
         if node.rule is RuleId.AX_SHARP_MEMBER:
             notes.append(f"step {index}: sharp membership taken as a "
-                         f"declared fact and cut against")
+                         "declared fact of the singleton axioms")
     return CheckReport(first_failure is None, steps, first_failure,
                        assumptions, sorted(set(axioms_used)), notes)
 

@@ -124,6 +124,7 @@ def serialize_derivation(d: Derivation, domains: Optional[DomainTable] = None,
         lines.append(line)
     for name in sorted(predicates or {}):
         lines.append(f"predicate {name}/{(predicates or {})[name]}")
+    memo: dict = {}  # a sequent item shared by several steps is rendered once
     for n, node, refs, params in _numbered(d):
         parts = [f"step {n}", node.rule.value]
         if node.direction:
@@ -134,7 +135,7 @@ def serialize_derivation(d: Derivation, domains: Optional[DomainTable] = None,
             parts.append(f"{key}={text}")
         if refs:
             parts.append(f"from {','.join(map(str, refs))}")
-        parts.append(f":: {render_sequent(node.conclusion)}")
+        parts.append(f":: {render_sequent(node.conclusion, memo)}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -153,6 +154,7 @@ def derivation_to_json(d: Derivation, domains: Optional[DomainTable] = None,
                           for dom in domains.domains()]
     if predicates:
         doc["predicates"] = {k: v for k, v in sorted(predicates.items())}
+    memo: dict = {}
     for n, node, refs, params in _numbered(d):
         doc["steps"].append({
             "id": n,
@@ -160,7 +162,7 @@ def derivation_to_json(d: Derivation, domains: Optional[DomainTable] = None,
             "direction": node.direction,
             "params": params,
             "premises": refs,
-            "conclusion": render_sequent(node.conclusion),
+            "conclusion": render_sequent(node.conclusion, memo),
         })
     return doc
 
@@ -237,7 +239,11 @@ def parse_script(text: str) -> ProofScript:
 
 
 def _parse_domain_decl(p: _Parser, script: ProofScript) -> None:
+    tok = p.peek()
     name = p.parse_domain_ref()
+    if name.endswith("^f"):  # D^f names the sharp companion set of D
+        p.fail(f"domain {name}: a name ending in ^f names a sharp "
+               "companion set", tok)
     if not (p.accept("=") and p.accept("{")):
         raise RfodError(f"domain {name}: expected '= {{ ... }}'")
     terms = []

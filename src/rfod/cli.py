@@ -151,15 +151,17 @@ def _write(path: str, text: str) -> None:
 
 
 def _print_report(report: CheckReport, as_json: bool) -> int:
+    memo: dict = {}
     if as_json:
         doc = {
             "accepted": report.accepted,
             "steps": [{
                 "index": s.index, "rule": s.rule.value,
                 "direction": s.direction, "ok": s.ok, "reason": s.reason,
-                "conclusion": render_sequent(s.conclusion),
+                "conclusion": render_sequent(s.conclusion, memo),
             } for s in report.steps],
-            "assumptions": [render_sequent(a) for a in report.assumptions],
+            "assumptions": [render_sequent(a, memo)
+                            for a in report.assumptions],
             "axioms_used": report.axioms_used,
             "notes": report.notes,
         }
@@ -169,9 +171,9 @@ def _print_report(report: CheckReport, as_json: bool) -> int:
             status = "ok" if s.ok else f"FAIL ({s.reason})"
             direction = f" {s.direction}" if s.direction else ""
             print(f"step {s.index} {s.rule.value}{direction} :: "
-                  f"{render_sequent(s.conclusion)} .. {status}")
+                  f"{render_sequent(s.conclusion, memo)} .. {status}")
         for a in report.assumptions:
-            print(f"assumption :: {render_sequent(a)}")
+            print(f"assumption :: {render_sequent(a, memo)}")
         for note in report.notes:
             print(f"note: {note}")
         print(report.summary())

@@ -405,7 +405,7 @@ def state_from_json(doc) -> QState:
 def basis_from_json(doc: dict) -> Basis:
     """Basis from a JSON object: "vectors" (states as in state_from_json),
     optional "labels" and "name": identifiers that are not keywords, the
-    labels distinct."""
+    labels distinct and the name not ending in ^f."""
     if not (isinstance(doc, dict) and isinstance(doc.get("vectors"), list)
             and doc["vectors"]):
         raise DslSyntaxError(
@@ -424,6 +424,9 @@ def basis_from_json(doc: dict) -> Basis:
         if text in _KEYWORDS or not re.fullmatch(_IDENT, text):
             raise DslSyntaxError(f"basis {what} {text!r} must be an "
                                  "identifier and not a keyword", 1, 1)
+    if name.endswith("^f"):  # D<name>^f would read as a sharp companion
+        raise DslSyntaxError(f"basis name {name!r} must not end in ^f, "
+                             "which names a sharp companion set", 1, 1)
     if len(set(labels)) != len(labels):
         raise DslSyntaxError(f"basis labels {labels!r} are not distinct",
                              1, 1)

@@ -7,10 +7,23 @@ right; parentheses are emitted only where the grammar requires them.
 The text of every node class is written once, in the ``_TEXT`` table, and
 one loop with an explicit stack fills in the children, so the depth of a
 formula costs the printer no recursion.
+
+A script repeats the same sequent items step after step, and the builders
+and the parse memo share them as one node.  ``render`` may be given a memo,
+``id(node) -> (node, text)``, that lives for one script: a node found in it
+is not rendered again.  It is keyed by identity because a node's ``==``
+and hash walk the whole node, and it holds the node so that the id cannot
+be reused while the memo lives.  Only leaves and sequent items (the
+children of a ``Sequent``) are stored: keeping the text of every nested
+node too would copy each character once per level above it, quadratic on
+a deeply nested item.  A stored text is the node at level 0, without outer
+parentheses; a node found in the memo where its level is too loose is put
+in parentheses there, as it would be when rendered.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .ast import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, Eq, Exists,
@@ -86,10 +99,18 @@ _TEXT = _ShapeTable({
 })
 
 
-def render(node, level: int = _LEVEL_FORMULA) -> str:
-    """Canonical text of a node, in parentheses where ``level`` needs them."""
+def render(node, level: int = _LEVEL_FORMULA,
+           memo: Optional[dict] = None) -> str:
+    """Canonical text of a node, in parentheses where ``level`` needs them.
+
+    ``memo`` (``id(node) -> (node, text)``), when given, supplies the text
+    of every node it holds and receives that of every leaf and sequent item
+    rendered here."""
     out = []
     stack = [iter([(node, level)])]  # the parts each open node has left
+    # a Sequent is never a child, so its items are the second frame's parts
+    items = 2 if memo is not None and type(node) is Sequent else 0
+    item = None  # (node, where its text starts in out) of the open item
     while stack:
         for part in stack[-1]:
             if type(part) is str:
@@ -97,19 +118,36 @@ def render(node, level: int = _LEVEL_FORMULA) -> str:
                 continue
             n, at = part if type(part) is tuple else (part, _LEVEL_FORMULA)
             row = _TEXT[type(n)]
+            if memo is not None:
+                hit = memo.get(id(n))
+                if hit is not None:
+                    if type(row) is tuple and at > row[0]:
+                        out += ("(", hit[1], ")")
+                    else:
+                        out.append(hit[1])
+                    continue
             if type(row) is not tuple:
                 out.append(row(n))
+                if memo is not None:
+                    memo[id(n)] = (n, out[-1])
                 continue
             own, text = row
+            if len(stack) == items:
+                item = (n, len(out))
             stack.append(iter(["(", *text(n), ")"] if at > own else text(n)))
             break
         else:
             stack.pop()
+            if item is not None and len(stack) == items:
+                n, start = item
+                out[start:] = ["".join(out[start:])]
+                memo[id(n)] = (n, out[start])
+                item = None
     return "".join(out)
 
 
 render_formula = render_domain = render
 
 
-def render_sequent(s: Sequent) -> str:
-    return render(s)
+def render_sequent(s: Sequent, memo: Optional[dict] = None) -> str:
+    return render(s, memo=memo)

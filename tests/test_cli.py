@@ -244,6 +244,29 @@ def test_singleton_literal_domain_holds_only_its_singleton(tmp_path, capsys):
                    "exactly { #u }\n")
 
 
+def test_sharp_membership_note_is_a_whole_sentence(tmp_path, capsys):
+    script = tmp_path / "collapse.seq"
+    assert run(capsys, "derive", "collapse", "--out", str(script))[0] == 0
+    code, out, _ = run(capsys, "check", str(script))
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("note:")] \
+        == ["note: step 1: sharp membership taken as a declared fact of the "
+            "singleton axioms"]
+
+
+def test_domain_named_as_a_sharp_companion_is_a_parse_error(tmp_path,
+                                                            capsys):
+    bad = tmp_path / "bad.seq"
+    bad.write_text("domain D = { <c, 1/2>, <d, 1/2> }\n"
+                   "domain D^f = { <a, 1/2>, <b, 1/2> }\n"
+                   "step 1 ax_sharp_member :: |- #c in D^f\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (2, "")
+    # 'D^f' is the 8th character of the second line
+    assert err == ("error: 2:8: domain D^f: a name ending in ^f names a "
+                   "sharp companion set\n")
+
+
 def test_script_error_has_one_position_at_the_failing_token(tmp_path, capsys):
     bad = tmp_path / "bad.seq"
     bad.write_text("-- header\n\n  step 1 identity :: A( |- \n")
@@ -331,6 +354,16 @@ def test_basis_names_and_labels_are_distinct_identifiers(capsys, basis,
     code, out, err = run(capsys, "translate", "--state", "plus", "--basis",
                          '{"vectors": [[1, 0], [0, 1]], %s}' % basis)
     assert (code, out, err) == (2, "", f"error: 1:1: basis {message}\n")
+
+
+def test_basis_name_ending_in_sharp_suffix_is_a_usage_error(capsys):
+    """`D<name>` is the domain translate declares, and `DB^f` would read as
+    the sharp companion set of `DB`."""
+    code, out, err = run(capsys, "translate", "--state", "plus", "--basis",
+                         '{"vectors": [[1, 0], [0, 1]], "name": "B^f"}')
+    assert (code, out) == (2, "")
+    assert err == ("error: 1:1: basis name 'B^f' must not end in ^f, which "
+                   "names a sharp companion set\n")
 
 
 @pytest.mark.parametrize("state,basis,bipartite", [

@@ -5,13 +5,17 @@ the test itself is called at, so one that recurses per node fails at
 once instead of passing on a generous default limit.
 """
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
-from rfod.calculus import TheoryConfig
-from rfod.syntax import (
-    Atom, Forall, Sharp, Var, alpha_eq, bound_vars, free_vars,
-    parse_formula, render, subst_formula, walk,
+from rfod.calculus import (
+    Derivation, RuleId, TheoryConfig, parse_script, serialize_derivation,
 )
+from rfod.syntax import (
+    And, Atom, Forall, Sequent, Sharp, Var, alpha_eq, bound_vars, free_vars,
+    parse_formula, render, render_sequent, subst_formula, walk,
+)
+from rfod.syntax import parser
 from rfod.theorems import derive_lemma1, schematic_domain
 
 HEADROOM = 60  # frames above the caller that an operation may use
@@ -34,9 +38,9 @@ def _chain():
     return parse_formula(" & ".join(f"A(x{i})" for i in range(3000)))
 
 
-def _nested(names="xyz"):
+def _nested(names="xyz", depth=3000):
     f = Atom("A", (*map(Var, names), Var("w")))
-    for i in range(3000):
+    for i in range(depth):
         f = Forall(names[i % 3], "D", f)
     return f
 
@@ -76,3 +80,46 @@ def test_derivations_compare_by_identity_at_depth():
         text = repr(a)
     assert text.startswith(f"Derivation({a.rule.value}, Sequent('")
     assert len(text) < len(render(a.conclusion)) + 50
+
+
+def _left_chain():
+    f = Atom("A", (Var("x0"),))
+    for i in range(1, 3000):
+        f = And(f, Atom("A", (Var(f"x{i}"),)))
+    return f
+
+
+def test_a_deep_script_serializes_in_memory_linear_in_its_text(monkeypatch):
+    """The printer's memo keeps the text of each sequent item and leaf, not
+    of every nested node: that would copy the 3000-deep chain's text once
+    per level, many times the script's size."""
+    chain, binders = _left_chain(), _nested(depth=1000)
+    node = Derivation(Sequent((chain,), (binders,)), RuleId.HYPOTHESIS)
+    for k in range(2, 51):
+        extra = Atom("B", (Var(f"y{k}"),))
+        node = Derivation(Sequent((chain, extra), (binders,)),
+                          RuleId.WEAKEN_L, params={"position": 1},
+                          premises=(node,))
+    with shallow_stack():
+        tracemalloc.start()
+        try:
+            text = serialize_derivation(node)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    lines = text.splitlines()
+    steps = list(node.walk())
+    assert len(lines) == len(steps) == 50
+    assert peak < 10 * len(text.encode())
+    assert [line.split(" :: ")[1] for line in lines] == \
+        [render_sequent(s.conclusion) for s in steps]
+    # read back past the parser's nesting limit, which guards untrusted text
+    monkeypatch.setattr(parser, "MAX_NESTING", 10_000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(50_000)
+    try:
+        read = parse_script(text).steps
+    finally:
+        sys.setrecursionlimit(limit)
+    assert all(alpha_eq(step[-1], s.conclusion)
+               for step, s in zip(read, steps))
