@@ -5,8 +5,10 @@ parser and canonical printer; `calculus` the rule catalog, checker and
 proof scripts; `theorems` the mechanical replays of the named results;
 `quantum` the small Hilbert-space backend; `cli` the command line.
 
-`import rfod` imports `quantum` but not numpy: numpy loads at the first
-use of a quantum function, so checking and deriving never pay for it.
+`import rfod` imports `quantum` but not numpy: states, measurement,
+translation and the Schmidt decomposition are pure Python, and numpy
+loads only at the first use of a density operator, so checking,
+deriving, measuring and translating never pay for it.
 """
 
 from .errors import (

@@ -180,7 +180,7 @@ def _find_connective(s: Sequent, rule: RuleId, params: Optional[dict]) -> int:
 def _fresh_choice(s: Sequent, params: Optional[dict], key: str = "var") -> str:
     if params and key in params:
         z = params[key]
-        if z in _var_names(s) and z in free_vars(s):  # the cheap walk first
+        if z in free_vars(s):
             raise RuleError(f"variable {z} is not fresh for {render_sequent(s)}")
         return z
     return fresh_var(_var_names(s))

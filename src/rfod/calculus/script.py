@@ -28,8 +28,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import DslSyntaxError, RfodError
-from ..syntax.ast import Domain, DomainTable, _Record, term_prob, term_state
-from ..syntax.parser import _Parser, _shown
+from ..syntax.ast import (
+    Domain, DomainTable, _Record, is_singleton_literal, term_prob, term_state,
+)
+from ..syntax.parser import _Parser, _shown, name_fault
 from ..syntax.printer import (
     render_domain, render_formula, render_sequent, render_term,
 )
@@ -241,7 +243,9 @@ def parse_script(text: str) -> ProofScript:
 def _parse_domain_decl(p: _Parser, script: ProofScript) -> None:
     tok = p.peek()
     name = p.parse_domain_ref()
-    if name.endswith("^f"):  # D^f names the sharp companion set of D
+    # an identifier breaks the name rule only by ending in ^f, and D^f
+    # names the sharp companion set of D
+    if not is_singleton_literal(name) and name_fault(name):
         p.fail(f"domain {name}: a name ending in ^f names a sharp "
                "companion set", tok)
     if not (p.accept("=") and p.accept("{")):

@@ -20,7 +20,7 @@ from .calculus.script import (
     serialize_derivation,
 )
 from .syntax.ast import ContextVar, Domain, DomainTable, Outcome, Sharp
-from .syntax.parser import parse_sequent
+from .syntax.parser import name_fault, parse_sequent
 from .syntax.printer import render_domain, render_rational, render_sequent
 from . import quantum, theorems
 
@@ -38,6 +38,15 @@ def _on_off(value: str) -> bool:
     return value == "on"
 
 
+def _name(value: str) -> str:
+    """An argument that names a domain, predicate or context: the script
+    that names it must read back."""
+    fault = name_fault(value)
+    if fault:
+        raise argparse.ArgumentTypeError(f"name {value!r} {fault}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfod",
@@ -47,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_theory_flags(p):
         p.add_argument("--focused", action="append", default=[],
-                       metavar="D", help="declare a domain focused (repeatable)")
+                       type=_name, metavar="D",
+                       help="declare a domain focused (repeatable)")
         p.add_argument("--singleton-axioms", type=_on_off, default=None,
                        metavar="on|off", help="toggle the singleton axioms "
                        "(default on)")
@@ -71,9 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="second domain size (distributivity)")
     p_derive.add_argument("--i", type=int, default=1,
                           help="1-based outcome index (collapse)")
-    p_derive.add_argument("--domain", default="D", help="domain name")
-    p_derive.add_argument("--pred", default="A", help="predicate symbol")
-    p_derive.add_argument("--gamma", default="G", help="context metavariable")
+    p_derive.add_argument("--domain", default="D", type=_name,
+                          help="domain name")
+    p_derive.add_argument("--pred", default="A", type=_name,
+                          help="predicate symbol")
+    p_derive.add_argument("--gamma", default="G", type=_name,
+                          help="context metavariable")
     p_derive.add_argument("--out", default=None, help="write the script here")
     add_theory_flags(p_derive)
 
@@ -89,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_translate.add_argument("--state", required=True)
     p_translate.add_argument("--basis", default="Z")
     p_translate.add_argument("--bipartite", action="store_true")
-    p_translate.add_argument("--gamma", default="G")
+    p_translate.add_argument("--gamma", default="G", type=_name)
     p_translate.add_argument("--json", action="store_true")
 
     return parser

@@ -9,14 +9,16 @@ emitted assertions land in the same sequent syntax the kernel checks.
 All tolerances live in TOLERANCES; probabilities crossing into the
 syntax layer are rounded to rationals and renormalized.
 
-numpy loads at first use: importing this module (and so `rfod`) does not
-import it, and `check` and `derive` never do.
+States, bases and the Schmidt data are tuples of Python complex numbers,
+and measurement, translation and the Schmidt decomposition are pure
+Python.  Only density operators (`DensityOp`, `density_of`, `purity`) and
+`SchmidtData.reconstruction` use numpy, which loads at their first use:
+`check`, `derive`, `measure` and `translate` never import it.
 """
 from __future__ import annotations
 
 import enum
 import math
-import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -25,7 +27,7 @@ from .syntax.ast import (
     Atom, ContextVar, Correlated, Domain, DomainTable, Member, Outcome,
     Sequent, Sharp, Var, _Frozen, domain_kind,
 )
-from .syntax.parser import _IDENT, _KEYWORDS
+from .syntax.parser import name_fault
 
 TOLERANCES = {
     "norm": 1e-9,            # unit-vector and trace checks
@@ -56,26 +58,36 @@ class IdentificationMode(enum.Enum):
     STRICT = "strict"
 
 
+def _vdot(x: tuple, y: tuple) -> complex:
+    """The inner product <x|y>, conjugate-linear in x."""
+    return sum(a.conjugate() * b for a, b in zip(x, y))
+
+
+def _norm(x: tuple) -> float:
+    return math.sqrt(sum(a.real * a.real for a in x)
+                     + sum(a.imag * a.imag for a in x))
+
+
 class QState(_Frozen):
-    """Unit complex vector of dimension 2 or 4."""
+    """Unit complex vector of dimension 2 or 4, a tuple of amplitudes."""
 
     __slots__ = ("amplitudes",)
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, amplitudes: np.ndarray):
-        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    def __init__(self, amplitudes):
+        amp = tuple(map(complex, amplitudes))
         object.__setattr__(self, "amplitudes", amp)
-        if amp.shape[0] not in (2, 4):
-            raise DomainError(f"state dimension must be 2 or 4, got {amp.shape[0]}")
-        norm = np.linalg.norm(amp)
+        if len(amp) not in (2, 4):
+            raise DomainError(f"state dimension must be 2 or 4, got {len(amp)}")
+        norm = _norm(amp)
         if not abs(norm - 1.0) <= TOLERANCES["norm"]:  # NaN fails too
             raise DomainError(f"state is not normalized (norm {norm})")
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return len(self.amplitudes)
 
 
 class Basis(_Frozen):
@@ -86,32 +98,31 @@ class Basis(_Frozen):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, name: str, vectors: tuple, labels: tuple):
-        vectors = tuple(np.asarray(v, dtype=complex).reshape(-1)
-                        for v in vectors)
+    def __init__(self, name: str, vectors, labels):
+        vectors = tuple(tuple(map(complex, v)) for v in vectors)
         labels = tuple(labels)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", labels)
-        dim = vectors[0].shape[0]
+        dim = len(vectors[0])
         if len(vectors) != dim:
             raise DomainError("basis must have as many vectors as dimensions")
         if len(labels) != dim:
             raise DomainError("basis needs one label per vector")
         for i, v in enumerate(vectors):
-            if v.shape[0] != dim:
+            if len(v) != dim:
                 raise DomainError("basis vectors differ in dimension")
-            if not abs(np.linalg.norm(v) - 1.0) <= TOLERANCES["norm"]:
+            if not abs(_norm(v) - 1.0) <= TOLERANCES["norm"]:
                 raise DomainError(f"basis vector {i} is not normalized")
             for w in vectors[i + 1:]:
-                if abs(np.vdot(v, w)) > TOLERANCES["orthogonality"]:
+                if abs(_vdot(v, w)) > TOLERANCES["orthogonality"]:
                     raise DomainError("basis vectors are not orthogonal")
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].shape[0]
+        return len(self.vectors[0])
 
-    def vector_for(self, label: str) -> np.ndarray:
+    def vector_for(self, label: str) -> tuple:
         try:
             return self.vectors[self.labels.index(label)]
         except ValueError:
@@ -126,7 +137,7 @@ class DensityOp(_Frozen):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -151,15 +162,16 @@ class SchmidtData(_Frozen):
         a = tuple(float(c) for c in coefficients)
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "left",
-                           tuple(np.asarray(v, dtype=complex) for v in left))
+                           tuple(tuple(map(complex, v)) for v in left))
         object.__setattr__(self, "right",
-                           tuple(np.asarray(v, dtype=complex) for v in right))
+                           tuple(tuple(map(complex, v)) for v in right))
         if a[0] < a[1] or a[1] < -TOLERANCES["norm"]:
             raise DomainError("coefficients must be descending and non-negative")
         if abs(a[0] ** 2 + a[1] ** 2 - 1.0) > TOLERANCES["norm"]:
             raise DomainError("squared coefficients must sum to 1")
 
-    def reconstruction(self) -> np.ndarray:
+    def reconstruction(self):
+        """The two-qubit amplitudes as a numpy array."""
         out = np.zeros(4, dtype=complex)
         for c, u, w in zip(self.coefficients, self.left, self.right):
             out += c * np.kron(u, w)
@@ -197,7 +209,7 @@ NAMED_STATES = {
 def named_state(name: str) -> QState:
     if name not in NAMED_STATES:
         raise DomainError(f"unknown state name {name}")
-    return QState(np.array(NAMED_STATES[name], dtype=complex))
+    return QState(NAMED_STATES[name])
 
 
 def basis_z() -> Basis:
@@ -236,16 +248,20 @@ def _rationalize(weights: Sequence[float]) -> list:
     return [f / total for f in fracs]
 
 
-def measure(psi: QState, basis: Basis) -> Domain:
-    """Born-rule domain: one outcome per basis vector with weight above the
-    pruning threshold; name D<basis>, e.g. DZ."""
+def born_weights(psi: QState, basis: Basis) -> list:
+    """|<v|psi>|^2 for each vector v of the basis, in its order."""
     if psi.dim != basis.dim:
         raise DomainError(
             f"dimension mismatch: state {psi.dim}, basis {basis.dim}")
+    return [abs(_vdot(v, psi.amplitudes)) ** 2 for v in basis.vectors]
+
+
+def measure(psi: QState, basis: Basis) -> Domain:
+    """Born-rule domain: one outcome per basis vector with weight above the
+    pruning threshold; name D<basis>, e.g. DZ."""
     weights = []
     labels = []
-    for label, vector in zip(basis.labels, basis.vectors):
-        w = abs(np.vdot(vector, psi.amplitudes)) ** 2
+    for label, w in zip(basis.labels, born_weights(psi, basis)):
         if w > TOLERANCES["outcome_prune"]:
             weights.append(w)
             labels.append(label)
@@ -265,7 +281,7 @@ def density_of(domain: Domain, basis: Basis) -> DensityOp:
     for element in domain.elements:
         label = element.state
         p = float(element.prob) if isinstance(element, Outcome) else 1.0
-        v = basis.vector_for(label)
+        v = np.asarray(basis.vector_for(label))
         rho += p * np.outer(v, v.conj())
     return DensityOp(rho)
 
@@ -280,10 +296,10 @@ def phase_equiv(x: QState, y: QState,
     if x.dim != y.dim:
         raise DomainError("dimension mismatch")
     if mode is IdentificationMode.STRICT:
-        return bool(np.max(np.abs(x.amplitudes - y.amplitudes))
-                    <= TOLERANCES["norm"])
-    return bool(abs(abs(np.vdot(x.amplitudes, y.amplitudes)) - 1.0)
-                <= TOLERANCES["norm"])
+        return max(abs(a - b) for a, b in zip(x.amplitudes, y.amplitudes)) \
+            <= TOLERANCES["norm"]
+    return abs(abs(_vdot(x.amplitudes, y.amplitudes)) - 1.0) \
+        <= TOLERANCES["norm"]
 
 
 def focusing_status(psi: QState, basis: Basis,
@@ -302,27 +318,58 @@ def focusing_status(psi: QState, basis: Basis,
 # ---------------------------------------------------------------------------
 # Schmidt decomposition
 
+def _complement(v: tuple) -> tuple:
+    """The unit vector orthogonal to the unit 2-vector v with det [v, .] = 1."""
+    return (-v[1].conjugate(), v[0].conjugate())
+
+
 def schmidt(psi: QState) -> SchmidtData:
-    """Decompose a two-qubit state as a1 |v1 w1> + a2 |v2 w2| with
+    """Decompose a two-qubit state as a1 |v1 w1> + a2 |v2 w2> with
     non-negative descending coefficients; reconstruction is exact to the
-    stated tolerance."""
+    stated tolerance.
+
+    The closed-form SVD of the 2x2 amplitude matrix M = [[a, b], [c, d]]
+    (Nielsen & Chuang, section 2.5): a1^2 is the larger eigenvalue of
+    M M^dagger, a2 = |det M| / a1, which keeps a small a2 free of
+    cancellation, v1 is that eigenvalue's eigenvector and v2 its
+    complement, and a_k w_k = v_k^dagger M.  Each v_k is turned so that its
+    largest-magnitude entry is real and positive.
+    """
     if psi.dim != 4:
         raise DomainError("Schmidt decomposition needs a dim-4 state")
-    m = psi.amplitudes.reshape(2, 2)
-    u, s, vh = np.linalg.svd(m)
+    a, b, c, d = psi.amplitudes
+    p = abs(a) ** 2 + abs(b) ** 2
+    q = abs(c) ** 2 + abs(d) ** 2
+    r = a * c.conjugate() + b * d.conjugate()  # (M M^dagger)[0][1]
+    h = (p - q) / 2
+    gap = math.hypot(h, abs(r))  # half the distance between the eigenvalues
+    s1 = math.sqrt((p + q) / 2 + gap)
+    s2 = min(abs(a * d - b * c) / s1, s1)
+    # the larger eigenvalue's eigenvector, from the better-scaled row
+    v = (h + gap, r.conjugate()) if h >= 0 else (r, gap - h)
+    size = _norm(v)
+    u1 = (v[0] / size, v[1] / size) if size else (1 + 0j, 0j)
+    x1 = (u1[0].conjugate() * a + u1[1].conjugate() * c,
+          u1[0].conjugate() * b + u1[1].conjugate() * d)
+    w1 = (x1[0] / _norm(x1), x1[1] / _norm(x1))
+    u2 = _complement(u1)
+    # v2^dagger M lies along w1's complement up to a phase, which det M fixes
+    w2 = _complement(w1)
+    det = a * d - b * c
+    if det:
+        phase = det / abs(det)
+        w2 = (w2[0] * phase, w2[1] * phase)
     left = []
     right = []
-    for k in range(2):
-        uk = u[:, k].copy()
-        wk = vh[k, :].copy()
-        pivot = int(np.argmax(np.abs(uk)))
+    for uk, wk in ((u1, w1), (u2, w2)):
+        pivot = 0 if abs(uk[0]) >= abs(uk[1]) else 1
         if abs(uk[pivot]) > 0:
             phase = uk[pivot] / abs(uk[pivot])
-            uk = uk / phase
-            wk = wk * phase
+            uk = (uk[0] / phase, uk[1] / phase)
+            wk = (wk[0] * phase, wk[1] * phase)
         left.append(uk)
         right.append(wk)
-    return SchmidtData((float(s[0]), float(s[1])), tuple(left), tuple(right))
+    return SchmidtData((s1, s2), tuple(left), tuple(right))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +446,7 @@ def state_from_json(doc) -> QState:
         else:
             raise DslSyntaxError("amplitude must be a number or a [re, im] "
                                  f"pair, got {entry!r}", 1, 1)
-    return QState(np.array(amps, dtype=complex))
+    return QState(amps)
 
 
 def basis_from_json(doc: dict) -> Basis:
@@ -421,12 +468,9 @@ def basis_from_json(doc: dict) -> Basis:
             1, 1)
     # the domain measure() makes, D<name> over the labels, must read back
     for what, text in [("name", name)] + [("label", lab) for lab in labels]:
-        if text in _KEYWORDS or not re.fullmatch(_IDENT, text):
-            raise DslSyntaxError(f"basis {what} {text!r} must be an "
-                                 "identifier and not a keyword", 1, 1)
-    if name.endswith("^f"):  # D<name>^f would read as a sharp companion
-        raise DslSyntaxError(f"basis name {name!r} must not end in ^f, "
-                             "which names a sharp companion set", 1, 1)
+        fault = name_fault(text, label=what == "label")
+        if fault:
+            raise DslSyntaxError(f"basis {what} {text!r} {fault}", 1, 1)
     if len(set(labels)) != len(labels):
         raise DslSyntaxError(f"basis labels {labels!r} are not distinct",
                              1, 1)

@@ -17,10 +17,13 @@ structural operation rides one of three loops over it, each on an
 explicit stack, so the depth of a formula costs none of them recursion:
 - ``walk`` yields every node in reading order: ``bound_vars``, ``hash``;
 - ``rewrite`` rebuilds a node bottom-up under a context it threads down:
-  ``map_children``, ``free_vars`` (the context is the set of bound names),
-  and substitution, occurrence replacement and dualization elsewhere;
+  ``map_children``, and substitution, occurrence replacement and
+  dualization elsewhere;
 - the pairwise loop of ``alpha_eq`` compares two nodes: ``alpha_eq``
   itself and, with renaming off, structural ``==``.
+The free and bound variable names of a node are computed once, on a
+stack of their own, and cached on it (``_var_sets``), so substitution
+skips a subtree without free occurrences at once.
 ``rewrite`` returns a node itself when every child comes back identical,
 so an operation that changes nothing below a node keeps that subtree
 shared, and ``alpha_eq`` answers ``a is b`` at once wherever no bound
@@ -41,13 +44,14 @@ class _Record:
     """A record's fields are the ``__slots__`` of its class and bases, which
     its ``__init__`` takes in that order: the repr names them,
     ``Name(field=value, ...)``, and ``==`` compares them between records of
-    one class.  A record can be changed, so it has no hash."""
+    one class.  A slot whose name starts with ``_`` is a hidden cache, not
+    a field.  A record can be changed, so it has no hash."""
 
     __slots__ = ()
 
     def _fields(self) -> tuple:
         return tuple(f for c in reversed(type(self).__mro__)
-                     for f in c.__dict__.get("__slots__", ()))
+                     for f in c.__dict__.get("__slots__", ()) if f[0] != "_")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields())
@@ -181,9 +185,10 @@ def term_state(t: Term) -> str:
 # formulas
 
 class _Syntax(_Frozen):
-    """Formulas, items and sequents: ``==``, hash and repr, none recursive."""
+    """Formulas, items and sequents: ``==``, hash and repr, none recursive.
+    ``_var_cache`` holds what ``_var_sets`` computed, once it has."""
 
-    __slots__ = ()
+    __slots__ = ("_var_cache",)
 
     def __hash__(self):
         return hash(tuple(map(_node_key, walk(self))))
@@ -405,6 +410,12 @@ BINDERS = frozenset({Forall, Exists, Bowtie})
 # outcome and sharp terms compare across the two classes
 _CLOSED = frozenset({Outcome, Sharp})
 
+# the connectives whose nested uses read as one chain of operands
+_CHAINS = frozenset({And, Or, Star})
+
+# the nodes whose children are all terms
+_OVER_TERMS = frozenset({Atom, Member, Eq, Neq, Bot, ContextVar})
+
 
 def children(node) -> tuple:
     """The sub-nodes of a node in reading order (terms included)."""
@@ -480,24 +491,116 @@ def _node_key(n):  # what == compares at a node; outcome and sharp as one
 # ---------------------------------------------------------------------------
 # free and bound variables
 
+_NO_VARS = (frozenset(), frozenset())
+_set_var_cache = _Syntax._var_cache.__set__
+
+
+def _union(sets, names) -> frozenset:
+    """The union of ``sets`` and ``names``, one of the sets itself when it
+    holds the rest, so that a chain over the same few names shares their
+    set."""
+    out = _NO_VARS[0]
+    grown = None
+    for s in sets:
+        if grown is not None:
+            grown |= s
+        elif not s <= out:
+            if out <= s:
+                out = s
+            else:
+                grown = set(out)
+                grown |= s
+    if grown is None and not out.issuperset(names):
+        grown = set(out)
+    if grown is None:
+        return out
+    grown.update(names)
+    return frozenset(grown)
+
+
+def _var_sets(node) -> tuple:
+    """``(free names, all names)``: the variable names free in ``node``,
+    and those together with every name a binder in it binds.
+
+    The pair is cached, in the hidden ``_var_cache`` slot that ``==``,
+    hash, repr, copy and pickle ignore, on ``node`` and on every formula,
+    item and sequent below it but two kinds, which their parent reads in
+    place: a node over terms only (an atom, a membership, an equality),
+    and a link inside an ``&``, ``\\/`` or ``*`` chain, so that a chain
+    of n distinct atoms keeps one set instead of n growing ones.  The
+    first call fills the cache bottom-up on an explicit stack, where a
+    node waits under those of its children not filled yet.
+    """
+    cls = type(node)
+    if cls is Var:
+        names = frozenset((node.name,))
+        return names, names
+    if cls in _CLOSED:
+        return _NO_VARS
+    sets = getattr(node, "_var_cache", None)
+    if sets is not None:
+        return sets
+    stack = [node]
+    push = stack.append
+    shapes = _SHAPES
+    while stack:
+        n = stack[-1]
+        cls = type(n)
+        units = shapes[cls][0](n)[1]
+        if cls in _CHAINS:  # n's operands, its chain's links opened up
+            links = list(units)
+            units = []
+            while links:
+                k = links.pop()
+                if type(k) is cls:
+                    links.extend(shapes[cls][0](k)[1])
+                else:
+                    units.append(k)
+        below = []
+        names = []
+        depth = len(stack)
+        for k in units:
+            ck = type(k)
+            if ck is Var:
+                names.append(k.name)
+            elif ck in _OVER_TERMS:  # read in place, not cached
+                for t in shapes[ck][0](k)[1]:
+                    if type(t) is Var:
+                        names.append(t.name)
+            elif ck not in _CLOSED:
+                sets = getattr(k, "_var_cache", None)
+                if sets is None:
+                    push(k)
+                else:
+                    below.append(sets)
+        if len(stack) > depth:
+            continue  # fill the children first, then come back
+        stack.pop()
+        if not below:  # terms only, the common case
+            sets = (frozenset(names),) * 2 if names else _NO_VARS
+        elif len(below) == 1 and not names:
+            sets = below[0]
+        else:
+            sets = (_union([f for f, _ in below], names),
+                    _union([a for _, a in below], names))
+        if cls in BINDERS:
+            free, every = sets
+            if n.var in free:
+                free = free - {n.var}
+            if n.var not in every:
+                every = every | {n.var}
+            sets = free, every
+        _set_var_cache(n, sets)
+    return node._var_cache
+
+
 def free_vars(node) -> frozenset:
     """Free first-order variable names of a term/formula/item/sequent.
 
     Context metavariables contribute nothing: by convention the contexts
     they stand for do not depend on the instantiated variables.
     """
-    acc = set()
-
-    def enter(n, bound):
-        cls = type(n)
-        if cls is Var:
-            if n.name not in bound:
-                acc.add(n.name)
-            return n, None
-        return n, (bound | {n.var} if cls in BINDERS else bound)
-
-    rewrite(node, enter, frozenset())
-    return frozenset(acc)
+    return _var_sets(node)[0]
 
 
 def bound_vars(node) -> frozenset:
@@ -505,9 +608,8 @@ def bound_vars(node) -> frozenset:
 
 
 def _var_names(node) -> frozenset:
-    """``free_vars | bound_vars`` in one walk: every variable name used."""
-    return frozenset(n.name if type(n) is Var else n.var for n in walk(node)
-                     if type(n) is Var or type(n) in BINDERS)
+    """``free_vars | bound_vars``: every variable name used."""
+    return _var_sets(node)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,21 @@ _ENDS = _ITEM_ENDS | {")", ";", '"'}
 _MAY_END = re.compile(r'[ \t\r]*(?:[,|);"-]|$)')
 
 
+def name_fault(text: str, label: bool = False) -> Optional[str]:
+    """Why ``text`` cannot be a name, or None when it can.
+
+    A name (of a domain, predicate, context or basis) is an identifier
+    that is not a keyword and does not end in ``^f``, the mark of a sharp
+    companion set (``D^f``) and of a forgetful predicate (``A^f``).  A state
+    ``label`` may end in ``^f``: ``<s^f, 1/2>`` and ``#s^f`` read back.
+    """
+    if text in _KEYWORDS or not re.fullmatch(_IDENT, text):
+        return "must be an identifier and not a keyword"
+    if not label and text.endswith("^f"):
+        return "must not end in ^f, which names a sharp companion set"
+    return None
+
+
 def _longest_first(entry) -> int:
     return entry[1] - entry[2]
 

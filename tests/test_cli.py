@@ -366,6 +366,40 @@ def test_basis_name_ending_in_sharp_suffix_is_a_usage_error(capsys):
                    "names a sharp companion set\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["derive", "lemma1", "--domain", "D^f", "--focused", "D^f"],
+     "argument --domain: name 'D^f' must not end in ^f, which names a "
+     "sharp companion set"),
+    (["derive", "reflection", "--pred", "forall"],
+     "argument --pred: name 'forall' must be an identifier and not a "
+     "keyword"),
+    (["derive", "lemma1", "--domain", "a b", "--focused", "a b"],
+     "argument --domain: name 'a b' must be an identifier"),
+    (["derive", "lemma1", "--focused", "D^f"], "argument --focused: "),
+    (["derive", "prop3", "--gamma", "in"], "argument --gamma: "),
+    (["derive", "uncertainty", "--pred", "A^f"], "argument --pred: "),
+    (["translate", "--state", "plus", "--gamma", "bot"],
+     "argument --gamma: "),
+])
+def test_names_that_do_not_read_back_are_refused_at_the_argument(
+        capsys, argv, message):
+    """Each of these wrote a script (or an assertion) that `rfod check`
+    then refused to read."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_derived_names_read_back(tmp_path, capsys):
+    script = tmp_path / "lemma1.script"
+    code, out, _ = run(capsys, "derive", "lemma1", "--domain", "E'",
+                       "--pred", "B'", "--gamma", "G_2", "--focused", "E'",
+                       "--out", str(script))
+    assert code == 0 and out.endswith("ACCEPTED\n")
+    code, out, _ = run(capsys, "check", str(script))
+    assert code == 0 and out.endswith("ACCEPTED\n")
+
+
 @pytest.mark.parametrize("state,basis,bipartite", [
     ("plus", '"labels": ["a", "b"]', False),
     ("zero", '"labels": ["up", "down"], "name": "Q"', False),
@@ -443,13 +477,21 @@ def test_rfod_leaves_dataclasses_and_inspect_unloaded(run):
 @pytest.mark.parametrize("argv,expected", [
     (["translate", "--state", "plus"],
      "domain DZ = { <s0, 1/2>, <s1, 1/2> } uniform\nG, z in DZ |- A(z)\n"),
+    (["translate", "--bipartite", "--state", "bell"],
+     "domain DS = { <s1, 1/2>, <s2, 1/2> } uniform focused\n"
+     "G, z in DS |- A(z) ,_S A'(z)\n"),
+    (["translate", "--bipartite", "--state", "product_0plus", "--basis", "X"],
+     "domain DX = { <plus_x, 1/2>, <minus_x, 1/2> } uniform\n"
+     "domain DX' = { #plus_x } singleton focused\n"
+     "G, z in DX, y in DX' |- A(z), A'(y)\n"),
     (["measure", "--state", "plus", "--basis", "X"],
-     "DX = { (plus_x, 1) }  [singleton]\n")])
-def test_translate_and_measure_load_numpy(argv, expected):
+     "DX = { (plus_x, 1) }  [singleton]\n")],
+    ids=["translate", "translate-entangled", "translate-product", "measure"])
+def test_translate_and_measure_leave_numpy_unloaded(argv, expected):
     out = fresh("import sys, rfod.cli\n"
                 f"assert rfod.cli.main({argv!r}) == 0\n"
                 "print('numpy' in sys.modules)")
-    assert out == expected + "True\n"
+    assert out == expected + "False\n"
 
 
 def test_bare_import_holds_quantum_but_not_numpy():
@@ -464,6 +506,8 @@ def test_first_quantum_call_binds_numpy_itself():
     out = fresh("import sys\n"
                 "from rfod import quantum\n"
                 "print(quantum.np is sys.modules.get('numpy'))\n"
-                "quantum.named_state('plus')\n"
+                "z = quantum.basis_z()\n"
+                "quantum.density_of(quantum.measure("
+                "quantum.named_state('plus'), z), z)\n"
                 "print(quantum.np is sys.modules['numpy'])")
     assert out == "False\nTrue\n"

@@ -15,7 +15,7 @@ from rfod.syntax import (
     And, Atom, Forall, Sequent, Sharp, Var, alpha_eq, bound_vars, free_vars,
     parse_formula, render, render_sequent, subst_formula, walk,
 )
-from rfod.syntax import parser
+from rfod.syntax import ast, parser
 from rfod.theorems import derive_lemma1, schematic_domain
 
 HEADROOM = 60  # frames above the caller that an operation may use
@@ -66,6 +66,40 @@ def test_syntax_operations_take_deep_inputs():
             if renamed is not None:
                 assert f != renamed and alpha_eq(f, renamed)
                 assert free_vars(replaced) == frozenset()
+
+
+def test_capture_renaming_enters_each_node_a_bounded_number_of_times(
+        monkeypatch):
+    """``w := x`` under n nested ``forall x in D .`` renames every binder.
+    Every traversal reads a node's children through the shape table, so
+    counting those reads counts the nodes entered: linear in n, where a
+    free-variable walk per renamed binder would make it quadratic."""
+    reads = [0]
+    for cls in (Forall, Atom):
+        shape, remake = ast._SHAPES[cls]
+
+        def counted(n, shape=shape):
+            reads[0] += 1
+            return shape(n)
+        monkeypatch.setitem(ast._SHAPES, cls, (counted, remake))
+
+    def nested(var, free, depth):
+        f = Atom("A", (Var(var), Var(free)))
+        for _ in range(depth):
+            f = Forall(var, "D", f)
+        return f
+
+    def nodes_entered(depth):
+        f = nested("x", "w", depth)
+        reads[0] = 0
+        renamed = subst_formula(f, "w", Var("x"))
+        count = reads[0]
+        assert alpha_eq(renamed, nested("y", "x", depth))
+        return count
+
+    small, large = nodes_entered(100), nodes_entered(1000)
+    assert large <= 5 * 1001
+    assert large <= 11 * small
 
 
 def test_derivations_compare_by_identity_at_depth():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from rfod.errors import DomainError
 from rfod.quantum import (
     Basis, DensityOp, IdentificationMode, QState, TOLERANCES, basis_from_json,
-    basis_x, basis_y, basis_z, density_of, emit_assertion, focusing_status,
-    measure, named_state, phase_equiv, purity, schmidt, state_from_json,
-    state_to_json,
+    basis_x, basis_y, basis_z, born_weights, density_of, emit_assertion,
+    focusing_status, measure, named_state, phase_equiv, purity, schmidt,
+    state_from_json, state_to_json,
 )
 from rfod.syntax import Correlated, DomainTable, Outcome, render
 from rfod.calculus import RuleId, equation_step
@@ -31,7 +31,8 @@ def born_oracle(psi, basis):
 def reduced_eigvals_oracle(psi):
     """Schmidt coefficients via the reduced density matrix's eigenvalues,
     independent of the SVD route."""
-    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    amplitudes = np.asarray(psi.amplitudes)
+    rho = np.outer(amplitudes, amplitudes.conj())
     reduced = np.zeros((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -125,7 +126,7 @@ def test_density_op_invariants():
 
 def test_phase_equiv_examples():
     zero = named_state("zero")
-    rotated = QState(np.exp(1j * np.pi / 3) * zero.amplitudes)
+    rotated = QState(np.exp(1j * np.pi / 3) * np.asarray(zero.amplitudes))
     assert phase_equiv(zero, rotated, IdentificationMode.DISREGARD_PHASES)
     assert not phase_equiv(zero, rotated, IdentificationMode.STRICT)
     assert not phase_equiv(zero, named_state("one"),
@@ -197,6 +198,59 @@ def test_schmidt_random_reconstruction():
         assert np.max(np.abs(data.reconstruction() - psi.amplitudes)) <= 1e-7
         assert np.allclose(data.coefficients, reduced_eigvals_oracle(psi),
                            atol=1e-7)
+
+
+def _random_unit(rng, dim):
+    raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return raw / np.linalg.norm(raw)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pure_python_path_matches_numpy(seed):
+    """Born weights and the closed-form Schmidt decomposition against
+    numpy's vdot and SVD on seeded qubits (Z, X, Y) and pairs (half of
+    them products)."""
+    rng = np.random.default_rng(seed)
+    bases = (basis_z(), basis_x(), basis_y())
+    for k in range(300):
+        raw = _random_unit(rng, 2)
+        basis = bases[k % 3]
+        expected = [abs(np.vdot(np.asarray(v), raw)) ** 2
+                    for v in basis.vectors]
+        weights = born_weights(QState(raw), basis)
+        assert max(abs(w - e) for w, e in zip(weights, expected)) <= 1e-12
+    for k in range(300):
+        if k % 2:
+            raw = np.kron(_random_unit(rng, 2), _random_unit(rng, 2))
+        else:
+            raw = _random_unit(rng, 4)
+        data = schmidt(QState(raw))
+        s = np.linalg.svd(raw.reshape(2, 2), compute_uv=False)
+        assert max(abs(data.coefficients - s)) <= 1e-12
+        assert data.entangled() == (s[1] > TOLERANCES["entangled"]) \
+            == (k % 2 == 0)
+        assert np.max(np.abs(data.reconstruction() - raw)) <= 1e-9
+
+
+def test_schmidt_of_nearly_degenerate_and_product_states():
+    """Equal and nearly equal coefficients, where the eigenvector of
+    M M^dagger is ill-conditioned, and exact products, where a2 = 0."""
+    for name in ("bell", "phi_minus", "psi_plus", "psi_minus",
+                 "product_00", "product_0plus"):
+        psi = named_state(name)
+        data = schmidt(psi)
+        assert data.coefficients[0] >= data.coefficients[1]
+        assert np.max(np.abs(data.reconstruction()
+                             - np.asarray(psi.amplitudes))) <= 1e-12
+    for eps in (1e-6, 1e-9, 1e-12, 1e-15):
+        psi = QState(np.array([math.sqrt(0.5 + eps), 1j * eps, 0,
+                               math.sqrt(0.5 - eps - eps * eps)]))
+        data = schmidt(psi)
+        assert np.max(np.abs(data.reconstruction()
+                             - np.asarray(psi.amplitudes))) <= 1e-12
+        s = np.linalg.svd(np.reshape(psi.amplitudes, (2, 2)),
+                          compute_uv=False)
+        assert max(abs(data.coefficients - s)) <= 1e-12
 
 
 def test_emit_assertion_single_system():

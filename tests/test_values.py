@@ -13,7 +13,7 @@ from rfod.calculus import (
 from rfod.syntax import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, DomainTable, Eq,
     Exists, Forall, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Var,
-    parse_sequent,
+    free_vars, parse_sequent,
 )
 from rfod.theorems import Judgement, ReversibilityVerdict
 
@@ -197,3 +197,18 @@ def test_copy_and_pickle_rebuild_equal_values():
     assert (twin.conclusion, twin.rule, twin.direction, twin.params) == (
         s, RuleId.EQ_AND_R, "backward", {"index": 0})
     assert twin.premises[0].conclusion == s
+
+
+def test_cached_variable_names_are_not_a_field():
+    """The free-variable cache is a hidden slot: once filled, it shows in
+    no field, repr, ==, hash, copy or pickle."""
+    s = parse_sequent("G, z in D |- forall x in D . A(x, w) & B(z)")
+    fresh = parse_sequent("G, z in D |- forall x in D . A(x, w) & B(z)")
+    before = (repr(s), hash(s), pickle.dumps(s))
+    assert free_vars(s) == {"z", "w"}
+    assert s._var_cache is not None
+    assert s._fields() == ("antecedent", "succedent")
+    assert (repr(s), hash(s), pickle.dumps(s)) == before
+    assert s == fresh and hash(s) == hash(fresh)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(before[2])):
+        assert twin == s and not hasattr(twin, "_var_cache")
