@@ -1,15 +1,25 @@
 """Command-line surface: check scripts, emit named derivations, run
 measurements, translate states into assertions.
 
-Exit codes: 0 success, 1 logical failure (rejected derivation, violated
-precondition), 2 usage or parse error.
+    rfod -h | rfod COMMAND [ARG] [OPTION ...]
+
+COMMAND is ``check FILE``, ``derive TARGET``, ``measure`` or ``translate``.
+One table, ``COMMANDS``, lists each command's options; it reads the command
+line and writes the ``-h``/``--help`` text.  Options and the argument come
+in any order.  ``--opt value`` and ``--opt=value`` are the same; a value
+starting with ``-`` must be a negative number.  An option may be cut to a
+prefix no other option of its command shares, ``--focused`` may repeat, and
+``--`` ends the options.
+
+Exit codes: 0 success (help included), 1 logical failure (rejected
+derivation, violated precondition), 2 usage or parse error.
 """
 from __future__ import annotations
 
-import argparse
-import json
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 from .errors import DslSyntaxError, LookupFailure, PreconditionError, RfodError
@@ -22,7 +32,7 @@ from .calculus.script import (
 from .syntax.ast import ContextVar, Domain, DomainTable, Outcome, Sharp
 from .syntax.parser import name_fault, parse_sequent
 from .syntax.printer import render_domain, render_rational, render_sequent
-from . import quantum, theorems
+from . import quantum
 
 EXIT_OK = 0
 EXIT_LOGICAL = 1
@@ -32,9 +42,13 @@ DERIVE_TARGETS = ("reflection", "lemma1", "prop1", "prop2", "prop3",
                   "collapse", "distributivity", "uncertainty")
 
 
+class _Usage(Exception):
+    """A command line the table does not read: (command or None, reason)."""
+
+
 def _on_off(value: str) -> bool:
     if value not in ("on", "off"):
-        raise argparse.ArgumentTypeError("expected on|off")
+        raise ValueError("expected on|off")
     return value == "on"
 
 
@@ -43,69 +57,15 @@ def _name(value: str) -> str:
     that names it must read back."""
     fault = name_fault(value)
     if fault:
-        raise argparse.ArgumentTypeError(f"name {value!r} {fault}")
+        raise ValueError(f"name {value!r} {fault}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rfod",
-        description="Proof kernel for sequent calculi over random "
-                    "first-order domains, with a quantum backend.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_theory_flags(p):
-        p.add_argument("--focused", action="append", default=[],
-                       type=_name, metavar="D",
-                       help="declare a domain focused (repeatable)")
-        p.add_argument("--singleton-axioms", type=_on_off, default=None,
-                       metavar="on|off", help="toggle the singleton axioms "
-                       "(default on)")
-        p.add_argument("--no-singleton-axioms", action="store_true",
-                       help="shorthand for --singleton-axioms off")
-        p.add_argument("--classical-right-contexts", type=_on_off,
-                       default=None, metavar="on|off",
-                       help="allow right contexts in the universal equation "
-                       "(default off)")
-        p.add_argument("--json", action="store_true", help="machine output")
-
-    p_check = sub.add_parser("check", help="check a proof script")
-    p_check.add_argument("file")
-    add_theory_flags(p_check)
-
-    p_derive = sub.add_parser("derive", help="emit a named derivation")
-    p_derive.add_argument("target", choices=DERIVE_TARGETS)
-    p_derive.add_argument("--m", type=int, default=2,
-                          help="number of domain elements (default 2)")
-    p_derive.add_argument("--n", type=int, default=None,
-                          help="second domain size (distributivity)")
-    p_derive.add_argument("--i", type=int, default=1,
-                          help="1-based outcome index (collapse)")
-    p_derive.add_argument("--domain", default="D", type=_name,
-                          help="domain name")
-    p_derive.add_argument("--pred", default="A", type=_name,
-                          help="predicate symbol")
-    p_derive.add_argument("--gamma", default="G", type=_name,
-                          help="context metavariable")
-    p_derive.add_argument("--out", default=None, help="write the script here")
-    add_theory_flags(p_derive)
-
-    p_measure = sub.add_parser("measure", help="Born-rule measurement")
-    p_measure.add_argument("--state", required=True,
-                           help="named state, inline JSON, or @file")
-    p_measure.add_argument("--basis", default="Z",
-                           help="Z|X|Y, inline JSON, or @file")
-    p_measure.add_argument("--json", action="store_true")
-
-    p_translate = sub.add_parser("translate",
-                                 help="state to sequent assertion")
-    p_translate.add_argument("--state", required=True)
-    p_translate.add_argument("--basis", default="Z")
-    p_translate.add_argument("--bipartite", action="store_true")
-    p_translate.add_argument("--gamma", default="G", type=_name)
-    p_translate.add_argument("--json", action="store_true")
-
-    return parser
+def _int(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"invalid int value: {value!r}") from None
 
 
 def _theory_config(args, base: Optional[TheoryConfig] = None) -> TheoryConfig:
@@ -127,23 +87,27 @@ def _theory_config(args, base: Optional[TheoryConfig] = None) -> TheoryConfig:
 def _load_state(spec: str) -> quantum.QState:
     if spec in quantum.NAMED_STATES:
         return quantum.named_state(spec)
-    doc = _load_json(spec, "state")
-    return quantum.state_from_json(doc)
+    return quantum.state_from_json(_load_json(spec, "state"))
 
 
 def _load_basis(spec: str) -> quantum.Basis:
     if spec in quantum.BUILTIN_BASES:
         return quantum.named_basis(spec)
-    doc = _load_json(spec, "basis")
-    return quantum.basis_from_json(doc)
+    return quantum.basis_from_json(_load_json(spec, "basis"))
 
 
 def _load_json(spec: str, what: str):
+    import json
     text = _read(spec[1:]) if spec.startswith("@") else spec
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DslSyntaxError(f"bad {what} JSON: {exc}", 1, 1)
+
+
+def _print_json(doc) -> None:
+    import json
+    print(json.dumps(doc, indent=2))
 
 
 def _read(path: str) -> str:
@@ -175,10 +139,11 @@ def _print_report(report: CheckReport, as_json: bool) -> int:
             } for s in report.steps],
             "assumptions": [render_sequent(a, memo)
                             for a in report.assumptions],
+            "closed": not report.assumptions,
             "axioms_used": report.axioms_used,
             "notes": report.notes,
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         for s in report.steps:
             status = "ok" if s.ok else f"FAIL ({s.reason})"
@@ -201,37 +166,30 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_derive(args) -> int:
+    from . import theorems
     cfg = _theory_config(args)
     name = args.domain
     pred = args.pred
     table = DomainTable()
 
-    def ctx():
-        return (ContextVar(args.gamma),)
-
-    if args.target == "reflection":
+    gamma = (ContextVar(args.gamma),)
+    if args.target != "uncertainty":
         domain = theorems.schematic_domain(name, args.m)
         table.register(domain)
+    if args.target == "reflection":
         derivation = theorems.derive_reflection(domain, pred)
         title = "reflection: universal instantiation from identity"
-    elif args.target in ("lemma1", "prop1"):
-        domain = theorems.schematic_domain(name, args.m)
-        table.register(domain)
-        if args.target == "lemma1":
-            derivation = theorems.derive_lemma1(ctx(), pred, domain, cfg=cfg)
-            title = "lemma: conjunction over a focused domain to the universal"
-        else:
-            derivation = theorems.derive_prop1(pred, domain, cfg=cfg)
-            title = "mixed-state formula entails the predicative state"
+    elif args.target == "lemma1":
+        derivation = theorems.derive_lemma1(gamma, pred, domain, cfg=cfg)
+        title = "lemma: conjunction over a focused domain to the universal"
+    elif args.target == "prop1":
+        derivation = theorems.derive_prop1(pred, domain, cfg=cfg)
+        title = "mixed-state formula entails the predicative state"
     elif args.target == "prop2":
-        domain = theorems.schematic_domain(name, args.m)
-        table.register(domain)
         derivation = theorems.derive_prop2(domain)
         title = "schematic conjunction-to-universal derivability focuses"
     elif args.target == "prop3":
-        domain = theorems.schematic_domain(name, args.m)
-        table.register(domain)
-        verdict = theorems.check_reversibility(domain, cfg, ctx(), pred)
+        verdict = theorems.check_reversibility(domain, cfg, gamma, pred)
         if not verdict.reversible:
             print(f"NOT REVERSIBLE: substitution over {name} has no inverse "
                   f"generalization; missing {verdict.missing_axiom}")
@@ -239,8 +197,6 @@ def _cmd_derive(args) -> int:
         derivation = verdict.witness
         title = "reversibility witness: instantiate then generalize back"
     elif args.target == "collapse":
-        domain = theorems.schematic_domain(name, args.m)
-        table.register(domain)
         collapse, repeat = theorems.derive_collapse_and_repeat(
             domain, args.i, pred, cfg=cfg)
         label = domain.labels[args.i - 1]
@@ -252,13 +208,11 @@ def _cmd_derive(args) -> int:
         if args.classical_right_contexts is None:
             # the construction needs classical right contexts; default them on
             cfg = TheoryConfig(cfg.singleton_axioms, cfg.focused_domains, True)
-        d1 = theorems.schematic_domain(name, args.m)
         n = args.m if args.n is None else args.n
-        d2 = theorems.schematic_domain(name + "'", n)
-        table.register(d1)
-        table.register(d2)
-        nested, split = theorems.derive_distributivity(d1, d2, cfg=cfg,
-                                                       gamma=ctx())
+        other = theorems.schematic_domain(name + "'", n)
+        table.register(other)
+        nested, split = theorems.derive_distributivity(domain, other, cfg=cfg,
+                                                       gamma=gamma)
         derivation = split
         report1 = check(nested, cfg, table)
         if not report1.accepted:
@@ -286,7 +240,8 @@ def _cmd_derive(args) -> int:
     if args.json:
         doc = derivation_to_json(derivation, table, config=cfg)
         doc["accepted"] = report.accepted
-        print(json.dumps(doc, indent=2))
+        doc["closed"] = not report.assumptions
+        _print_json(doc)
         return EXIT_OK if report.accepted else EXIT_LOGICAL
     print(text, end="")
     return _print_report(report, False)
@@ -297,7 +252,7 @@ def _cmd_measure(args) -> int:
     basis = _load_basis(args.basis)
     domain = quantum.measure(psi, basis)
     if args.json:
-        print(json.dumps(domain_to_json(domain), indent=2))
+        _print_json(domain_to_json(domain))
     else:
         elems = ", ".join(
             f"({e.state}, {render_rational(e.prob)})" if isinstance(e, Outcome)
@@ -317,7 +272,7 @@ def _cmd_translate(args) -> int:
             "sequent": render_sequent(sequent),
             "domains": [domain_to_json(d) for d in table.domains()],
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         for d in table.domains():
             focused = " focused" if d.focused else ""
@@ -326,29 +281,209 @@ def _cmd_translate(args) -> int:
     return EXIT_OK
 
 
+# ---------------------------------------------------------------------------
+# the argument table
+
+_DESCRIPTION = ("Proof kernel for sequent calculi over random first-order "
+                "domains,\nwith a quantum backend.")
+
+#: the default of an option that every command line must give
+_REQUIRED = object()
+
+# An option is (reader, default, help).  A reader of None makes a flag,
+# False until given; a list default makes the option repeatable, each
+# value appended to a copy of the list.
+_THEORY_OPTIONS = {
+    "--focused": (_name, [], "declare a domain focused (repeatable)"),
+    "--singleton-axioms": (_on_off, None, "the singleton axioms (default on)"),
+    "--no-singleton-axioms": (None, False, "same as --singleton-axioms off"),
+    "--classical-right-contexts": (_on_off, None, "right contexts in the "
+                                   "universal equation (default off)"),
+    "--json": (None, False, "machine output"),
+}
+_STATE_OPTIONS = {
+    "--state": (str, _REQUIRED, "named state, inline JSON, or @file"),
+    "--basis": (str, "Z", "Z|X|Y, inline JSON, or @file"),
+}
+_GAMMA = (_name, "G", "context metavariable")
+
+#: command -> (handler, help, positional argument or None, the values it
+#: may take or None for any, options)
+COMMANDS = {
+    "check": (_cmd_check, "check a proof script", "file", None,
+              _THEORY_OPTIONS),
+    "derive": (_cmd_derive, "emit a named derivation", "target",
+               DERIVE_TARGETS, {
+                   "--m": (_int, 2, "number of domain elements (default 2)"),
+                   "--n": (_int, None, "second domain size (distributivity)"),
+                   "--i": (_int, 1, "1-based outcome index (collapse)"),
+                   "--domain": (_name, "D", "domain name"),
+                   "--pred": (_name, "A", "predicate symbol"),
+                   "--gamma": _GAMMA,
+                   "--out": (str, None, "write the script here"),
+                   **_THEORY_OPTIONS}),
+    "measure": (_cmd_measure, "Born-rule measurement", None, None,
+                {**_STATE_OPTIONS, "--json": _THEORY_OPTIONS["--json"]}),
+    "translate": (_cmd_translate, "state to sequent assertion", None, None, {
+        **_STATE_OPTIONS,
+        "--bipartite": (None, False, "a two-qubit state, in Schmidt form"),
+        "--gamma": _GAMMA,
+        "--json": _THEORY_OPTIONS["--json"]}),
+}
+
+# argparse's rule: a negative number is a value, not an option
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _is_option(arg: str) -> bool:
+    return arg.startswith("-") and arg != "-" and not _NEGATIVE.match(arg)
+
+
+def _split(command: str, arg: str, options: dict) -> tuple:
+    """(option, value after ``=`` or None) of the option argument ``arg``,
+    whose name may be a prefix of one option's."""
+    flag, eq, value = arg.partition("=")
+    if flag == "-h":
+        flag = "--help"
+    if flag not in options and flag != "--help":
+        spelt = [o for o in (*options, "--help") if o.startswith(flag)]
+        if not flag.startswith("--") or not spelt:
+            raise _Usage(command, f"unrecognized arguments: {arg}")
+        if len(spelt) > 1:
+            raise _Usage(command, f"ambiguous option: {flag} could match "
+                                  f"{', '.join(spelt)}")
+        flag = spelt[0]
+    return flag, (value if eq else None)
+
+
+def _parse(argv: list):
+    """(handler, arguments) of the command line ``argv``, or None when it
+    asks for help, which is then printed.  Raises ``_Usage``."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_help(None))
+        return None
+    if not argv:
+        raise _Usage(None, "the following arguments are required: command")
+    command, rest = argv[0], iter(argv[1:])
+    if command not in COMMANDS:
+        raise _Usage(None, f"argument command: invalid choice: {command!r} "
+                           f"(choose from {', '.join(map(repr, COMMANDS))})")
+    handler, _, positional, choices, options = COMMANDS[command]
+    values = {_dest(flag): list(default) if isinstance(default, list)
+              else default for flag, (_, default, _) in options.items()}
+    free = []
+    for arg in rest:
+        if arg == "--":
+            free.extend(rest)
+            break
+        if not _is_option(arg):
+            free.append(arg)
+            continue
+        flag, value = _split(command, arg, options)
+        if flag == "--help":
+            print(_help(command))
+            return None
+        reader, default, _ = options[flag]
+        dest = _dest(flag)
+        if reader is None:
+            if value is not None:
+                raise _Usage(command, f"argument {flag}: ignored explicit "
+                                      f"argument {value!r}")
+            values[dest] = True
+            continue
+        if value is None:
+            value = next(rest, None)
+            if value is None or _is_option(value):
+                raise _Usage(command, f"argument {flag}: expected one argument")
+        try:
+            value = reader(value)
+        except ValueError as exc:
+            raise _Usage(command, f"argument {flag}: {exc}") from None
+        if isinstance(default, list):
+            values[dest].append(value)
+        else:
+            values[dest] = value
+    missing = [positional] if positional and not free else []
+    missing += [flag for flag in options if values[_dest(flag)] is _REQUIRED]
+    if missing:
+        raise _Usage(command, "the following arguments are required: "
+                              + ", ".join(missing))
+    if positional:
+        value = values[positional] = free.pop(0)
+        if choices and value not in choices:
+            raise _Usage(command, f"argument {positional}: invalid choice: "
+                                  f"{value!r} (choose from "
+                                  f"{', '.join(map(repr, choices))})")
+    if free:
+        raise _Usage(command, f"unrecognized arguments: {' '.join(free)}")
+    return handler, SimpleNamespace(command=command, **values)
+
+
+def _spelling(flag: str, reader) -> str:
+    if reader is None:
+        return flag
+    return f"{flag} {'on|off' if reader is _on_off else _dest(flag).upper()}"
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: rfod [-h] {{{','.join(COMMANDS)}}} ..."
+    _, _, positional, choices, options = COMMANDS[command]
+    lines = [f"usage: rfod {command} [-h]"]
+    words = []
+    if positional:
+        words.append(f"{{{','.join(choices)}}}" if choices else positional)
+    for flag, (reader, default, _) in options.items():
+        word = _spelling(flag, reader)
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    for word in words:
+        if len(lines[-1]) + len(word) >= 79:
+            lines.append(" " * len(f"usage: rfod {command}"))
+        lines[-1] += " " + word
+    return "\n".join(lines)
+
+
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        about, heading = _DESCRIPTION, "commands"
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        _, about, _, _, options = COMMANDS[command]
+        heading = "options"
+        rows = [("-h, --help", "show this help and exit")] + [
+            (_spelling(flag, reader), text)
+            for flag, (reader, _, text) in options.items()]
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [_usage(command), "", about, "", f"{heading}:",
+             *(f"  {left:<{width}}{text}" for left, text in rows)]
+    if command is None:
+        lines += ["", *map(_usage, COMMANDS)]
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        parsed = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Usage as exc:
+        command, reason = exc.args
+        prog = "rfod" if command is None else f"rfod {command}"
+        print(f"{_usage(command)}\n{prog}: error: {reason}", file=sys.stderr)
+        return EXIT_USAGE
+    if parsed is None:
+        return EXIT_OK
+    handler, args = parsed
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "derive":
-            return _cmd_derive(args)
-        if args.command == "measure":
-            return _cmd_measure(args)
-        if args.command == "translate":
-            return _cmd_translate(args)
-        parser.error(f"unknown command {args.command}")
+        return handler(args)
     except (DslSyntaxError, LookupFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionError, RfodError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOGICAL
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

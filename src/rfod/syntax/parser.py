@@ -58,7 +58,6 @@ is reported first, as when the whole text is lexed before the parse.
 from __future__ import annotations
 
 import re
-import string
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -137,7 +136,8 @@ _HEAD = 12
 #: shortest suffixes of a chain before its longer ones, so that a chain
 #: repeating one operand does not make every look-up compare long texts
 _BUCKET = 4
-_IDENT_CHARS = frozenset(string.ascii_letters + string.digits + "_'^")
+_IDENT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                         "0123456789_'^")
 _ITEM_ENDS = frozenset({",", "comma_label", "turnstile", "eof"})
 #: the tokens that may follow a text taken from the memo
 _ENDS = _ITEM_ENDS | {")", ";", '"'}

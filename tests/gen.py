@@ -9,7 +9,7 @@ import os
 import random
 from fractions import Fraction
 
-from .syntax.ast import (
+from rfod.syntax.ast import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, Eq, Exists,
     Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Var,
 )
@@ -18,6 +18,8 @@ VAR_NAMES = ("z", "y", "w", "v", "u1", "u2")
 PRED_NAMES = ("A", "B", "C", "A'", "P")
 DOMAIN_NAMES = ("D", "D'", "DS", "DZ", "E")
 STATE_LABELS = ("s0", "s1", "t1", "t2", "up_y")
+KEYWORDS = ("forall", "exists", "bowtie", "in", "bot")
+NAME_KINDS = ("keyword", "sharp", "not_identifier", "valid")
 
 
 def seed_from_env(default: int = 0) -> int:
@@ -149,3 +151,24 @@ def random_probability_list(rng: random.Random, valid: bool = True) -> list:
         parts[0] = parts[0] + bump if rng.random() < 0.5 else max(
             Fraction(1, 1000), parts[0] - bump)
     return parts
+
+
+def random_name(rng: random.Random, kind: str) -> str:
+    """A seeded candidate name of one of NAME_KINDS: a keyword, an
+    identifier ending in ``^f``, a text that is no identifier, or a valid
+    name (an identifier that is neither)."""
+    if kind == "keyword":
+        return rng.choice(KEYWORDS)
+    head = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+    name = rng.choice(head) + "".join(
+        rng.choice(head + "0123456789'^") for _ in range(rng.randrange(5)))
+    if kind == "sharp":
+        return name + "^f"
+    if kind == "not_identifier":
+        cut = rng.randrange(len(name) + 1)
+        return rng.choice((
+            "", rng.choice("0123456789") + name,
+            name[:cut] + rng.choice(" -.,;:#()<>{}=|!\"@$%&*+/?é") + name[cut:]))
+    if name in KEYWORDS or name.endswith("^f"):
+        return name + "1"
+    return name

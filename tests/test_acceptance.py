@@ -18,10 +18,6 @@ from rfod.calculus import (
 )
 from rfod.cli import main as cli_main
 from rfod.errors import DomainError
-from rfod.gen import (
-    make_rng, random_domain, random_dual_fragment_sequent, random_formula,
-    random_probability_list, random_sequent,
-)
 from rfod.quantum import (
     IdentificationMode, QState, basis_y, basis_z, density_of, emit_assertion,
     measure, named_state, purity, schmidt,
@@ -34,6 +30,11 @@ from rfod.theorems import (
     check_reversibility, derive_collapse_and_repeat, derive_distributivity,
     derive_lemma1, derive_prop1, derive_prop2, derive_reflection,
     derive_remeasure, schematic_domain,
+)
+
+from gen import (
+    make_rng, random_domain, random_dual_fragment_sequent, random_formula,
+    random_probability_list, random_sequent,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "reflection.script"
@@ -272,7 +273,7 @@ def _bowtie_case(rng):
 
 
 def _equality_round_trip(rng):
-    from rfod.gen import random_term
+    from gen import random_term
     s = random_sequent(rng, max_items=2)
     t = random_term(rng)
     enriched = equation_step(s, RuleId.EQ_EQUALITY, BACKWARD, {"term": t})[0]

@@ -1,6 +1,7 @@
 """Command dispatch, exit codes, and the derive/check round trip."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from rfod.calculus import parse_script
-from rfod.cli import main
-from rfod.syntax import render_domain
+from rfod.cli import COMMANDS, _parse, main
+from rfod.syntax import ContextVar, parse_sequent, render_domain, render_sequent
+
+from gen import NAME_KINDS, make_rng, random_name
 
 ALL_TARGETS = ("reflection", "lemma1", "prop1", "prop2", "prop3",
                "collapse", "distributivity", "uncertainty")
@@ -133,6 +136,80 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "measure")[0] == 2  # missing required flag
 
 
+DERIVE_DEFAULTS = {
+    "command": "derive", "target": "reflection", "m": 2, "n": None, "i": 1,
+    "domain": "D", "pred": "A", "gamma": "G", "out": None, "focused": [],
+    "singleton_axioms": None, "no_singleton_axioms": False,
+    "classical_right_contexts": None, "json": False}
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["derive", "reflection"], DERIVE_DEFAULTS),
+    (["derive", "reflection", "--m=3"], dict(DERIVE_DEFAULTS, m=3)),
+    (["derive", "lemma1", "--focused", "D", "--focused", "E"],
+     {"target": "lemma1", "focused": ["D", "E"]}),
+    (["derive", "--foc", "D", "prop1", "--no-s", "--n", "-1"],
+     {"target": "prop1", "focused": ["D"], "no_singleton_axioms": True,
+      "n": -1}),
+    (["check", "x.script", "--singleton-axioms", "off"],
+     {"file": "x.script", "singleton_axioms": False,
+      "no_singleton_axioms": False}),
+    (["check", "x.script", "--no-singleton-axioms"],
+     {"singleton_axioms": None, "no_singleton_axioms": True}),
+    (["check", "--classical-right-contexts=on", "--", "-x"],
+     {"file": "-x", "classical_right_contexts": True}),
+    (["translate", "--state", "bell", "--bip", "--basis=X"],
+     {"state": "bell", "basis": "X", "bipartite": True, "gamma": "G",
+      "json": False}),
+    (["measure", "--state", "plus"], {"state": "plus", "basis": "Z"}),
+    (["derive", "reflection", "--bogus"], "unrecognized arguments: --bogus"),
+    (["derive", "reflection", "--m"], "argument --m: expected one argument"),
+    (["derive", "reflection", "--out", "--json"],
+     "argument --out: expected one argument"),
+    (["derive", "reflection", "--m", "x"],
+     "argument --m: invalid int value: 'x'"),
+    (["check", "x", "--singleton-axioms", "yes"],
+     "argument --singleton-axioms: expected on|off"),
+    (["check", "x", "--json=yes"],
+     "argument --json: ignored explicit argument 'yes'"),
+    (["translate", "--state", "bell", "--b", "X"],
+     "ambiguous option: --b could match --basis, --bipartite"),
+    (["derive", "lemma2"], "argument target: invalid choice: 'lemma2' "
+                           "(choose from 'reflection', 'lemma1', "),
+    (["derive", "reflection", "lemma1"], "unrecognized arguments: lemma1"),
+    (["check"], "the following arguments are required: file"),
+    (["measure", "--basis", "X"],
+     "the following arguments are required: --state"),
+    ([], "the following arguments are required: command"),
+    (["prove"], "argument command: invalid choice: 'prove'"),
+])
+def test_argument_reader(capsys, argv, expected):
+    """Each command line reads as argparse read it: to these arguments, or
+    to exit 2 with this reason."""
+    if isinstance(expected, dict):
+        _, args = _parse(argv)
+        assert {key: getattr(args, key) for key in expected} == expected
+        if expected is DERIVE_DEFAULTS:
+            assert vars(args) == expected
+        return
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: rfod")
+    assert f"error: {expected}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], *([command, "--help"] for command in COMMANDS),
+    ["derive", "reflection", "-h"], ["translate", "--he"]])
+def test_help_names_every_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    for command in COMMANDS if argv[0].startswith("-") else argv[:1]:
+        assert f"usage: rfod {command} " in out
+        for flag in COMMANDS[command][4]:
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", out), flag
+
+
 def test_check_json_report(tmp_path, capsys):
     script = tmp_path / "r.seq"
     run(capsys, "derive", "reflection", "--out", str(script))
@@ -150,6 +227,25 @@ def test_derive_json_output(capsys):
     assert doc["accepted"] is True
     assert doc["steps"][-1]["conclusion"] == \
         "forall x in D . A(x), z in D |- A(z)"
+
+
+#: whether the derivation of each target leaves an open assumption
+CLOSED = {"reflection": True, "lemma1": False, "prop1": True, "prop2": False,
+          "prop3": False, "collapse": True, "distributivity": False,
+          "uncertainty": False}
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_json_says_whether_the_proof_is_closed(tmp_path, capsys, target):
+    script = tmp_path / f"{target}.script"
+    focus = ["--focused", "D"] if target in ("lemma1", "prop1", "prop3") else []
+    for argv in (["derive", target, "--out", str(script)],
+                 ["check", str(script)]):
+        code, out, _ = run(capsys, *argv, *focus, "--json")
+        doc = json.loads(out)
+        assert (code, doc["accepted"], doc["closed"]) == \
+            (0, True, CLOSED[target]), argv
+    assert doc["closed"] == (not doc["assumptions"])
 
 
 def test_bad_script_is_usage_error(tmp_path, capsys):
@@ -390,6 +486,44 @@ def test_names_that_do_not_read_back_are_refused_at_the_argument(
     assert message in err
 
 
+def test_seeded_names_read_back_or_are_refused(tmp_path, capsys):
+    """A name rfod accepts as an argument reads back from what it writes;
+    one it refuses is refused at the argument."""
+    rng = make_rng(23)
+    script = tmp_path / "named.script"
+    for flag in ("domain", "pred", "gamma", "focused"):
+        for kind in NAME_KINDS * 6:
+            name = random_name(rng, kind)
+            focus = ["--focused", "D"]
+            if flag in ("domain", "focused"):
+                focus = ["--domain", name, "--focused", name]
+            argv = ["derive", rng.choice(ALL_TARGETS), f"--{flag}", name,
+                    *focus, "--out", str(script)]
+            code, out, err = run(capsys, *argv)
+            if kind != "valid":
+                assert (code, out) == (2, "") and \
+                    f"argument --{flag}: " in err, argv
+                continue
+            assert code == 0, (argv, err)
+            assert run(capsys, "check", str(script)) == \
+                (code, out[len(script.read_text()):], ""), argv
+    for kind in NAME_KINDS * 8:
+        name = random_name(rng, kind)
+        state = rng.choice((["plus"], ["bell", "--bipartite"],
+                            ["product_0plus", "--bipartite"]))
+        code, out, err = run(capsys, "translate", "--gamma", name,
+                             "--state", *state)
+        if kind != "valid":
+            assert (code, out) == (2, "") and "argument --gamma: " in err
+            continue
+        *declared, assertion = out.splitlines()
+        assert code == 0 and declared, err
+        parse_script("\n".join(declared) + "\n")
+        sequent = parse_sequent(assertion)
+        assert render_sequent(sequent) == assertion
+        assert sequent.antecedent[0] == ContextVar(name)
+
+
 def test_derived_names_read_back(tmp_path, capsys):
     script = tmp_path / "lemma1.script"
     code, out, _ = run(capsys, "derive", "lemma1", "--domain", "E'",
@@ -492,6 +626,20 @@ def test_translate_and_measure_leave_numpy_unloaded(argv, expected):
                 f"assert rfod.cli.main({argv!r}) == 0\n"
                 "print('numpy' in sys.modules)")
     assert out == expected + "False\n"
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["check", str(GOLDEN / "reflection.script")],
+     ["argparse", "json", "rfod.theorems"]),
+    (["derive", "reflection"], ["argparse", "json"]),
+    (["translate", "--bipartite", "--state", "bell"],
+     ["argparse", "json", "rfod.theorems"])],
+    ids=["check", "derive", "translate"])
+def test_commands_load_only_what_they_use(argv, unused):
+    out = fresh("import sys, rfod.cli\n"
+                f"assert rfod.cli.main({argv!r}) == 0\n"
+                f"print(sorted(set({unused!r}) & set(sys.modules)))")
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_bare_import_holds_quantum_but_not_numpy():

@@ -10,9 +10,10 @@ from rfod.calculus import parse_script
 from rfod.calculus import script as script_module
 from rfod.cli import DERIVE_TARGETS, main as cli_main
 from rfod.errors import DslSyntaxError, RfodError
-from rfod.gen import make_rng
 from rfod.syntax import walk
 from rfod.syntax.parser import _Parser
+
+from gen import make_rng
 
 #: the edits under which a derived script must be rejected
 REJECT_EDITS = {

@@ -22,10 +22,11 @@ from rfod.syntax import (
     walk,
 )
 from rfod.calculus import TheoryConfig, dualize
-from rfod.gen import (
+from rfod.theorems import derive_lemma1, schematic_domain
+
+from gen import (
     make_rng, random_formula, random_probability_list, random_sequent,
 )
-from rfod.theorems import derive_lemma1, schematic_domain
 
 
 def test_parse_context_var_and_membership():
@@ -246,15 +247,17 @@ def test_probability_mass_is_exact():
 
 
 def test_seeded_corpus_does_not_depend_on_the_hash_seed():
-    code = ("from rfod.gen import make_rng, random_sequent\n"
+    code = ("from gen import make_rng, random_sequent\n"
             "from rfod.syntax import render\n"
             "rng = make_rng(3)\n"
             "for _ in range(200):\n"
             "    print(render(random_sequent(rng)))\n")
     corpora = []
     for hash_seed in ("1", "2"):
+        # gen.py lives beside this file
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(sys.path))
+                   PYTHONPATH=os.pathsep.join(
+                       [str(Path(__file__).parent), *sys.path]))
         corpora.append(subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,
             text=True, check=True).stdout)

@@ -15,7 +15,8 @@ from rfod.theorems import (
     derive_prop1, derive_prop2, derive_reflection, derive_remeasure,
     generalize, prop2_hypothesis, schematic_domain,
 )
-from rfod.gen import make_rng
+
+from gen import make_rng
 
 HALF = Fraction(1, 2)
 FOCUSED_D = TheoryConfig(focused_domains=frozenset({"D"}))
@@ -412,7 +413,7 @@ def test_distributivity_shapes_outside_dual_fragment():
 
 def test_reversibility_matches_focus_over_random_corpus():
     rng = make_rng(23)
-    from rfod.gen import random_domain
+    from gen import random_domain
     for k in range(100):
         domain = random_domain(rng, name=f"D{k}")
         focused = rng.random() < 0.5
