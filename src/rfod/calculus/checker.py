@@ -319,14 +319,16 @@ def _validate_ax_member(c: Sequent, rule: RuleId, direction: Optional[str],
              "membership fact is |- t in D")
     mem = c.succedent[0]
     _require(isinstance(mem, Member), "membership fact concludes t in D")
+    term = mem.term  # it can name only the element with its state label
+    label = term.name if isinstance(term, Var) else term_state(term)
     if sharp:
         _require(cfg.singleton_axioms, "sharp membership facts are disabled "
                                        "(singleton_axioms off)")
-        labels = _lookup(table.sharp_labels, mem.domain, params, sharp)
-        elements = [Sharp(s) for s in labels]
+        element = Sharp(label) if label in _lookup(
+            table.sharp_labels, mem.domain, params, sharp) else None
     else:
-        elements = _lookup(table.resolve, mem.domain, params).elements
-    _require(any(_element_matches(mem.term, e) for e in elements),
+        element = _lookup(table.resolve, mem.domain, params).element(label)
+    _require(element is not None and _element_matches(term, element),
              f"term does not name an element of {mem.domain}")
 
 

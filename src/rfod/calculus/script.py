@@ -9,8 +9,8 @@ A script is declarations followed by numbered steps:
     step 1 identity :: forall x in D . A(x) |- forall x in D . A(x)
     step 2 eq_forall_r backward var=z from 1 :: forall x in D . A(x), z in D |- A(z)
 
-Each line is read by the sequent DSL's tokenizer and one parser over its
-tokens, so every error carries its real line and column:
+A step header is matched by one pattern, an item at a time, and the rest
+by the sequent DSL's parser, so every error carries its real line and column:
 
     line  := "domain" DOM "=" "{" [term ("," term)*] "}" FLAG*
            | "predicate" IDENT ["/" INT] | "config" KEY ("on" | "off")
@@ -25,13 +25,15 @@ last one.  The JSON export carries the same content as a tree.
 """
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import Optional
 
 from ..errors import DslSyntaxError, RfodError
 from ..syntax.ast import (
     Domain, DomainTable, _Record, is_singleton_literal, term_prob, term_state,
 )
-from ..syntax.parser import _Parser, _shown, name_fault
+from ..syntax.parser import _WORD, _Parser, _shown, name_fault
 from ..syntax.printer import (
     render_domain, render_formula, render_sequent, render_term,
 )
@@ -183,7 +185,6 @@ def domain_to_json(dom: Domain, focused_override: bool = False) -> dict:
 # parsing
 
 _RULES_BY_NAME = {r.value: r for r in RuleId}
-_DIRECTIONS = {"forward", "backward"}
 
 
 def parse_script(text: str) -> ProofScript:
@@ -215,7 +216,7 @@ def parse_script(text: str) -> ProofScript:
                                     f"found {value!r}")
                 flags[_CONFIG_KEYS[key]] = value == "on"
             elif first.text == "step":
-                _parse_step_line(p, script, seen_ids)
+                _parse_step_line(p, first.column + 3, script, seen_ids)
                 seen_ids[script.steps[-1][0]] = (lineno, first.column)
             else:
                 raise RfodError("unrecognised script line starting "
@@ -268,51 +269,77 @@ def _parse_domain_decl(p: _Parser, script: ProofScript) -> None:
                                    kind=kind))
 
 
-_STEP_ID = ("rational", "ident")
+@lru_cache(maxsize=None)
+def _header():
+    """A step header's start and one item of it, each whole tokens."""
+    step_id = r"(?:\d+(?:/\d+)?|\.\d+|%s(?![A-Za-z0-9_'^]))" % _WORD
+    start = r"[ \t\r]*(?P<id>%s)[ \t\r]*(?P<rule>%s)" % (step_id, _WORD)
+    item = r"""[ \t\r]*(?:(?P<direction>forward|backward)(?![A-Za-z0-9_'^])
+      | from(?![A-Za-z0-9_'^])(?:[ \t\r]*
+            (?P<refs>{id}(?:[ \t\r]*,[ \t\r]*{id})*)(?:[ \t\r]*,)?)?
+      | (?P<key>{word})(?P<eq>[ \t\r]*=[ \t\r]*(?P<quote>")?)(?:[ \t\r]*
+            (?:(?P<int>\d+(?![\d/]))|(?P<name>{word}))(?(quote)[ \t\r]*"))?
+      | (?P<end>::))""".format(id=step_id, word=_WORD)
+    return re.compile(start), re.compile(item, re.VERBOSE)
 
 
-def _parse_step_line(p: _Parser, script: ProofScript, seen_ids: dict) -> None:
-    if not p.lex_to("::"):
+def _parse_step_line(p: _Parser, pos: int, script: ProofScript,
+                     seen_ids: dict) -> None:
+    """The step line of ``p`` from offset ``pos``, after ``step``: each
+    value an item of the header does not hold, and the conclusion, are
+    read by ``p`` moved to where they start."""
+    text = p.text
+    end = text.find("::", pos)
+    if end < 0 or text.find("--", pos, end) >= 0:
         raise RfodError("step line needs ':: <sequent>'")
-    step_id, rule_name = p.next(), p.next()
-    if step_id.kind not in _STEP_ID or rule_name.kind != "ident":
+    start, item = _header()
+    m = start.match(text, pos)
+    if m is None:
         raise RfodError("step line starts 'step <id> <rule>'")
-    step_id = step_id.text
-    rule = _RULES_BY_NAME.get(rule_name.text)
+    step_id, rule = m["id"], _RULES_BY_NAME.get(m["rule"])
     if rule is None:
-        raise RfodError(f"unknown rule {rule_name.text}")
+        raise RfodError(f"unknown rule {m['rule']}")
     direction = None
     params: dict = {}
     refs: list = []
+    pos = m.end()
     while True:
-        tok = p.next()
-        if tok.kind == "::":
+        m = item.match(text, pos)
+        if m is None:
+            p.lex_from(pos)
+            p.fail(f"unexpected token {_shown(p.peek())!r} in step line")
+        pos = m.end()
+        key = m["key"]
+        if key is not None:
+            if key not in _PARAMS:
+                p.lex_from(m.start("key"))
+                p.fail(f"unknown parameter {key}")
+            kind = _PARAMS[key]
+            if kind[0] is _integer and m["int"]:
+                params[key] = int(m["int"])
+            elif kind is _NAME and m["name"]:
+                params[key] = m["name"]
+            else:
+                p.lex_from(m.end("eq"))
+                params[key] = kind[0](p, f"parameter {key}")
+                if m["quote"]:
+                    p.expect('"')
+                pos = p.peek().column - 1
+        elif m["direction"]:
+            direction = m["direction"]
+        elif m["end"]:
             break
-        if tok.kind == "ident" and tok.text in _DIRECTIONS:
-            direction = tok.text
-        elif tok.kind == "ident" and tok.text == "from":
-            while p.peek().kind in _STEP_ID:
-                refs.append(p.next().text)
-                if not p.accept(","):
-                    break
+        else:
+            refs += (m["refs"] or "").replace(",", " ").split()
             if not refs:
                 raise RfodError("'from' needs premise ids")
-        elif tok.kind == "ident" and p.accept("="):
-            if tok.text not in _PARAMS:
-                p.fail(f"unknown parameter {tok.text}", tok)
-            quoted = p.accept('"')
-            params[tok.text] = _PARAMS[tok.text][0](p, f"parameter {tok.text}")
-            if quoted:
-                p.expect('"')
-        else:
-            p.fail(f"unexpected token {_shown(tok)!r} in step line", tok)
     if step_id in seen_ids:
         raise RfodError(f"duplicate step id {step_id}")
     for r in refs:
         if r not in seen_ids:
             raise RfodError(f"step {step_id} references unknown step {r}")
-    conclusion = p.parse_sequent()
-    p.finish()
+    p.lex_from(pos)
+    conclusion = p.read(p.parse_sequent)
     script.steps.append((step_id, rule, direction, params, refs, conclusion))
 
 

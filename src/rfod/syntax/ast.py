@@ -33,7 +33,7 @@ canonical text, from the printer's own explicit-stack loop.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ..errors import DomainError
 
@@ -320,10 +320,6 @@ class Correlated(_Syntax):
         _set_correlated_label(self, label)
         _set_correlated_left(self, left)
         _set_correlated_right(self, right)
-
-
-Item = Union[Formula, ContextVar]
-SuccItem = Union[Formula, ContextVar, Correlated]
 
 
 class Sequent(_Syntax):
@@ -696,7 +692,7 @@ def domain_kind(probs) -> str:
 class Domain(_Frozen):
     """Named random first-order domain: outcome terms plus focus status."""
 
-    __slots__ = ("name", "elements", "focused", "kind")
+    __slots__ = ("name", "elements", "focused", "kind", "_by_label")
 
     def __init__(self, name: str, elements: tuple, focused: bool = False,
                  kind: str = "measured"):
@@ -733,10 +729,15 @@ class Domain(_Frozen):
         if is_singleton_literal(name) and labels != [name[1:-1]]:
             raise DomainError(f"domain {name}: a singleton literal name "
                               f"holds exactly {{ #{name[1:-1]} }}")
+        object.__setattr__(self, "_by_label", dict(zip(labels, elements)))
 
     @property
     def labels(self) -> tuple:
-        return tuple(term_state(e) for e in self.elements)
+        return tuple(self._by_label)
+
+    def element(self, label: str) -> Optional[Term]:
+        """The element with state label ``label``, or None."""
+        return self._by_label.get(label)
 
     @property
     def probs(self) -> tuple:

@@ -25,11 +25,13 @@ Three tokens only proof-script lines use: ``::`` before a step's
 conclusion, ``"`` around a parameter value, ``/`` before an arity.
 
 The lexer is one scan over one pattern, from a given line number, so a
-line of a larger file keeps its real positions.  An outcome term written
-on one line, ``<t, 1/2>``, is a single ``outcome`` lexeme, and equal
-lexemes share one ``Outcome`` object.  Chains of ``&``, ``\\/`` and ``*``
-are read as operand lists and built right-nested, so their length costs
-no recursion depth.
+line of a larger file keeps its real positions.  A proof script matches a
+step header with a pattern of its own, and restarts the scan of its line
+(``lex_from``) where a value or the conclusion starts.  An outcome term
+written on one line, ``<t, 1/2>``, is a single ``outcome`` lexeme, and
+equal lexemes share one ``Outcome`` object.  Chains of ``&``, ``\\/`` and
+``*`` are read as operand lists and built right-nested, so their length
+costs no recursion depth.
 
 A proof script repeats its formulas from line to line, so one
 ``parse_script`` call reads its lines with one memo, which lives as long
@@ -58,9 +60,9 @@ is reported first, as when the whole text is lexed before the parse.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
 
 from ..errors import DomainError, DslSyntaxError, LookupFailure, RfodError
 from .ast import (
@@ -71,6 +73,9 @@ from .ast import (
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_'^]*"
 _KEYWORDS = frozenset({"forall", "exists", "bowtie", "in", "bot"})
+#: an identifier that is not a keyword
+_WORD = r"(?!(?:%s)(?![A-Za-z0-9_'^]))%s" % ("|".join(sorted(_KEYWORDS)),
+                                             _IDENT)
 _WITH_DOMAIN = frozenset({Member, Forall, Exists, Bowtie})
 # Each parenthesis costs the parser eight stack frames, a binder one; a
 # text nested deeper is refused at the token that opens the extra level,
@@ -79,9 +84,8 @@ MAX_NESTING = 100
 # An outcome lexeme matches only what the token-by-token reading of '<'
 # would accept: the state is not a keyword, the rational is the one token
 # the lexer would cut there, and its denominator is not zero.
-_OUTCOME = (r"<[ \t\r]*(?!(?:%s)(?![A-Za-z0-9_'^]))%s[ \t\r]*,[ \t\r]*"
-            r"(?:\d+(?:/0*[1-9]\d*)?|\.\d+)[ \t\r]*>"
-            % ("|".join(sorted(_KEYWORDS)), _IDENT))
+_OUTCOME = (r"<[ \t\r]*%s[ \t\r]*,[ \t\r]*"
+            r"(?:\d+(?:/0*[1-9]\d*)?|\.\d+)[ \t\r]*>" % _WORD)
 
 _TOKEN_RE = re.compile(r"""[ \t\r]*(?:
     (?P<comment>--[^\n]*)
@@ -98,11 +102,8 @@ _TOKEN_RE = re.compile(r"""[ \t\r]*(?:
 )""" % (_OUTCOME, _IDENT, _IDENT), re.VERBOSE)
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+Token = namedtuple("Token", ("kind", "text", "line", "column"))
+_token = tuple.__new__  # a Token built without namedtuple's Python __new__
 
 
 def _lexemes(text: str, line: int = 1, pos: int = 0):
@@ -122,8 +123,8 @@ def _lexemes(text: str, line: int = 1, pos: int = 0):
             kind = value
         elif kind == "error":
             raise DslSyntaxError(f"unexpected character {value!r}", line, col)
-        yield Token(kind, value, line, col)
-    yield Token("eof", "", line, len(text) - line_start + 1)
+        yield _token(Token, (kind, value, line, col))
+    yield _token(Token, ("eof", "", line, len(text) - line_start + 1))
 
 
 def tokenize(text: str, line: int = 1) -> list:
@@ -146,7 +147,7 @@ _ENDS = _ITEM_ENDS | {")", ";", '"'}
 _MAY_END = re.compile(r'[ \t\r]*(?:[,|);"-]|$)')
 
 
-def name_fault(text: str, label: bool = False) -> Optional[str]:
+def name_fault(text: str, label: bool = False) -> str | None:
     """Why ``text`` cannot be a name, or None when it can.
 
     A name (of a domain, predicate, context or basis) is an identifier
@@ -186,7 +187,7 @@ class _Parser:
     lexed, when one of ``_ENDS`` follows it.  That text was read within
     ``MAX_NESTING`` where it was kept, so it needs no nesting test."""
 
-    def __init__(self, text: str, line: int = 1, memo: Optional[dict] = None):
+    def __init__(self, text: str, line: int = 1, memo: dict | None = None):
         self.text = text
         self.line = line
         self.memo = memo
@@ -234,7 +235,7 @@ class _Parser:
         self._advance()
         return tok
 
-    def fail(self, message: str, tok: Optional[Token] = None):
+    def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise DslSyntaxError(message, tok.line, tok.column)
 
@@ -251,12 +252,11 @@ class _Parser:
         if not self.at_end():
             self.fail(f"trailing input {_shown(self.peek())!r}")
 
-    def lex_to(self, kind: str) -> bool:
-        """Lex up to the first token of ``kind``; whether the text has one."""
-        tokens = self.tokens
-        while tokens[-1].kind not in (kind, "eof"):
-            tokens.append(next(self._lexer))
-        return any(tok.kind == kind for tok in tokens)
+    def lex_from(self, pos: int) -> None:
+        """Make the token at offset ``pos`` of the one-line text current."""
+        self._lexer = _lexemes(self.text, self.line, pos)
+        del self.tokens[self.i:]
+        self.tokens.append(next(self._lexer))
 
     def drain(self) -> None:
         """Lex the rest of the text, so that a bad character anywhere in it
@@ -513,8 +513,8 @@ class _Parser:
         return Sequent(tuple(antecedent), tuple(succedent))
 
 
-def _validate_names(s: Sequent, table: Optional[DomainTable],
-                    predicates: Optional[dict]) -> None:
+def _validate_names(s: Sequent, table: DomainTable | None,
+                    predicates: dict | None) -> None:
     if table is None and predicates is None:
         return
     for node in walk(s):
@@ -532,8 +532,8 @@ def _validate_names(s: Sequent, table: Optional[DomainTable],
                 raise LookupFailure(f"unknown domain {node.domain}")
 
 
-def parse_sequent(text: str, table: Optional[DomainTable] = None,
-                  predicates: Optional[dict] = None) -> Sequent:
+def parse_sequent(text: str, table: DomainTable | None = None,
+                  predicates: dict | None = None) -> Sequent:
     """Parse a sequent; optionally validate names against declarations."""
     p = _Parser(text)
     s = p.read(p.parse_sequent)

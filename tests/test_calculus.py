@@ -757,6 +757,29 @@ def test_script_line_error_positions(text, line, column, message):
         (line, column, message)
 
 
+@pytest.mark.parametrize("rule,conclusion,accepted", [
+    ("ax_member", "|- <t1, 1/2> in D", True),
+    # schematically, a variable named by the state label of an element
+    ("ax_member", "|- t2 in D", True),
+    ("ax_member", "|- t3 in D", False),
+    ("ax_member", "|- <t1, 1/3> in D", False),
+    ("ax_member", "|- #t1 in D", False),
+    ("ax_sharp_member", "|- #t1 in D^f", True),
+    ("ax_sharp_member", "|- <t1, 1> in D^f", True),
+    ("ax_sharp_member", "|- t2 in D^f", True),
+    ("ax_sharp_member", "|- #t3 in D^f", False),
+    ("ax_sharp_member", "|- <t1, 1/2> in D^f", False),
+])
+def test_membership_fact_names_an_element(rule, conclusion, accepted):
+    report = check_script(parse_script(
+        "config singleton_axioms on\ndomain D = { <t1, 1/2>, <t2, 1/2> }\n"
+        f"step 1 {rule} :: {conclusion}\n"))
+    domain = conclusion.split(" in ")[1]
+    assert (report.accepted, report.steps[0].reason) == (
+        accepted, None if accepted else
+        f"term does not name an element of {domain}")
+
+
 def test_subst_never_accepted_in_reverse():
     # substitution is one-directional: un-substituting a closed term back
     # into a variable is not an instance of the rule
