@@ -272,13 +272,13 @@ def _parse_domain_decl(p: _Parser, script: ProofScript) -> None:
 @lru_cache(maxsize=None)
 def _header():
     """A step header's start and one item of it, each whole tokens."""
-    step_id = r"(?:\d+(?:/\d+)?|\.\d+|%s(?![A-Za-z0-9_'^]))" % _WORD
+    step_id = r"(?:\d*\.\d+|\d+(?:/\d+)?|%s(?![A-Za-z0-9_'^]))" % _WORD
     start = r"[ \t\r]*(?P<id>%s)[ \t\r]*(?P<rule>%s)" % (step_id, _WORD)
     item = r"""[ \t\r]*(?:(?P<direction>forward|backward)(?![A-Za-z0-9_'^])
       | from(?![A-Za-z0-9_'^])(?:[ \t\r]*
             (?P<refs>{id}(?:[ \t\r]*,[ \t\r]*{id})*)(?:[ \t\r]*,)?)?
       | (?P<key>{word})(?P<eq>[ \t\r]*=[ \t\r]*(?P<quote>")?)(?:[ \t\r]*
-            (?:(?P<int>\d+(?![\d/]))|(?P<name>{word}))(?(quote)[ \t\r]*"))?
+            (?:(?P<int>\d+(?![\d/]|\.\d))|(?P<name>{word}))(?(quote)[ \t\r]*"))?
       | (?P<end>::))""".format(id=step_id, word=_WORD)
     return re.compile(start), re.compile(item, re.VERBOSE)
 

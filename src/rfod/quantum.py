@@ -6,8 +6,9 @@ operators realize the propositional (mixed-state) reading, and the Schmidt
 decomposition separates product from entangled bipartite states.  The
 emitted assertions land in the same sequent syntax the kernel checks.
 
-All tolerances live in TOLERANCES; probabilities crossing into the
-syntax layer are rounded to rationals and renormalized.
+All tolerances live in TOLERANCES.  Probabilities cross into the syntax
+layer as the rationals of Fraction.limit_denominator, computed on integers
+(`_rationalize`), floored at 1/RATIONAL_DENOMINATOR_LIMIT and renormalized.
 
 States, bases and the Schmidt data are tuples of Python complex numbers,
 and measurement, translation and the Schmidt decomposition are pure
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, DslSyntaxError, PreconditionError
 from .syntax.ast import (
     Atom, ContextVar, Correlated, Domain, DomainTable, Member, Outcome,
-    Sequent, Sharp, Var, _Frozen, domain_kind,
+    Sequent, Sharp, Var, _Frozen, _ratio_sum, domain_kind,
 )
 from .syntax.parser import name_fault
 
@@ -226,6 +227,8 @@ def basis_y() -> Basis:
 
 
 BUILTIN_BASES = {"Z": basis_z, "X": basis_x, "Y": basis_y}
+#: the local basis of a bipartite translation given none (a Basis is frozen)
+_LOCAL_Z = basis_z()
 
 
 def named_basis(name: str) -> Basis:
@@ -238,14 +241,34 @@ def named_basis(name: str) -> Basis:
 # measurement
 
 def _rationalize(weights: Sequence[float]) -> list:
-    floor = Fraction(1, RATIONAL_DENOMINATOR_LIMIT)
-    fracs = [max(Fraction(w).limit_denominator(RATIONAL_DENOMINATOR_LIMIT),
-                 floor)
-             for w in weights]
-    total = sum(fracs, Fraction(0))
-    if not fracs:
+    """The weights as rationals summing to 1: each is first what Fraction(w)
+    .limit_denominator(RATIONAL_DENOMINATOR_LIMIT) gives, by its walk on
+    w.as_integer_ratio() (of the last convergent p1/q1 and the semiconvergent
+    beside it, the nearer to w, ties to p1/q1; Khinchin, "Continued
+    Fractions", 1964), then raised to 1/RATIONAL_DENOMINATOR_LIMIT if below."""
+    limit = RATIONAL_DENOMINATOR_LIMIT
+    pairs = []
+    for w in weights:
+        num, den = n, d = w.as_integer_ratio()
+        if den > limit:
+            p0, q0, p1, q1 = 0, 1, 1, 0
+            while True:
+                a = n // d
+                if q0 + a * q1 > limit:
+                    break
+                p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+                n, d = d, n - a * d
+            k = (limit - q0) // q1
+            p0, q0 = p0 + k * p1, q0 + k * q1
+            if abs(p1 * den - num * q1) * q0 <= abs(p0 * den - num * q0) * q1:
+                num, den = p1, q1
+            else:
+                num, den = p0, q0
+        pairs.append((1, limit) if num * limit < den else (num, den))
+    if not pairs:
         raise DomainError("no outcome survives the pruning threshold")
-    return [f / total for f in fracs]
+    total, den = _ratio_sum(pairs)
+    return [Fraction(n * den, d * total) for n, d in pairs]
 
 
 def born_weights(psi: QState, basis: Basis) -> list:
@@ -396,7 +419,7 @@ def emit_assertion(state: QState, basis: Optional[Basis] = None,
                        (Atom(pred, (Var("z"),)),))
     if state.dim != 4:
         raise DomainError("bipartite translation needs a dim-4 state")
-    local = basis or basis_z()
+    local = basis or _LOCAL_Z
     if local.dim != 2:
         raise DomainError("local bases for a two-qubit state have dimension 2")
     data = schmidt(state)

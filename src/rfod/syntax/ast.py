@@ -33,6 +33,7 @@ canonical text, from the printer's own explicit-stack loop.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional
 
 from ..errors import DomainError
@@ -132,7 +133,7 @@ class Outcome(Term):
     def __init__(self, state: str, prob: Fraction):
         if not isinstance(prob, Fraction):
             prob = Fraction(prob)
-        if not 0 < prob <= 1:
+        if not 0 < prob.numerator <= prob.denominator:
             raise DomainError(
                 f"outcome probability must be in (0, 1], got {prob}")
         _set_outcome_state(self, state)
@@ -684,9 +685,19 @@ def domain_kind(probs) -> str:
     """Kind of the domain whose outcomes carry these probabilities."""
     if len(probs) == 1:
         return "singleton"
-    if len(set(probs)) == 1:
+    ratios = [(p.numerator, p.denominator) for p in probs]
+    if ratios.count(ratios[0]) == len(ratios):
         return "uniform"
     return "measured"
+
+
+def _ratio_sum(ratios) -> tuple:
+    """The sum of ratios (n, d), over their least common denominator."""
+    num, den = 0, 1
+    for n, d in ratios:
+        g = gcd(den, d)
+        num, den = num * (d // g) + n * (den // g), den // g * d
+    return num, den
 
 
 class Domain(_Frozen):
@@ -706,24 +717,25 @@ class Domain(_Frozen):
         if not elements:
             raise DomainError(f"domain {name} has no elements")
         labels = []
-        probs = []
+        ratios = []  # each probability as (numerator, denominator)
         for e in elements:
             if not isinstance(e, (Outcome, Sharp)):
                 raise DomainError(
                     f"domain {name}: element {e!r} is not an outcome term")
-            labels.append(term_state(e))
-            probs.append(term_prob(e))
+            labels.append(e.state)
+            p = getattr(e, "prob", 1)  # a sharp outcome's is 1
+            ratios.append((p.numerator, p.denominator))
         if len(set(labels)) != len(labels):
             raise DomainError(f"domain {name}: state labels not distinct")
-        total = sum(probs, Fraction(0))
-        if total != 1:
-            raise DomainError(
-                f"domain {name}: probabilities sum to {total}, not 1")
+        num, den = _ratio_sum(ratios)
+        if num != den:
+            raise DomainError(f"domain {name}: probabilities sum to "
+                              f"{Fraction(num, den)}, not 1")
         if kind == "singleton":
-            if len(elements) != 1 or probs[0] != 1:
+            if len(elements) != 1 or ratios[0] != (1, 1):
                 raise DomainError(
                     f"domain {name}: singleton must hold one element of probability 1")
-        if kind == "uniform" and len(set(probs)) != 1:
+        if kind == "uniform" and ratios.count(ratios[0]) != len(ratios):
             raise DomainError(
                 f"domain {name}: uniform kind requires equal probabilities")
         if is_singleton_literal(name) and labels != [name[1:-1]]:

@@ -85,7 +85,7 @@ MAX_NESTING = 100
 # would accept: the state is not a keyword, the rational is the one token
 # the lexer would cut there, and its denominator is not zero.
 _OUTCOME = (r"<[ \t\r]*%s[ \t\r]*,[ \t\r]*"
-            r"(?:\d+(?:/0*[1-9]\d*)?|\.\d+)[ \t\r]*>" % _WORD)
+            r"(?:\d*\.\d+|\d+(?:/0*[1-9]\d*)?)[ \t\r]*>" % _WORD)
 
 _TOKEN_RE = re.compile(r"""[ \t\r]*(?:
     (?P<comment>--[^\n]*)
@@ -94,7 +94,7 @@ _TOKEN_RE = re.compile(r"""[ \t\r]*(?:
   | (?P<turnstile>\|-)
   | (?P<orop>\\/)
   | (?P<comma_label>,_%s)
-  | (?P<rational>\d+(?:/\d+)?|\d*\.\d+)
+  | (?P<rational>\d*\.\d+|\d+(?:/\d+)?)
   | (?P<ident>%s)
   | (?P<neq>!=)
   | (?P<punct>::|[,.;()<>{}#&*=/"])

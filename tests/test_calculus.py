@@ -603,6 +603,33 @@ def test_eq_equality_places_its_equality_at_index(positions, accepted):
     assert check_script(parse_script(text)).accepted is accepted
 
 
+_BOWTIE_DOMAIN = "domain DS = { <s1, 1/2>, <s2, 1/2> } focused\n"
+
+
+@pytest.mark.parametrize("text", [
+    "step 1 hypothesis :: G |- A(x) & B(x), C(x)\n"
+    "step 2 eq_and_r backward pick=left from 1 :: G |- A(x)\n",
+    "step 1 hypothesis :: G |- C(x), A(x) & B(x)\n"
+    "step 2 eq_and_r backward pick=right from 1 :: G |- B(x)\n",
+    "step 1 hypothesis :: G |- A(x), C(x)\n"
+    "step 2 hypothesis :: G |- B(x), C(x)\n"
+    "step 3 eq_and_r forward from 1, 2 :: G |- A(x) & B(x), C(x)\n",
+    _BOWTIE_DOMAIN + "step 1 hypothesis :: "
+    "G |- bowtie x in DS (A(x); A'(x)), C(y)\n"
+    "step 2 eq_bowtie_r backward from 1 :: G, z in DS |- A(z) ,_S A'(z)\n",
+    _BOWTIE_DOMAIN + "step 1 hypothesis :: "
+    "G, z in DS |- A(z) ,_S A'(z), C(y)\n"
+    "step 2 eq_bowtie_r forward from 1 :: "
+    "G |- bowtie x in DS (A(x); A'(x)), C(y)\n",
+], ids=["and_backward_left", "and_backward_right", "and_forward",
+        "bowtie_backward", "bowtie_forward"])
+def test_and_and_bowtie_take_a_lone_succedent_item(text):
+    # the equations hold only with no right context beside the connective
+    report = check_script(parse_script(text))
+    assert not report.accepted
+    assert report.first_failure.reason == "expected exactly one succedent item"
+
+
 def test_subst_requires_closed_term():
     premise = seq("G, x in D |- A(x)")
     bad = rule_step(seq("G, y in D |- A(y)"), RuleId.SUBST, [premise],

@@ -2,6 +2,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,20 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+
+
+def test_translate_and_measure_match_golden(capsys):
+    # each "$ rfod ..." line of the file is followed by what it prints; the
+    # CI workflow replays the same lines with the installed console script
+    golden = Path(__file__).parent / "golden" / "translate.txt"
+    text = golden.read_text()
+    out = []
+    for line in text.splitlines():
+        if line.startswith("$ rfod "):
+            code, printed, _ = run(capsys, *shlex.split(line)[2:])
+            assert code == 0, line
+            out.append(line + "\n" + printed)
+    assert len(out) == 10 and "".join(out) == text
 
 def test_derive_reflection_accepted(capsys):
     code, out, _ = run(capsys, "derive", "reflection")

@@ -84,8 +84,8 @@ def test_identifier_ids_read_alike():
     ("step 3 identity from :: G |- A(x)", 1, "'from' needs premise ids"),
     ("step 3 weaken_l position=x from 1,2 :: G |- A(x)", 26,
      "parameter position: expected an integer, found 'x'"),
-    ("step 3 weaken_l position=1.5 from 1,2 :: G |- A(x)", 27,
-     "unexpected token '.5' in step line"),
+    ("step 3 weaken_l position=1.5 from 1,2 :: G |- A(x)", 26,
+     "parameter position: expected an integer, found '1.5'"),
     ("step 3 identity slot= :: G |- A(x)", 23,
      "parameter slot: expected an integer, found '::'"),
     ("step 3 identity backward = 1 from 1,2 :: G |- A(x)", 26,

@@ -441,8 +441,12 @@ _PARSERS = {"formula": parse_formula, "sequent": parse_sequent,
      "outcome probability must be in (0, 1], got 0"),
     ("formula", "A(<in, 1/2>)", DslSyntaxError, 1, 4,
      "expected 'ident', found 'in'"),
-    ("formula", "A(<t, 1.5>)", DslSyntaxError, 1, 8,
-     "expected '>', found '.5'"),
+    ("formula", "A(<t, 1.5>)", DslSyntaxError, 1, 3,
+     "outcome probability must be in (0, 1], got 3/2"),
+    ("term", "<t, 0.0>", DslSyntaxError, 1, 1,
+     "outcome probability must be in (0, 1], got 0"),
+    ("formula", "A(<t, 0.5 >, <t, 0.>)", DslSyntaxError, 1, 19,
+     "expected '>', found '.'"),
     ("formula", "A(<t 1/2>)", DslSyntaxError, 1, 6,
      "expected ',', found '1/2'"),
     ("formula", "A(<t, 1/2)", DslSyntaxError, 1, 10,
@@ -492,6 +496,14 @@ def test_a_bad_character_is_reported_first(kind, text, column):
 def test_outcome_term_layouts_parse(text):
     assert parse_term(text) == Outcome("t", Fraction(1, 2))
 
+
+
+@pytest.mark.parametrize("text", [
+    "<t, 0.5>", "<t, .5>", "<t,00.50 >", "<t,\n 0.5>", "<t, -- comment\n 0.5>",
+])
+def test_decimal_probability_reads_with_or_without_a_leading_digit(text):
+    assert parse_term(text) == parse_term("<t, 1/2>")
+    assert parse_term(text).prob == Fraction(1, 2)
 
 # -- deep chains -----------------------------------------------------------
 
