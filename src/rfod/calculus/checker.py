@@ -26,7 +26,7 @@ from ..syntax.ast import (
 from ..syntax.printer import render_sequent
 from .rules import (
     AXIOMS, BACKWARD, EQUATIONS, FORWARD, RuleId, TheoryConfig, Verdict,
-    _CONNECTIVE_AT, _DECOMPOSE, _PICK, _TWO_PREMISES, _element_matches,
+    _CONNECTIVE_AT, _DECOMPOSE, _TWO_PREMISES, _element_matches,
     _lookup, _require, compose_equality, conclude, flatten_or,
 )
 
@@ -117,34 +117,31 @@ def _validate_premised(c: Sequent, rule: RuleId, direction: Optional[str],
     """Recompute the step with its function in ``rules`` under each
     completion of its parameters, and compare up to alpha-equivalence.
 
-    A rule that is not an equation computes the conclusion.  An equation
-    step's connective side is decomposed and compared with the other side,
-    except for the equality equation, whose connective side (the one with
-    the antecedent z = t) is composed: a script need not record which
-    occurrences of t were abstracted (when positions= does, the plain side
-    must decompose to it as well).  When no completion can be computed, the
-    first failure is the reason.
+    ``conclude`` computes the conclusion of a rule that is not an equation
+    and of a backward equation step, so pick= means what it means to the
+    builders.  A forward equation step's conclusion is decomposed and
+    compared with its premises, except for the equality equation, whose
+    connective side (the one with the antecedent z = t) is composed, read
+    either way: a script need not record which occurrences of t were
+    abstracted (when positions= does, the plain side must decompose to it
+    as well).  When no completion can be computed, the first failure is
+    the reason.
     """
     equation = rule in EQUATIONS
     equality = rule is RuleId.EQ_EQUALITY
     on_conclusion = (direction == FORWARD) != equality or not equation
     connective, plain = (c, premises[0]) if on_conclusion else (premises[0], c)
-    picked = _PICK.get(params.get("pick"))
 
     def matches(p: dict) -> bool:
-        if not equation:
-            return alpha_eq(conclude(rule, premises, p, cfg, table), c)
         if equality:
             pieces = [compose_equality(connective, p)]
             _require("positions" not in p or alpha_eq_all(
                 _DECOMPOSE[rule](plain, p, cfg), [connective]),
                 "positions= does not abstract the step's occurrences")
-        else:
-            pieces = _DECOMPOSE[rule](connective, p, cfg)
-        if on_conclusion:
-            return alpha_eq_all(pieces, premises)
-        return bool(picked) and any(alpha_eq(piece, c)
-                                    for piece in pieces[picked])
+            return alpha_eq_all(pieces, premises if on_conclusion else [c])
+        if equation and on_conclusion:
+            return alpha_eq_all(_DECOMPOSE[rule](connective, p, cfg), premises)
+        return alpha_eq(conclude(rule, premises, p, cfg, table, direction), c)
 
     failure = None
     recomputed = False

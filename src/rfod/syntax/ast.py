@@ -21,9 +21,9 @@ explicit stack, so the depth of a formula costs none of them recursion:
   dualization elsewhere;
 - the pairwise loop of ``alpha_eq`` compares two nodes: ``alpha_eq``
   itself and, with renaming off, structural ``==``.
-The free and bound variable names of a node are computed once, on a
-stack of their own, and cached on it (``_var_sets``), so substitution
-skips a subtree without free occurrences at once.
+The free variable names of a node are computed once, on a stack of
+their own, and cached on it (``_free``), so substitution skips a subtree
+without free occurrences at once.
 ``rewrite`` returns a node itself when every child comes back identical,
 so an operation that changes nothing below a node keeps that subtree
 shared, and ``alpha_eq`` answers ``a is b`` at once wherever no bound
@@ -187,7 +187,7 @@ def term_state(t: Term) -> str:
 
 class _Syntax(_Frozen):
     """Formulas, items and sequents: ``==``, hash and repr, none recursive.
-    ``_var_cache`` holds what ``_var_sets`` computed, once it has."""
+    ``_var_cache`` holds the free names ``_free`` computed, once it has."""
 
     __slots__ = ("_var_cache",)
 
@@ -488,55 +488,30 @@ def _node_key(n):  # what == compares at a node; outcome and sharp as one
 # ---------------------------------------------------------------------------
 # free and bound variables
 
-_NO_VARS = (frozenset(), frozenset())
+_NO_NAMES = frozenset()
 _set_var_cache = _Syntax._var_cache.__set__
 
 
-def _union(sets, names) -> frozenset:
-    """The union of ``sets`` and ``names``, one of the sets itself when it
-    holds the rest, so that a chain over the same few names shares their
-    set."""
-    out = _NO_VARS[0]
-    grown = None
-    for s in sets:
-        if grown is not None:
-            grown |= s
-        elif not s <= out:
-            if out <= s:
-                out = s
-            else:
-                grown = set(out)
-                grown |= s
-    if grown is None and not out.issuperset(names):
-        grown = set(out)
-    if grown is None:
-        return out
-    grown.update(names)
-    return frozenset(grown)
-
-
-def _var_sets(node) -> tuple:
-    """``(free names, all names)``: the variable names free in ``node``,
-    and those together with every name a binder in it binds.
-
-    The pair is cached, in the hidden ``_var_cache`` slot that ``==``,
-    hash, repr, copy and pickle ignore, on ``node`` and on every formula,
-    item and sequent below it but two kinds, which their parent reads in
-    place: a node over terms only (an atom, a membership, an equality),
-    and a link inside an ``&``, ``\\/`` or ``*`` chain, so that a chain
-    of n distinct atoms keeps one set instead of n growing ones.  The
-    first call fills the cache bottom-up on an explicit stack, where a
-    node waits under those of its children not filled yet.
+def _free(node) -> frozenset:
+    """The variable names free in ``node``, cached in the hidden
+    ``_var_cache`` slot that ``==``, hash, repr, copy and pickle ignore,
+    on ``node`` and on every formula, item and sequent below it but two
+    kinds, which their parent reads in place: a node over terms only (an
+    atom, a membership, an equality), and a link inside an ``&``, ``\\/``
+    or ``*`` chain, so that a chain of n distinct atoms keeps one set
+    instead of n growing ones.  A node with one cached child and no names
+    of its own shares that child's set.  The first call fills the cache
+    bottom-up on an explicit stack, where a node waits under those of its
+    children not filled yet.
     """
     cls = type(node)
     if cls is Var:
-        names = frozenset((node.name,))
-        return names, names
+        return frozenset((node.name,))
     if cls in _CLOSED:
-        return _NO_VARS
-    sets = getattr(node, "_var_cache", None)
-    if sets is not None:
-        return sets
+        return _NO_NAMES
+    free = getattr(node, "_var_cache", None)
+    if free is not None:
+        return free
     stack = [node]
     push = stack.append
     shapes = _SHAPES
@@ -565,29 +540,23 @@ def _var_sets(node) -> tuple:
                     if type(t) is Var:
                         names.append(t.name)
             elif ck not in _CLOSED:
-                sets = getattr(k, "_var_cache", None)
-                if sets is None:
+                free = getattr(k, "_var_cache", None)
+                if free is None:
                     push(k)
                 else:
-                    below.append(sets)
+                    below.append(free)
         if len(stack) > depth:
             continue  # fill the children first, then come back
         stack.pop()
         if not below:  # terms only, the common case
-            sets = (frozenset(names),) * 2 if names else _NO_VARS
+            free = frozenset(names) if names else _NO_NAMES
         elif len(below) == 1 and not names:
-            sets = below[0]
+            free = below[0]
         else:
-            sets = (_union([f for f, _ in below], names),
-                    _union([a for _, a in below], names))
-        if cls in BINDERS:
-            free, every = sets
-            if n.var in free:
-                free = free - {n.var}
-            if n.var not in every:
-                every = every | {n.var}
-            sets = free, every
-        _set_var_cache(n, sets)
+            free = frozenset(names).union(*below)
+        if cls in BINDERS and n.var in free:
+            free = free - {n.var}
+        _set_var_cache(n, free)
     return node._var_cache
 
 
@@ -597,7 +566,7 @@ def free_vars(node) -> frozenset:
     Context metavariables contribute nothing: by convention the contexts
     they stand for do not depend on the instantiated variables.
     """
-    return _var_sets(node)[0]
+    return _free(node)
 
 
 def bound_vars(node) -> frozenset:
@@ -605,8 +574,8 @@ def bound_vars(node) -> frozenset:
 
 
 def _var_names(node) -> frozenset:
-    """``free_vars | bound_vars``: every variable name used."""
-    return _var_sets(node)[1]
+    """``free_vars | bound_vars``, walked when a fresh name is chosen."""
+    return _free(node) | bound_vars(node)
 
 
 # ---------------------------------------------------------------------------

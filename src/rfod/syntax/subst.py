@@ -6,8 +6,7 @@ from typing import Iterable, Optional
 from ..errors import SubstitutionError
 from .ast import (
     BINDERS, Atom, Formula, Member, Sequent, Sharp, Term, Var, _OVER_TERMS,
-    _var_sets, children, is_closed, rewrite, sharp_domain_name,
-    sharp_pred_name,
+    _free, children, is_closed, rewrite, sharp_domain_name, sharp_pred_name,
 )
 
 
@@ -26,9 +25,9 @@ def fresh_var(avoid: Iterable[str]) -> str:
 def subst_formula(f, v: str, t: Term):
     """Replace free occurrences of v by t in a term, formula, item or
     sequent, renaming binders that would capture.  Whatever holds no free
-    v comes back as the same object, not entered: the free names of every
-    node but an atom or a chain link are cached (``ast._var_sets``)."""
-    if v not in _var_sets(f)[0]:
+    v comes back as the same object, not entered: every node but an atom
+    or a chain link caches its free names (``ast._free``)."""
+    if v not in _free(f):
         return f
 
     def enter(node, _):
@@ -37,8 +36,8 @@ def subst_formula(f, v: str, t: Term):
             return (t if node.name == v else node), None
         if cls in _OVER_TERMS:
             return node, ()
-        sets = getattr(node, "_var_cache", None)
-        if sets is not None and v not in sets[0]:
+        free = getattr(node, "_var_cache", None)
+        if free is not None and v not in free:
             return node, None
         if cls not in BINDERS:
             return node, ()
@@ -46,7 +45,7 @@ def subst_formula(f, v: str, t: Term):
             return node, None
         if not (type(t) is Var and t.name == node.var):
             return node, ()
-        free = _var_sets(node)[0]
+        free = _free(node)
         if v not in free:
             return node, None
         new = fresh_var(free | {v, t.name})

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from rfod.calculus import parse_script
+from rfod import theorems
+from rfod.calculus import parse_script, rules
 from rfod.cli import COMMANDS, _parse, main
+from rfod.syntax import ast
 from rfod.syntax import ContextVar, parse_sequent, render_domain, render_sequent
 
 from gen import NAME_KINDS, make_rng, random_name
@@ -345,6 +347,41 @@ def test_direction_on_a_rule_without_one_is_rejected(tmp_path, capsys, text,
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("text,reason", [
+    # a backward step reads pick= as the builders' conclude does
+    *(("step 1 hypothesis :: G |- A(x) & B(x)\n"
+       f"step 2 eq_and_r backward {pick}from 1 :: G |- B(x)\n",
+       "eq_and_r gives no single sequent") for pick in ("", "pick=middle ")),
+    ("step 1 hypothesis :: G |- A(x), B(x)\n"
+     "step 2 hypothesis :: A(x) |- C(x)\n"
+     "step 3 cut from 1,2 :: G |- C(x)\n",
+     "first cut premise must conclude a single formula"),
+    ("domain D = { <t1, 1/2>, <t2, 1/2> } focused\n"
+     "step 1 ax_focus :: z in D |- y = <t1, 1/2> \\/ y = <t2, 1/2>\n",
+     "each disjunct must equate the membership variable"),
+    ("domain D = { <t1, 1/2>, <t2, 1/2> }\n"
+     "step 1 hypothesis :: forall x in D . A(x), z in D |- A(z)\n"
+     "step 2 f_subst var=z state=t9 from 1 :: "
+     "forall x in D . A(x), #t9 in D^f |- A^f(#t9)\n",
+     "state t9 is not an outcome of domain D"),
+    ("step 1 hypothesis :: G |- A(<t1, 1/3>)\n"
+     "step 2 eq_equality backward term=\"<t1, 1/3>\" var=z index=7 from 1 :: "
+     "G, z = <t1, 1/3> |- A(z)\n",
+     "index 7 out of range"),
+    ("step 1 hypothesis :: G |- A(<t1, 1/3>)\n"
+     "step 2 eq_equality backward var=z positions=1 from 1 :: "
+     "G, z = <t1, 1/3> |- A(z)\n",
+     "equality abstraction needs term=<t>"),
+])
+def test_side_condition_rejects_the_step(tmp_path, capsys, text, reason):
+    bad = tmp_path / "bad.seq"
+    bad.write_text(text)
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1
+    assert f"FAIL ({reason})" in out
+    assert "Traceback" not in out + err
+
+
 def test_singleton_literal_domain_holds_only_its_singleton(tmp_path, capsys):
     bad = tmp_path / "bad.seq"
     bad.write_text("domain {u} = { <a, 1/2>, <b, 1/2> }\nstep 1 ax_focus :: "
@@ -547,6 +584,33 @@ def test_derived_names_read_back(tmp_path, capsys):
     assert code == 0 and out.endswith("ACCEPTED\n")
     code, out, _ = run(capsys, "check", str(script))
     assert code == 0 and out.endswith("ACCEPTED\n")
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_all_names_are_walked_only_to_choose_a_fresh_one(tmp_path, capsys,
+                                                         monkeypatch, target):
+    """``_var_names`` walks a node; the builders call it to choose a fresh
+    name, as often at m=4 as at m=64, and check never calls it."""
+    calls = []
+
+    def counted(node, names=ast._var_names):
+        calls.append(node)
+        return names(node)
+
+    for module in (rules, theorems):
+        monkeypatch.setattr(module, "_var_names", counted)
+    counts = []
+    for m in ("4", "64"):
+        script = tmp_path / f"m{m}.script"
+        calls.clear()
+        code, _, _ = run(capsys, "derive", target, "--m", m, "--focused", "D",
+                         "--out", str(script))
+        assert code == 0
+        counts.append(len(calls))
+        calls.clear()
+        assert run(capsys, "check", str(script), "--focused", "D")[0] == 0
+        assert calls == []
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("state,basis,bipartite", [
