@@ -9,14 +9,16 @@ A script is declarations followed by numbered steps:
     step 1 identity :: forall x in D . A(x) |- forall x in D . A(x)
     step 2 eq_forall_r backward var=z from 1 :: forall x in D . A(x), z in D |- A(z)
 
-A step header is matched by one pattern, an item at a time, and the rest
-by the sequent DSL's parser, so every error carries its real line and column:
+A step header is matched by patterns, its start and then an item at a
+time.  The sequent DSL's parser starts only where a value they do not hold
+or the conclusion starts, so every error carries its real line and column:
 
     line  := "domain" DOM "=" "{" [term ("," term)*] "}" FLAG*
            | "predicate" IDENT ["/" INT] | "config" KEY ("on" | "off")
            | "step" ID RULE DIRECTION? (KEY "=" value | "from" ID ("," ID)*)*
              "::" sequent
     value := V | '"' V '"'   (V by the key: INT (";" INT)*, term, formula, DOM)
+    ID    := INT | RATIONAL ("1/2", ".5") | WORD (an identifier, no keyword)
 
 A comment runs from ``--`` to the end of the line, wherever it starts.
 ``'`` is an identifier character (``x'``) and quotes nothing.  Every
@@ -33,7 +35,7 @@ from ..errors import DslSyntaxError, RfodError
 from ..syntax.ast import (
     Domain, DomainTable, _Record, is_singleton_literal, term_prob, term_state,
 )
-from ..syntax.parser import _WORD, _Parser, _shown, name_fault
+from ..syntax.parser import _WORD, _Parser, _lexemes, _shown, name_fault
 from ..syntax.printer import (
     render_domain, render_formula, render_sequent, render_term,
 )
@@ -192,13 +194,20 @@ def parse_script(text: str) -> ProofScript:
     flags: dict = {}  # TheoryConfig field -> value, from config lines
     seen_ids: dict = {}
     memo: dict = {}  # every line reads a repeated text as the same node
+    step_start = _header()[0]
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        p = _Parser(raw, lineno, memo)
-        first = p.next()
-        if first.kind == "eof":
-            continue
+        step = step_start.match(raw)
+        if step is None:
+            p = _Parser(raw, lineno, memo)
+            first = p.next()
+            if first.kind == "eof":
+                continue
+        column = first.column if step is None else step.start("step") + 1
         try:
-            if first.text == "domain":
+            if step is not None:
+                _parse_step_line(raw, lineno, step, memo, script, seen_ids)
+                seen_ids[script.steps[-1][0]] = (lineno, column)
+            elif first.text == "domain":
                 _parse_domain_decl(p, script)
             elif first.text == "predicate":
                 name = p.expect("ident").text
@@ -215,19 +224,16 @@ def parse_script(text: str) -> ProofScript:
                     raise RfodError(f"config {key}: expected 'on' or 'off', "
                                     f"found {value!r}")
                 flags[_CONFIG_KEYS[key]] = value == "on"
-            elif first.text == "step":
-                _parse_step_line(p, first.column + 3, script, seen_ids)
-                seen_ids[script.steps[-1][0]] = (lineno, first.column)
             else:
                 raise RfodError("unrecognised script line starting "
                                 f"{_shown(first)!r}")
         except RfodError as exc:
-            p.drain()  # a bad character on the line is reported first
+            list(_lexemes(raw, lineno))  # a bad character is reported first
             if isinstance(exc, DslSyntaxError):
                 raise
             # an error of the line as a whole: a declaration it breaks or
             # a step it cannot place
-            raise DslSyntaxError(str(exc), lineno, first.column) from exc
+            raise DslSyntaxError(str(exc), lineno, column) from exc
     # every step must lead to the last one, which alone is checked as a tree
     used = {step[0] for step in script.steps[-1:]}
     for step_id, _, _, _, refs, _ in reversed(script.steps):
@@ -271,34 +277,34 @@ def _parse_domain_decl(p: _Parser, script: ProofScript) -> None:
 
 @lru_cache(maxsize=None)
 def _header():
-    """A step header's start and one item of it, each whole tokens."""
+    """A step line's start, ``step`` with its id and rule if they follow,
+    and one item of its header, each whole tokens."""
     step_id = r"(?:\d*\.\d+|\d+(?:/\d+)?|%s(?![A-Za-z0-9_'^]))" % _WORD
-    start = r"[ \t\r]*(?P<id>%s)[ \t\r]*(?P<rule>%s)" % (step_id, _WORD)
+    start = (r"[ \t\r]*(?P<step>step)(?![A-Za-z0-9_'^])"
+             r"(?:[ \t\r]*(?P<id>%s)[ \t\r]*(?P<rule>%s))?" % (step_id, _WORD))
     item = r"""[ \t\r]*(?:(?P<direction>forward|backward)(?![A-Za-z0-9_'^])
       | from(?![A-Za-z0-9_'^])(?:[ \t\r]*
-            (?P<refs>{id}(?:[ \t\r]*,[ \t\r]*{id})*)(?:[ \t\r]*,)?)?
+            (?P<refs>{id}(?:[ \t\r]*,[ \t\r]*{id})*)(?P<comma>[ \t\r]*,)?)?
       | (?P<key>{word})(?P<eq>[ \t\r]*=[ \t\r]*(?P<quote>")?)(?:[ \t\r]*
             (?:(?P<int>\d+(?![\d/]|\.\d))|(?P<name>{word}))(?(quote)[ \t\r]*"))?
       | (?P<end>::))""".format(id=step_id, word=_WORD)
     return re.compile(start), re.compile(item, re.VERBOSE)
 
 
-def _parse_step_line(p: _Parser, pos: int, script: ProofScript,
-                     seen_ids: dict) -> None:
-    """The step line of ``p`` from offset ``pos``, after ``step``: each
-    value an item of the header does not hold, and the conclusion, are
-    read by ``p`` moved to where they start."""
-    text = p.text
-    end = text.find("::", pos)
-    if end < 0 or text.find("--", pos, end) >= 0:
+def _parse_step_line(text: str, line: int, m, memo: dict,
+                     script: ProofScript, seen_ids: dict) -> None:
+    """The step line ``text``, whose start ``m`` matched: its header is
+    read off the item pattern's matches, and each value they do not hold,
+    and the conclusion, by a parser of the line started where it starts."""
+    end = text.find("::")
+    if end < 0 or text.find("--", 0, end) >= 0:
         raise RfodError("step line needs ':: <sequent>'")
-    start, item = _header()
-    m = start.match(text, pos)
-    if m is None:
+    if m["rule"] is None:
         raise RfodError("step line starts 'step <id> <rule>'")
     step_id, rule = m["id"], _RULES_BY_NAME.get(m["rule"])
     if rule is None:
         raise RfodError(f"unknown rule {m['rule']}")
+    item = _header()[1]
     direction = None
     params: dict = {}
     refs: list = []
@@ -306,21 +312,21 @@ def _parse_step_line(p: _Parser, pos: int, script: ProofScript,
     while True:
         m = item.match(text, pos)
         if m is None:
-            p.lex_from(pos)
+            p = _Parser(text, line, pos=pos)
             p.fail(f"unexpected token {_shown(p.peek())!r} in step line")
         pos = m.end()
         key = m["key"]
         if key is not None:
             if key not in _PARAMS:
-                p.lex_from(m.start("key"))
-                p.fail(f"unknown parameter {key}")
+                raise DslSyntaxError(f"unknown parameter {key}", line,
+                                     m.start("key") + 1)
             kind = _PARAMS[key]
             if kind[0] is _integer and m["int"]:
                 params[key] = int(m["int"])
             elif kind is _NAME and m["name"]:
                 params[key] = m["name"]
             else:
-                p.lex_from(m.end("eq"))
+                p = _Parser(text, line, memo, m.end("eq"))
                 params[key] = kind[0](p, f"parameter {key}")
                 if m["quote"]:
                     p.expect('"')
@@ -329,16 +335,17 @@ def _parse_step_line(p: _Parser, pos: int, script: ProofScript,
             direction = m["direction"]
         elif m["end"]:
             break
+        elif m["refs"] is None or m["comma"] and item.match(text, pos):
+            # no ids, or a comma after the last one and then an item
+            raise RfodError("'from' needs premise ids")
         else:
-            refs += (m["refs"] or "").replace(",", " ").split()
-            if not refs:
-                raise RfodError("'from' needs premise ids")
+            refs += m["refs"].replace(",", " ").split()
     if step_id in seen_ids:
         raise RfodError(f"duplicate step id {step_id}")
     for r in refs:
         if r not in seen_ids:
             raise RfodError(f"step {step_id} references unknown step {r}")
-    p.lex_from(pos)
+    p = _Parser(text, line, memo, pos)
     conclusion = p.read(p.parse_sequent)
     script.steps.append((step_id, rule, direction, params, refs, conclusion))
 

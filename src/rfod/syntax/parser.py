@@ -24,14 +24,15 @@ item position is a context metavariable.  An empty succedent is allowed
 Three tokens only proof-script lines use: ``::`` before a step's
 conclusion, ``"`` around a parameter value, ``/`` before an arity.
 
-The lexer is one scan over one pattern, from a given line number, so a
-line of a larger file keeps its real positions.  A proof script matches a
-step header with a pattern of its own, and restarts the scan of its line
-(``lex_from``) where a value or the conclusion starts.  An outcome term
-written on one line, ``<t, 1/2>``, is a single ``outcome`` lexeme, and
-equal lexemes share one ``Outcome`` object.  Chains of ``&``, ``\\/`` and
-``*`` are read as operand lists and built right-nested, so their length
-costs no recursion depth.
+The lexer is one scan over one pattern, from a given line and offset, so
+a line of a larger file keeps its real positions.  A proof script reads a
+step header with patterns of its own, and starts a parser where a value or
+the conclusion starts.  An outcome term written on one line, ``<t, 1/2>``,
+is a single ``outcome`` lexeme, and equal lexemes share one ``Outcome``
+object.  A chain of ``&``, ``\\/`` and ``*`` is read in one loop, a unit at
+a time, and grouped by precedence, right-nested: an operator closes the
+runs of tighter operators before it, and the chain's end closes them all.
+So a lone unit returns at once, and a chain's length costs no recursion.
 
 A proof script repeats its formulas from line to line, so one
 ``parse_script`` call reads its lines with one memo, which lives as long
@@ -39,7 +40,9 @@ as that call.  The memo maps the source text of every top-level formula
 (a sequent item or a parameter value) and of every suffix of an ``&``,
 ``\\/`` or ``*`` chain at any depth, read so far and at least ``_HEAD``
 characters long, to the node built for it; it holds the text's place in
-its line, not a copy.  The memo is read only where a top-level formula
+its line, not a copy.  A run's suffixes are kept when the run closes,
+so the memo holds the same spans, in the same order, as a reading with one
+parse per operator level.  The memo is read only where a top-level formula
 starts.  A text it holds is taken there, neither lexed nor parsed again,
 and the very node is returned, only where the plain parse would read the
 same span to the same node:
@@ -77,7 +80,12 @@ _KEYWORDS = frozenset({"forall", "exists", "bowtie", "in", "bot"})
 _WORD = r"(?!(?:%s)(?![A-Za-z0-9_'^]))%s" % ("|".join(sorted(_KEYWORDS)),
                                              _IDENT)
 _WITH_DOMAIN = frozenset({Member, Forall, Exists, Bowtie})
-# Each parenthesis costs the parser eight stack frames, a binder one; a
+_BINDERS = {"forall": Forall, "exists": Exists, "bowtie": Bowtie}
+#: the chain operators, tightest first, and the node each joins with; any
+#: other token is level 3 and ends the chain
+_LEVELS = {"&": 0, "orop": 1, "*": 2}
+_JOINS = (And, Or, Star)
+# Each parenthesis costs the parser three stack frames, a binder one; a
 # text nested deeper is refused at the token that opens the extra level,
 # well inside the interpreter's default recursion limit.
 MAX_NESTING = 100
@@ -179,19 +187,21 @@ def _shown(tok: Token) -> str:
 
 
 class _Parser:
-    """One parse over ``text``, which is lexed a token at a time, as far as
-    the parse reads it.  With a memo (a dict that one ``parse_script`` call
-    shares between its lines) the text must be one line.  The memo is read
-    only by ``parse_formula`` at depth 0, where a sequent item or a
-    parameter value starts, and a text it holds there is taken, never
-    lexed, when one of ``_ENDS`` follows it.  That text was read within
-    ``MAX_NESTING`` where it was kept, so it needs no nesting test."""
+    """One parse over ``text`` from offset ``pos``, lexed a token at a time,
+    as far as the parse reads it.  With a memo (a dict that one
+    ``parse_script`` call shares between its lines) the text must be one
+    line.  The memo is read only by ``parse_formula`` at depth 0, where a
+    sequent item or a parameter value starts, and a text it holds there is
+    taken, never lexed, when one of ``_ENDS`` follows it.  That text was
+    read within ``MAX_NESTING`` where it was kept, so it needs no nesting
+    test."""
 
-    def __init__(self, text: str, line: int = 1, memo: dict | None = None):
+    def __init__(self, text: str, line: int = 1, memo: dict | None = None,
+                 pos: int = 0):
         self.text = text
         self.line = line
         self.memo = memo
-        self._lexer = _lexemes(text, line)
+        self._lexer = _lexemes(text, line, pos)
         self.tokens = [next(self._lexer)]
         self.i = 0
         self.depth = 0        # open parentheses and binders
@@ -215,12 +225,8 @@ class _Parser:
         if self.i == len(self.tokens):
             self.tokens.append(next(self._lexer))
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = self.i + ahead
-        tokens = self.tokens
-        while i >= len(tokens) and tokens[-1].kind != "eof":
-            tokens.append(next(self._lexer))
-        return tokens[i] if i < len(tokens) else tokens[-1]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
@@ -236,7 +242,7 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
+        tok = tok or self.tokens[self.i]
         raise DslSyntaxError(message, tok.line, tok.column)
 
     def accept(self, kind: str) -> bool:
@@ -250,18 +256,17 @@ class _Parser:
 
     def finish(self) -> None:
         if not self.at_end():
-            self.fail(f"trailing input {_shown(self.peek())!r}")
-
-    def lex_from(self, pos: int) -> None:
-        """Make the token at offset ``pos`` of the one-line text current."""
-        self._lexer = _lexemes(self.text, self.line, pos)
-        del self.tokens[self.i:]
-        self.tokens.append(next(self._lexer))
+            self.fail(f"trailing input {_shown(self.tokens[self.i])!r}")
 
     def drain(self) -> None:
         """Lex the rest of the text, so that a bad character anywhere in it
         is reported before an error of the parse or of the line."""
         self.tokens.extend(self._lexer)
+
+    def _end(self) -> int:
+        """The offset just after the last token read."""
+        tok = self.tokens[self.i - 1]
+        return tok.column - 1 + len(tok.text)
 
     # -- the memo ------------------------------------------------------------
     # Its keys are the first _HEAD characters of a text read before, its
@@ -299,14 +304,11 @@ class _Parser:
                     return node, stop, lexer, follow
         return None
 
-    def _remember(self, start: int, node) -> None:
-        """Keep ``node`` as the reading of the text from ``start`` to the
-        last token read."""
-        if self.memo is None:
-            return
-        tok = self.tokens[self.i - 1]
-        end = tok.column - 1 + len(tok.text)
-        if end - start < _HEAD or (start, end) == self._kept:
+    def _remember(self, start: int, end: int, node) -> None:
+        """Keep ``node`` as the reading of the text from ``start`` to
+        ``end``."""
+        if (self.memo is None or end - start < _HEAD
+                or (start, end) == self._kept):
             return
         self._kept = (start, end)
         bucket = self.memo.setdefault(self.text[start:start + _HEAD], [])
@@ -351,11 +353,12 @@ class _Parser:
             self.fail(f"bad rational literal {tok.text!r}", tok)
 
     def parse_domain_ref(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "ident":
-            self.next()
+            self._advance()
             return tok.text
-        if self.accept("{"):
+        if tok.kind == "{":
+            self._advance()
             label = self.expect("ident").text
             self.expect("}")
             return "{" + label + "}"
@@ -375,141 +378,150 @@ class _Parser:
         node = self._recall(start)
         if node is None:
             node = self._formula()
-            self._remember(start, node)
+            self._remember(start, self._end(), node)
         return node
 
     def _formula(self) -> Formula:
-        tok = self.peek()
-        if tok.kind in ("forall", "exists"):
-            self.enter(tok)
-            self.next()
-            var = self.expect("ident").text
-            self.expect("in")
-            dom = self.parse_domain_ref()
-            self.expect(".")
-            body = self.parse_formula()
-            self.depth -= 1
-            return (Forall if tok.kind == "forall" else Exists)(var, dom, body)
-        if tok.kind == "bowtie":
-            self.enter(tok)
-            self.next()
-            var = self.expect("ident").text
-            self.expect("in")
-            dom = self.parse_domain_ref()
+        tok = self.tokens[self.i]
+        kind = tok.kind
+        if kind not in _BINDERS:
+            return self._chain()
+        self.enter(tok)
+        self._advance()
+        var = self.expect("ident").text
+        self.expect("in")
+        dom = self.parse_domain_ref()
+        if kind == "bowtie":
             self.expect("(")
-            left = self.parse_formula()
+            left = self._formula()
             self.expect(";")
-            right = self.parse_formula()
+            node = Bowtie(var, dom, left, self._formula())
             self.expect(")")
-            self.depth -= 1
-            return Bowtie(var, dom, left, right)
-        return self.parse_star()
+        else:
+            self.expect(".")
+            node = _BINDERS[kind](var, dom, self._formula())
+        self.depth -= 1
+        return node
 
-    def parse_star(self) -> Formula:
-        return self._chain(self.parse_or, "*", Star)
-
-    def parse_or(self) -> Formula:
-        return self._chain(self.parse_and, "orop", Or)
-
-    def parse_and(self) -> Formula:
-        return self._chain(self.parse_unit, "&", And)
-
-    def _chain(self, operand, op: str, node) -> Formula:
-        """operand (op operand)*, built right-nested; every suffix read is
-        kept in the memo."""
+    def _chain(self) -> Formula:
+        """Units separated by ``&``, ``\\/`` and ``*``, in one loop; each
+        run of an operator waits in ``runs`` at its level as (start, node)
+        pairs until a looser operator or the chain's end closes it."""
         tokens = self.tokens
-        operands = []
-        starts = []
+        start = tokens[self.i].column - 1
+        node = self.parse_unit()
+        level = _LEVELS.get(tokens[self.i].kind, 3)
+        if level == 3:
+            return node
+        runs = ([], [], [])
         while True:
-            starts.append(tokens[self.i].column - 1)
-            operands.append(operand())
-            if tokens[self.i].kind != op:
-                break
+            item = (start, node)
+            if level:
+                end = self._end()
+                for k in range(level):
+                    runs[k].append(item)
+                    item = self._group(runs[k], _JOINS[k], end)
+                if level == 3:
+                    return item[1]
+            runs[level].append(item)
             self._advance()
-        rest = operands.pop()
-        if operands:
-            self._remember(starts[-1], rest)
-        while operands:
-            rest = node(operands.pop(), rest)
-            self._remember(starts[len(operands)], rest)
-        return rest
+            start = tokens[self.i].column - 1
+            node = self.parse_unit()
+            level = _LEVELS.get(tokens[self.i].kind, 3)
+
+    def _group(self, run: list, join, end: int) -> tuple:
+        """(start, node) of ``run`` emptied and joined right-nested by
+        ``join``; with two operands or more, each suffix is kept."""
+        start, rest = run.pop()
+        if run:
+            self._remember(start, end, rest)
+            while run:
+                start, left = run.pop()
+                rest = join(left, rest)
+                self._remember(start, end, rest)
+        return start, rest
 
     def parse_unit(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.enter(tok)
-            self.next()
-            f = self.parse_formula()
-            self.expect(")")
-            self.depth -= 1
-            return f
-        if tok.kind in ("forall", "exists", "bowtie"):
-            self.fail("quantified formula must be parenthesised here "
-                      "(quantifiers bind weakest)", tok)
-        if self.accept("bot"):
-            return Bot(None)
-        if tok.kind == "ident":
-            if tok.text.startswith("bot_") and self.peek(1).kind != "(":
-                self.next()
-                return Bot(tok.text[len("bot_"):])
-            if self.peek(1).kind == "(":
-                self.next()
-                self.next()
+        tokens = self.tokens
+        tok = tokens[self.i]
+        kind = tok.kind
+        if kind == "ident":
+            self._advance()
+            if tokens[self.i].kind == "(":
+                self._advance()
                 args = [self.parse_term()]
-                while self.accept(","):
+                while tokens[self.i].kind == ",":
+                    self._advance()
                     args.append(self.parse_term())
                 self.expect(")")
                 return Atom(tok.text, tuple(args))
-        return self.parse_relation()
+            if tok.text.startswith("bot_"):
+                return Bot(tok.text[len("bot_"):])
+            return self.parse_relation(Var(tok.text))
+        if kind == "(":
+            self.enter(tok)
+            self._advance()
+            f = self._formula()
+            self.expect(")")
+            self.depth -= 1
+            return f
+        if kind == "bot":
+            self._advance()
+            return Bot(None)
+        if kind in _BINDERS:
+            self.fail("quantified formula must be parenthesised here "
+                      "(quantifiers bind weakest)", tok)
+        return self.parse_relation(self.parse_term())
 
-    def parse_relation(self) -> Formula:
-        term = self.parse_term()
-        if self.accept("in"):
+    def parse_relation(self, term: Term) -> Formula:
+        """The rest of a relation whose left ``term`` was read."""
+        tok = self.tokens[self.i]
+        if tok.kind == "in":
+            self._advance()
             return Member(term, self.parse_domain_ref())
-        if self.accept("="):
-            return Eq(term, self.parse_term())
-        if self.accept("neq"):
-            return Neq(term, self.parse_term())
+        if tok.kind in ("=", "neq"):
+            self._advance()
+            return (Eq if tok.kind == "=" else Neq)(term, self.parse_term())
         self.fail("expected 'in', '=' or '!=' after term, found "
-                  f"{_shown(self.peek())!r}")
+                  f"{_shown(tok)!r}")
 
     # -- sequents ------------------------------------------------------------
     def parse_item(self):
-        tok = self.peek()
-        if (tok.kind == "ident" and not tok.text.startswith("bot_")
-                and self.peek(1).kind in _ITEM_ENDS):
-            self.next()
-            return ContextVar(tok.text)
+        tok = self.tokens[self.i]
+        if tok.kind == "ident" and not tok.text.startswith("bot_"):
+            self._advance()
+            if self.tokens[self.i].kind in _ITEM_ENDS:
+                return ContextVar(tok.text)
+            self.i -= 1  # the identifier starts a formula
         return self.parse_formula()
 
     def parse_sequent(self) -> Sequent:
+        tokens = self.tokens
         antecedent = []
-        if self.peek().kind != "turnstile":
+        if tokens[self.i].kind != "turnstile":
             antecedent.append(self.parse_item())
-            while self.accept(","):
+            while tokens[self.i].kind == ",":
+                self._advance()
                 antecedent.append(self.parse_item())
         self.expect("turnstile")
         succedent = []
-        if not self.at_end():
+        if tokens[self.i].kind != "eof":
             succedent.append(self.parse_item())
-            while True:
-                tok = self.peek()
-                if self.accept(","):
-                    succedent.append(self.parse_item())
-                elif tok.kind == "comma_label":
-                    self.next()
-                    label = tok.text[2:]
-                    prev = succedent.pop()
-                    nxt = self.parse_item()
-                    if isinstance(prev, (ContextVar, Correlated)):
-                        self.fail("left side of a correlated comma must be "
-                                  "a formula", tok)
-                    if not isinstance(nxt, Formula):
-                        self.fail("right side of a correlated comma must be "
-                                  "a formula", tok)
-                    succedent.append(Correlated(label, prev, nxt))
-                else:
-                    break
+            while tokens[self.i].kind in (",", "comma_label"):
+                tok = tokens[self.i]
+                self._advance()
+                nxt = self.parse_item()
+                if tok.kind == ",":
+                    succedent.append(nxt)
+                    continue
+                prev = succedent.pop()
+                if isinstance(prev, (ContextVar, Correlated)):
+                    self.fail("left side of a correlated comma must be "
+                              "a formula", tok)
+                if not isinstance(nxt, Formula):
+                    self.fail("right side of a correlated comma must be "
+                              "a formula", tok)
+                succedent.append(Correlated(tok.text[2:], prev, nxt))
         return Sequent(tuple(antecedent), tuple(succedent))
 
 

@@ -10,7 +10,7 @@ from rfod.calculus import parse_script
 from rfod.calculus import script as script_module
 from rfod.cli import DERIVE_TARGETS, main as cli_main
 from rfod.errors import DslSyntaxError, RfodError
-from rfod.syntax import walk
+from rfod.syntax import parse_formula, walk
 from rfod.syntax.parser import _Parser
 
 from gen import make_rng
@@ -64,10 +64,11 @@ def _reading(text):
 
 @pytest.fixture
 def plain_reading(monkeypatch):
-    """The reading of a script by the plain parse: every line lexed whole
-    before it is read, and no memo."""
-    def lexed_whole(raw, lineno, memo):
-        p = _Parser(raw, lineno)
+    """The reading of a script by the plain parse: every text lexed from
+    where its reading starts to the end of its line before it is read, and
+    no memo."""
+    def lexed_whole(raw, lineno, memo=None, pos=0):
+        p = _Parser(raw, lineno, pos=pos)
         p.drain()
         return p
 
@@ -200,6 +201,36 @@ def test_memo_is_read_only_where_a_top_level_formula_starts(tmp_path,
     assert looked
     assert {depth for depth, _ in looked} == {0}
     assert not {before for _, before in looked} & {"&", "orop", "*"}
+
+
+#: one line that mixes every chain operator and parentheses, with operands
+#: of at least twelve characters, most of them sharing their first twelve
+MIXED = ("G, Pppppppppppp(a) & Pppppppppppp(b) & Pppppppppppp(c) \\/ "
+         "(Pppppppppppp(d) & Pppppppppppp(e) * Qqqqqqqqqqqq(f) \\/ "
+         "Pppppppppppp(g)) * Rrrrrrrrrrrr(h) |- Rrrrrrrrrrrr(i) * "
+         "(Qqqqqqqqqqqq(j) \\/ Rrrrrrrrrrrr(k) & Pppppppppppp(l)) & "
+         "Qqqqqqqqqqqq(m) \\/ Rrrrrrrrrrrr(n)")
+#: the memo after MIXED as the reading with one parse per operator level
+#: kept it: its keys in the order first met, each with its spans, longest
+#: first, of the first texts read under it
+MIXED_SPANS = [
+    ("Pppppppppppp", [(3, 54), (21, 54), (39, 54), (77, 92)]),
+    ("Qqqqqqqqqqqq", [(171, 223), (95, 129), (227, 242)]),
+    ("(Ppppppppppp", [(58, 130)]),
+    ("Rrrrrrrrrrrr", [(152, 261), (190, 223), (133, 148), (246, 261)]),
+    ("(Qqqqqqqqqqq", [(170, 261), (170, 242)]),
+]
+
+
+def test_memo_keeps_each_chain_suffix_in_the_order_read():
+    memo = {}
+    p = _Parser(MIXED, 1, memo)
+    p.read(p.parse_sequent)
+    assert [(key, [(start, end) for _, start, end, _ in bucket])
+            for key, bucket in memo.items()] == MIXED_SPANS
+    for bucket in memo.values():
+        for _, start, end, node in bucket:
+            assert node == parse_formula(MIXED[start:end])
 
 
 def test_memo_respects_the_nesting_limit_where_a_text_is_reused():

@@ -11,6 +11,7 @@ import pytest
 from rfod.calculus import parse_script
 from rfod.cli import main as cli_main
 from rfod.errors import DslSyntaxError
+from rfod.syntax import parser
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,6 +83,10 @@ def test_identifier_ids_read_alike():
     ("step 3 identity foo=1 from 1,2 :: G |- A(x)", 17,
      "unknown parameter foo"),
     ("step 3 identity from :: G |- A(x)", 1, "'from' needs premise ids"),
+    ("step 3 identity from 1,2, :: G |- A(x)", 1,
+     "'from' needs premise ids"),
+    ("step 3 identity from 1 from :: G |- A(x)", 1,
+     "'from' needs premise ids"),
     ("step 3 weaken_l position=x from 1,2 :: G |- A(x)", 26,
      "parameter position: expected an integer, found 'x'"),
     ("step 3 weaken_l position=1.5 from 1,2 :: G |- A(x)", 26,
@@ -122,16 +127,38 @@ def test_header_errors(header, column, message):
         (3, column, message)
 
 
+def test_a_step_line_lexes_only_its_conclusion(monkeypatch):
+    """The header is read off its pattern: the lexer sees the conclusion and
+    no token of ``step``, the id, the rule or a value the pattern holds."""
+    lexed = []
+    lexemes = parser._lexemes
+
+    def counted(*args):
+        for tok in lexemes(*args):
+            lexed.append(tok.text)
+            yield tok
+
+    monkeypatch.setattr(parser, "_lexemes", counted)
+    text = "step 2 hypothesis :: G |- A(x) & B(x)\n"
+    parse_script(text)
+    assert lexed == ["G", "|-", "A", "(", "x", ")", "&", "B", "(", "x", ")",
+                     ""]
+    lexed.clear()
+    parse_script(text + "step 7 eq_and_r backward pick=left from 2 :: "
+                 "G |- A(x)\n")
+    assert lexed[12:] == ["G", "|-", "A", "(", "x", ")", ""]
+
+
 def _respelled(text):
-    """``text`` with every step header written with tabs, ``key = value``
-    and spaced ``from`` ids."""
+    """``text`` with every step header written with tabs, a tab before
+    ``step``, ``key = value`` and spaced ``from`` ids."""
     lines = []
     for line in text.splitlines(keepends=True):
         head, cut, rest = line.partition(" :: ")
         if line.startswith("step ") and cut:
             head = re.sub(r"(\w)=", r"\1 = ", head.replace(" ", "\t"))
             head = re.sub(r"from\t(\w+),", r"from \1 , ", head)
-            line = head + "\t::\t" + rest
+            line = "\t" + head + "\t::\t" + rest
         lines.append(line)
     return "".join(lines)
 
