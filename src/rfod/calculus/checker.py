@@ -19,14 +19,15 @@ from typing import Optional, Sequence
 
 from ..errors import RuleError
 from ..syntax.ast import (
-    BINDERS, DomainTable, Eq, Exists, Formula, Member, Sequent, Sharp, Var,
-    _Frozen, _Record, _setters, alpha_eq, alpha_eq_all, is_closed,
+    BINDERS, DomainTable, Eq, Exists, Formula, Member, Sequent, Sharp, Term,
+    Var, _Frozen, _Record, _setters, alpha_eq, alpha_eq_all, is_closed,
     sharp_domain_name, term_state,
 )
+from ..syntax.parser import name_fault
 from ..syntax.printer import render_sequent
 from .rules import (
     AXIOMS, BACKWARD, EQUATIONS, FORWARD, RuleId, TheoryConfig, Verdict,
-    _CONNECTIVE_AT, _DECOMPOSE, _TWO_PREMISES, _element_matches,
+    _CONNECTIVE_AT, _DECOMPOSE, _PARAM_KINDS, _TWO_PREMISES, _element_matches,
     _lookup, _require, compose_equality, conclude, flatten_or,
 )
 
@@ -352,12 +353,34 @@ _LEAVES = {
 }
 
 
+#: value kind -> whether a script reads a value's text back as that value;
+#: a name that is None is absent, as the rules read label, bound and pick
+_KIND_READS_BACK = {
+    "int": lambda v: type(v) is int and v >= 0,
+    "ints": lambda v: type(v) in (list, tuple) and len(v) > 0
+    and all(type(k) is int and k >= 0 for k in v),
+    "term": lambda v: isinstance(v, Term),
+    "formula": lambda v: isinstance(v, Formula),
+    "name": lambda v: v is None or type(v) is str and name_fault(
+        v[1:-1] if v[:1] == "{" and v[-1:] == "}" else v, label=True) is None,
+}
+_READS_BACK = {key: _KIND_READS_BACK[kind]
+               for key, kind in _PARAM_KINDS.items()}
+
+
 def validate_step(conclusion: Sequent, rule: RuleId, direction: Optional[str],
                   premises: Sequence[Sequent], params: Optional[dict] = None,
                   cfg: Optional[TheoryConfig] = None,
                   table: Optional[DomainTable] = None) -> None:
     """Raise RuleError unless the step is a valid application."""
     params = params or {}
+    for key, value in params.items():
+        reads_back = _READS_BACK.get(key)
+        if reads_back is None:
+            raise RuleError(f"unknown parameter {key}")
+        if not reads_back(value):
+            raise RuleError(f"parameter {key}: {value!r} would not read back "
+                            "from a script")
     cfg = cfg or TheoryConfig()
     table = table or DomainTable()
     premises = [p.conclusion if isinstance(p, Derivation) else p

@@ -83,6 +83,17 @@ _TWO_PREMISES = frozenset({RuleId.EQ_AND_R, RuleId.EQ_OR_L, RuleId.CUT})
 FORWARD = "forward"
 BACKWARD = "backward"
 
+#: parameter key -> the kind of its value, which says how a script reads
+#: and writes it; a step carries no other key
+_PARAM_KINDS = {
+    **dict.fromkeys(("slot", "index", "member", "body", "position"), "int"),
+    "positions": "ints",
+    "term": "term",
+    **dict.fromkeys(("cut", "formula"), "formula"),
+    **dict.fromkeys(("var", "bound", "label", "state", "domain", "pick"),
+                    "name"),
+}
+
 
 class TheoryConfig(_Frozen):
     """Axiom toggles and the additive/classical mode switch."""

@@ -36,11 +36,9 @@ from ..syntax.ast import (
     Domain, DomainTable, _Record, is_singleton_literal, term_prob, term_state,
 )
 from ..syntax.parser import _WORD, _Parser, _lexemes, _shown, name_fault
-from ..syntax.printer import (
-    render_domain, render_formula, render_sequent, render_term,
-)
+from ..syntax.printer import render, render_domain, render_sequent
 from .checker import CheckReport, Derivation, TheoryConfig, check
-from .rules import RuleId
+from .rules import _PARAM_KINDS, RuleId
 
 
 class ProofScript(_Record):
@@ -77,19 +75,19 @@ def _integers(p: _Parser, owner: str) -> list:
     return values
 
 
-#: parameter key -> (read its value off a step line, the value's text);
-#: a step line carries no other key
-_NAME = (lambda p, owner: p.parse_domain_ref(), str)
-_PARAMS = {
-    **dict.fromkeys(("slot", "index", "member", "body", "position"),
-                    (_integer, str)),
-    "positions": (_integers, lambda v: ";".join(map(str, v))),
-    "term": (lambda p, owner: p.parse_term(), render_term),
-    **dict.fromkeys(("cut", "formula"),
-                    (lambda p, owner: p.parse_formula(), render_formula)),
-    **dict.fromkeys(("var", "bound", "label", "state", "domain", "pick"),
-                    _NAME),
+#: value kind -> (read a value off a step line, its text given the
+#: script's render memo)
+_KINDS = {
+    "int": (_integer, lambda v, memo: str(v)),
+    "ints": (_integers, lambda v, memo: ";".join(map(str, v))),
+    "term": (lambda p, owner: p.parse_term(),
+             lambda v, memo: render(v, memo=memo)),
+    "formula": (lambda p, owner: p.parse_formula(),
+                lambda v, memo: render(v, memo=memo)),
+    "name": (lambda p, owner: p.parse_domain_ref(), lambda v, memo: v),
 }
+#: parameter key -> (its kind, read, text); a step line carries no other key
+_PARAMS = {key: (kind, *_KINDS[kind]) for key, kind in _PARAM_KINDS.items()}
 
 #: script config key -> the TheoryConfig field it sets
 _CONFIG_KEYS = {"singleton_axioms": "singleton_axioms",
@@ -97,18 +95,26 @@ _CONFIG_KEYS = {"singleton_axioms": "singleton_axioms",
 
 
 def _numbered(d: Derivation):
-    """(id, step, premise ids, parameter texts) of every step of ``d``,
-    premises first, shared steps once."""
+    """(id, step, premise ids, conclusion text, parameter texts) of every
+    step of ``d``, premises first, shared steps once.  One render memo
+    serves every step, so a sequent item, or a link of its chain, shared
+    by several steps and their values is rendered once."""
     ids: dict = {}
+    memo: dict = {}
     for node in d.walk():
         ids[node] = len(ids) + 1
-        yield (ids[node], node, [ids[p] for p in node.premises],
-               {k: _PARAMS.get(k, _NAME)[1](v)
-                for k, v in sorted(node.params.items())})
+        conclusion = render_sequent(node.conclusion, memo)
+        yield (ids[node], node, [ids[p] for p in node.premises], conclusion,
+               {k: _PARAMS[k][2](v, memo)
+                for k, v in sorted(node.params.items()) if v is not None})
 
 
 # ---------------------------------------------------------------------------
 # serialization
+
+#: a value with one of these characters is written in quotes
+_QUOTED = re.compile("[ \t\"']")
+
 
 def serialize_derivation(d: Derivation, domains: Optional[DomainTable] = None,
                          predicates: Optional[dict] = None,
@@ -130,18 +136,17 @@ def serialize_derivation(d: Derivation, domains: Optional[DomainTable] = None,
         lines.append(line)
     for name in sorted(predicates or {}):
         lines.append(f"predicate {name}/{(predicates or {})[name]}")
-    memo: dict = {}  # a sequent item shared by several steps is rendered once
-    for n, node, refs, params in _numbered(d):
+    for n, node, refs, conclusion, params in _numbered(d):
         parts = [f"step {n}", node.rule.value]
         if node.direction:
             parts.append(node.direction)
         for key, text in params.items():
-            if any(ch in text for ch in " \t\"'"):
+            if _QUOTED.search(text):
                 text = '"%s"' % text.replace('"', '\\"')
             parts.append(f"{key}={text}")
         if refs:
             parts.append(f"from {','.join(map(str, refs))}")
-        parts.append(f":: {render_sequent(node.conclusion, memo)}")
+        parts.append(f":: {conclusion}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -160,15 +165,14 @@ def derivation_to_json(d: Derivation, domains: Optional[DomainTable] = None,
                           for dom in domains.domains()]
     if predicates:
         doc["predicates"] = {k: v for k, v in sorted(predicates.items())}
-    memo: dict = {}
-    for n, node, refs, params in _numbered(d):
+    for n, node, refs, conclusion, params in _numbered(d):
         doc["steps"].append({
             "id": n,
             "rule": node.rule.value,
             "direction": node.direction,
             "params": params,
             "premises": refs,
-            "conclusion": render_sequent(node.conclusion, memo),
+            "conclusion": conclusion,
         })
     return doc
 
@@ -320,14 +324,14 @@ def _parse_step_line(text: str, line: int, m, memo: dict,
             if key not in _PARAMS:
                 raise DslSyntaxError(f"unknown parameter {key}", line,
                                      m.start("key") + 1)
-            kind = _PARAMS[key]
-            if kind[0] is _integer and m["int"]:
+            kind, read, _ = _PARAMS[key]
+            if kind == "int" and m["int"]:
                 params[key] = int(m["int"])
-            elif kind is _NAME and m["name"]:
+            elif kind == "name" and m["name"]:
                 params[key] = m["name"]
             else:
                 p = _Parser(text, line, memo, m.end("eq"))
-                params[key] = kind[0](p, f"parameter {key}")
+                params[key] = read(p, f"parameter {key}")
                 if m["quote"]:
                     p.expect('"')
                 pos = p.peek().column - 1

@@ -76,6 +76,7 @@ from .ast import (
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_'^]*"
 _KEYWORDS = frozenset({"forall", "exists", "bowtie", "in", "bot"})
+_IDENT_RE = re.compile(_IDENT)
 #: an identifier that is not a keyword
 _WORD = r"(?!(?:%s)(?![A-Za-z0-9_'^]))%s" % ("|".join(sorted(_KEYWORDS)),
                                              _IDENT)
@@ -163,7 +164,7 @@ def name_fault(text: str, label: bool = False) -> str | None:
     companion set (``D^f``) and of a forgetful predicate (``A^f``).  A state
     ``label`` may end in ``^f``: ``<s^f, 1/2>`` and ``#s^f`` read back.
     """
-    if text in _KEYWORDS or not re.fullmatch(_IDENT, text):
+    if text in _KEYWORDS or not _IDENT_RE.fullmatch(text):
         return "must be an identifier and not a keyword"
     if not label and text.endswith("^f"):
         return "must not end in ^f, which names a sharp companion set"

@@ -10,19 +10,25 @@ formula costs the printer no recursion.
 
 A script repeats the same sequent items step after step, and the builders
 and the parse memo share them as one node.  ``render`` may be given a memo,
-``id(node) -> (node, text)``, that lives for one script: a node found in it
-is not rendered again.  It is keyed by identity because a node's ``==``
-and hash walk the whole node, and it holds the node so that the id cannot
-be reused while the memo lives.  Only leaves and sequent items (the
-children of a ``Sequent``) are stored: keeping the text of every nested
-node too would copy each character once per level above it, quadratic on
-a deeply nested item.  A stored text is the node at level 0, without outer
-parentheses; a node found in the memo where its level is too loose is put
-in parentheses there, as it would be when rendered.
+``id(node) -> (node, text, offset)``, that lives for one script: a node
+found in it is not rendered again, its text is ``text[offset:]``.  It is
+keyed by identity because a node's ``==`` and hash walk the whole node,
+and it holds the node so that the id cannot be reused while the memo
+lives.  It stores leaves, sequent items (the children of a ``Sequent``)
+and the links on the right spine of an ``&``, ``\\/`` or ``*`` chain item.
+A link's text is a suffix of its item's, so it is stored as the item's
+text and the offset where it starts, and nothing is copied until a hit
+slices it.  Keeping the text of every nested node would copy each
+character once per level above it, quadratic on a deeply nested item.  A
+step that takes the first operand off a chain item finds the rest there.
+A stored text is the node at level 0, without outer parentheses; a node
+found in the memo where its level is too loose is put in parentheses
+there, as it would be when rendered.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .ast import (
@@ -36,6 +42,7 @@ _LEVEL_STAR = 1
 _LEVEL_OR = 2
 _LEVEL_AND = 3
 _LEVEL_UNIT = 4
+_CHAINS = (And, Or, Star)
 
 
 def render_rational(p: Fraction) -> str:
@@ -103,46 +110,58 @@ def render(node, level: int = _LEVEL_FORMULA,
            memo: Optional[dict] = None) -> str:
     """Canonical text of a node, in parentheses where ``level`` needs them.
 
-    ``memo`` (``id(node) -> (node, text)``), when given, supplies the text
-    of every node it holds and receives that of every leaf and sequent item
-    rendered here."""
+    ``memo``, when given, supplies the text of every node it holds and
+    receives that of every leaf, sequent item and link of a chain item
+    rendered here (see the module docstring)."""
     out = []
     stack = [iter([(node, level)])]  # the parts each open node has left
     # a Sequent is never a child, so its items are the second frame's parts
     items = 2 if memo is not None and type(node) is Sequent else 0
-    item = None  # (node, where its text starts in out) of the open item
+    # the open item: (node, where its text starts in out, where each operand
+    # of its chain after the first starts in out)
+    item = None
+    links = 0  # the depth of the frame of the open item, if it is a chain
     while stack:
         for part in stack[-1]:
             if type(part) is str:
                 out.append(part)
+                if len(stack) == links:  # an operator of the chain item
+                    item[2].append(len(out))
                 continue
             n, at = part if type(part) is tuple else (part, _LEVEL_FORMULA)
             row = _TEXT[type(n)]
             if memo is not None:
                 hit = memo.get(id(n))
                 if hit is not None:
+                    cached = hit[1][hit[2]:]
                     if type(row) is tuple and at > row[0]:
-                        out += ("(", hit[1], ")")
+                        out += ("(", cached, ")")
                     else:
-                        out.append(hit[1])
+                        out.append(cached)
                     continue
             if type(row) is not tuple:
                 out.append(row(n))
                 if memo is not None:
-                    memo[id(n)] = (n, out[-1])
+                    memo[id(n)] = (n, out[-1], 0)
                 continue
             own, text = row
+            parts = text(n)
             if len(stack) == items:
-                item = (n, len(out))
-            stack.append(iter(["(", *text(n), ")"] if at > own else text(n)))
+                item = (n, len(out), [])
+                links = items + 1 if type(n) in _CHAINS else 0
+            stack.append(iter(["(", *parts, ")"] if at > own else parts))
             break
         else:
             stack.pop()
             if item is not None and len(stack) == items:
-                n, start = item
+                n, start, starts = item
+                ends = list(accumulate(map(len, out[start:])))
                 out[start:] = ["".join(out[start:])]
-                memo[id(n)] = (n, out[start])
-                item = None
+                memo[id(n)] = (n, out[start], 0)
+                for at in starts[:-1]:  # the last operand ends the chain
+                    n = n.right
+                    memo[id(n)] = (n, out[start], ends[at - start - 1])
+                item, links = None, 0
     return "".join(out)
 
 

@@ -689,6 +689,48 @@ def test_check_collects_assumptions_and_axioms():
     assert [render(a) for a in report.assumptions] == ["G |- A"]
 
 
+@pytest.mark.parametrize("params, reason", [
+    ({"foo": "bar"}, "unknown parameter foo"),
+    ({"slot": "abc"}, "parameter slot: 'abc' would not read back"),
+    ({"slot": -1}, "parameter slot: -1 would not read back"),
+    ({"positions": []}, "parameter positions: [] would not read back"),
+    ({"var": "x y"}, "parameter var: 'x y' would not read back"),
+    ({"domain": "in"}, "parameter domain: 'in' would not read back"),
+    ({"term": "t1"}, "parameter term: 't1' would not read back"),
+    ({"cut": Var("x")}, "parameter cut: Var(name='x') would not read back"),
+])
+def test_a_parameter_a_script_cannot_carry_is_rejected(params, reason):
+    """The in-memory check takes only what a script can carry: a key the
+    script syntax knows, with a value whose text reads back as it."""
+    node = Derivation(seq("A(x) |- A(x)"), RuleId.IDENTITY, params=params)
+    report = check(node)
+    assert not report.accepted
+    assert report.first_failure.reason.startswith(reason)
+
+
+def test_a_name_parameter_of_none_is_absent():
+    hyp = Derivation(seq("G |- A"), RuleId.HYPOTHESIS)
+    node = Derivation(seq("G |- A, bot"), RuleId.EQ_BOT_R, "forward",
+                      {"label": None}, (hyp,))
+    assert check(node).accepted
+    text = serialize_derivation(node)
+    assert text.splitlines()[-1] == "step 2 eq_bot_r forward from 1 :: " \
+        "G |- A, bot"
+    assert check_script(parse_script(text)).accepted
+
+
+def test_rule_functions_refuse_what_completion_filters_out():
+    """Guards that no script reaches, since the checker hands the rule
+    functions only completed parameters, called directly."""
+    s, b = seq("A(x) |- A(x)"), Atom("B", (Var("x"),))
+    with pytest.raises(RuleError, match="identity has no premises"):
+        rules.conclude(RuleId.IDENTITY, [s], {})
+    with pytest.raises(RuleError, match="position 5 out of range"):
+        rules.weaken_l(s, {"position": 5, "formula": b})
+    with pytest.raises(RuleError, match="exists_r concludes an existential"):
+        rules.exists_r(seq("|- B(t)"), {"existential": b, "term": Var("t")})
+
+
 # ---------------------------------------------------------------------------
 # scripts
 
