@@ -110,20 +110,17 @@ class TheoryConfig(_Frozen):
         object.__setattr__(self, "right_contexts_in_forall",
                            right_contexts_in_forall)
 
-    def is_singleton_domain(self, name: str, table: Optional[DomainTable]) -> bool:
-        if is_singleton_literal(name):
-            return True
-        if table is not None and name in table:
-            return table.resolve(name).kind == "singleton"
-        return False
-
-    def is_focused(self, name: str, table: Optional[DomainTable] = None) -> bool:
+    def is_focused(self, name: str, table: DomainTable) -> bool:
+        """Focused here or in ``table``, or, under the singleton axioms, a
+        singleton: a ``{u}`` literal (declared so or not) or of that kind."""
         if name in self.focused_domains:
             return True
-        if table is not None and name in table and table.resolve(name).focused:
+        domain = table.resolve(name) if name in table else None
+        if domain is not None and domain.focused:
             return True
-        # singletons cannot be unfocused once the singleton axioms are on
-        return self.singleton_axioms and self.is_singleton_domain(name, table)
+        return self.singleton_axioms and (
+            is_singleton_literal(name)
+            or domain is not None and domain.kind == "singleton")
 
 
 class Verdict(_Record):
@@ -234,14 +231,9 @@ def flatten_or(f: Formula) -> list:
 
 
 def build_and(parts: Sequence[Formula]) -> Formula:
-    return _right_spine(And, parts)
-
-
-def _right_spine(cls, parts: Sequence[Formula]) -> Formula:
-    parts = list(parts)
     f = parts[-1]
     for p in reversed(parts[:-1]):
-        f = cls(p, f)
+        f = And(p, f)
     return f
 
 

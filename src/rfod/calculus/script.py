@@ -31,9 +31,10 @@ import re
 from functools import lru_cache
 from typing import Optional
 
-from ..errors import DslSyntaxError, RfodError
+from ..errors import DslSyntaxError, RfodError, RuleError
 from ..syntax.ast import (
-    Domain, DomainTable, _Record, is_singleton_literal, term_prob, term_state,
+    DOMAIN_KINDS, Domain, DomainTable, _Record, is_singleton_literal,
+    term_prob, term_state,
 )
 from ..syntax.parser import _WORD, _Parser, _lexemes, _shown, name_fault
 from ..syntax.printer import render, render_domain, render_sequent
@@ -104,6 +105,9 @@ def _numbered(d: Derivation):
     for node in d.walk():
         ids[node] = len(ids) + 1
         conclusion = render_sequent(node.conclusion, memo)
+        if not node.params.keys() <= _PARAMS.keys():
+            unknown = min(node.params.keys() - _PARAMS.keys())
+            raise RuleError(f"unknown parameter {unknown}")
         yield (ids[node], node, [ids[p] for p in node.premises], conclusion,
                {k: _PARAMS[k][2](v, memo)
                 for k, v in sorted(node.params.items()) if v is not None})
@@ -142,7 +146,7 @@ def serialize_derivation(d: Derivation, domains: Optional[DomainTable] = None,
             parts.append(node.direction)
         for key, text in params.items():
             if _QUOTED.search(text):
-                text = '"%s"' % text.replace('"', '\\"')
+                text = f'"{text}"'
             parts.append(f"{key}={text}")
         if refs:
             parts.append(f"from {','.join(map(str, refs))}")
@@ -271,7 +275,7 @@ def _parse_domain_decl(p: _Parser, script: ProofScript) -> None:
         flag = p.next().text
         if flag == "focused":
             is_focused = True
-        elif flag in ("measured", "uniform", "singleton"):
+        elif flag in DOMAIN_KINDS:
             kind = flag
         else:
             raise RfodError(f"domain {name}: unknown flag {flag}")

@@ -29,7 +29,9 @@ from .calculus.script import (
     check_script, derivation_to_json, domain_to_json, parse_script,
     serialize_derivation,
 )
-from .syntax.ast import ContextVar, Domain, DomainTable, Outcome, Sharp
+from .syntax.ast import (
+    ContextVar, Domain, DomainTable, Outcome, Sharp, term_prob,
+)
 from .syntax.parser import name_fault, parse_sequent
 from .syntax.printer import render_domain, render_rational, render_sequent
 from . import quantum
@@ -211,15 +213,15 @@ def _cmd_derive(args) -> int:
         n = args.m if args.n is None else args.n
         other = theorems.schematic_domain(name + "'", n)
         table.register(other)
-        nested, split = theorems.derive_distributivity(domain, other, cfg=cfg,
-                                                       gamma=gamma)
+        nested, split = theorems.derive_distributivity(domain, other, pred,
+                                                       cfg=cfg, gamma=gamma)
         derivation = split
         report1 = check(nested, cfg, table)
         if not report1.accepted:
             print(report1.summary())
             return EXIT_LOGICAL
         title = "star distributes over the universal (classical mode)"
-    elif args.target == "uncertainty":
+    else:  # uncertainty
         uy = Domain("DUY", (Outcome("up_y", Fraction(1, 2)),
                             Outcome("down_y", Fraction(1, 2))),
                     kind="uniform")
@@ -230,8 +232,6 @@ def _cmd_derive(args) -> int:
         derivation = Derivation(target, RuleId.EQ_BOT_R, FORWARD,
                                 {"label": "Y"}, (leaf,))
         title = "uncertainty of the incompatible observable as labelled falsum"
-    else:  # pragma: no cover
-        raise RfodError(f"unknown derive target {args.target}")
 
     text = serialize_derivation(derivation, table, config=cfg, title=title)
     if args.out:
@@ -254,9 +254,8 @@ def _cmd_measure(args) -> int:
     if args.json:
         _print_json(domain_to_json(domain))
     else:
-        elems = ", ".join(
-            f"({e.state}, {render_rational(e.prob)})" if isinstance(e, Outcome)
-            else f"({e.state}, 1)" for e in domain.elements)
+        elems = ", ".join(f"({e.state}, {render_rational(term_prob(e))})"
+                          for e in domain.elements)
         print(f"{domain.name} = {{ {elems} }}  [{domain.kind}]")
     return EXIT_OK
 

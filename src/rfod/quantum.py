@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, DslSyntaxError, PreconditionError
 from .syntax.ast import (
     Atom, ContextVar, Correlated, Domain, DomainTable, Member, Outcome,
-    Sequent, Sharp, Var, _Frozen, _ratio_sum, domain_kind,
+    Sequent, Sharp, Var, _Frozen, _ratio_sum, domain_kind, term_prob,
 )
 from .syntax.parser import name_fault
 
@@ -302,10 +302,8 @@ def density_of(domain: Domain, basis: Basis) -> DensityOp:
     dim = basis.dim
     rho = np.zeros((dim, dim), dtype=complex)
     for element in domain.elements:
-        label = element.state
-        p = float(element.prob) if isinstance(element, Outcome) else 1.0
-        v = np.asarray(basis.vector_for(label))
-        rho += p * np.outer(v, v.conj())
+        v = np.asarray(basis.vector_for(element.state))
+        rho += float(term_prob(element)) * np.outer(v, v.conj())
     return DensityOp(rho)
 
 

@@ -692,7 +692,7 @@ class Domain(_Frozen):
                 raise DomainError(
                     f"domain {name}: element {e!r} is not an outcome term")
             labels.append(e.state)
-            p = getattr(e, "prob", 1)  # a sharp outcome's is 1
+            p = term_prob(e)
             ratios.append((p.numerator, p.denominator))
         if len(set(labels)) != len(labels):
             raise DomainError(f"domain {name}: state labels not distinct")

@@ -151,9 +151,6 @@ _IDENT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _ITEM_ENDS = frozenset({",", "comma_label", "turnstile", "eof"})
 #: the tokens that may follow a text taken from the memo
 _ENDS = _ITEM_ENDS | {")", ";", '"'}
-# a token of those can follow a text only where the next character starts
-# one (a comment, which ends the line, starts with '-') or the line ends
-_MAY_END = re.compile(r'[ \t\r]*(?:[,|);"-]|$)')
 
 
 def name_fault(text: str, label: bool = False) -> str | None:
@@ -297,8 +294,7 @@ class _Parser:
             stop = pos + end - start
             if (stop <= len(text) and text.startswith(src[start:end], pos)
                     and not (text[stop - 1] in _IDENT_CHARS
-                             and text[stop:stop + 1] in _IDENT_CHARS)
-                    and _MAY_END.match(text, stop)):
+                             and text[stop:stop + 1] in _IDENT_CHARS)):
                 lexer = _lexemes(text, self.line, stop)
                 follow = next(lexer)
                 if follow.kind in _ENDS:

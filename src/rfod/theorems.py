@@ -51,11 +51,7 @@ def _pred_bound_name(pred: Pred, preferred: str = "x") -> str:
 
 
 def _gamma_tuple(gamma) -> tuple:
-    if gamma is None:
-        return (ContextVar("G"),)
-    if isinstance(gamma, (ContextVar, Formula)):
-        return (gamma,)
-    return tuple(gamma)
+    return (ContextVar("G"),) if gamma is None else tuple(gamma)
 
 
 def _fresh(avoid_nodes, extra=()) -> str:
@@ -74,7 +70,7 @@ def _step(rule: RuleId, premises: tuple, params: Optional[dict] = None,
     return Derivation(conclusion, rule, direction, params, premises)
 
 
-def schematic_domain(name: str, m: int, kind: str = "measured") -> Domain:
+def schematic_domain(name: str, m: int) -> Domain:
     """Uniform m-outcome domain with labels t1..tm, for schematic replays."""
     if m < 1:
         raise PreconditionError("domain needs at least one element")
@@ -83,7 +79,7 @@ def schematic_domain(name: str, m: int, kind: str = "measured") -> Domain:
     else:
         elements = tuple(Outcome(f"t{i}", Fraction(1, m))
                          for i in range(1, m + 1))
-    return Domain(name, elements, kind=kind)
+    return Domain(name, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -493,26 +489,28 @@ def _collapse(name: str, pred: str, label: str,
 # distributivity of * over the universal (classical mode)
 
 def derive_distributivity(domain_a: Domain, domain_b: Domain,
-                          pred_a: Pred = "A", pred_b: Pred = "A'",
-                          cfg: Optional[TheoryConfig] = None, gamma=None):
-    """Two routes from the shared two-variable leaf: the nested universal
-    over a star, and the star of the two universals (the second needs
-    right contexts in the universal equation, i.e. classical mode)."""
+                          pred: str = "A", cfg: Optional[TheoryConfig] = None,
+                          gamma=None):
+    """Two routes from the leaf Gamma, z in Da, y in Db |- A(z), A'(y),
+    where A is the predicate symbol ``pred``: the nested universal over a
+    star, and the star of the two universals (the second needs right
+    contexts in the universal equation, i.e. classical mode)."""
     if cfg is not None and not cfg.right_contexts_in_forall:
         raise PreconditionError(
             "distributivity needs classical right contexts in the "
             "universal equation")
+    if not isinstance(pred, str):
+        raise PreconditionError("distributivity takes a predicate symbol")
     cfg = cfg or TheoryConfig(right_contexts_in_forall=True)
     gamma = _gamma_tuple(gamma)
-    z = _fresh(list(gamma), _pred_free_vars(pred_a) | _pred_free_vars(pred_b))
-    y = fresh_var(free_vars(Sequent(gamma, ())) | {z}
-                  | _pred_free_vars(pred_a) | _pred_free_vars(pred_b))
-    fa, fb = apply_pred(pred_a, Var(z)), apply_pred(pred_b, Var(y))
+    z = _fresh(list(gamma))
+    y = fresh_var(free_vars(Sequent(gamma, ())) | {z})
+    fa, fb = Atom(pred, (Var(z),)), Atom(pred + "'", (Var(y),))
     leaf_concl = Sequent(gamma + (Member(Var(z), domain_a.name),
                                   Member(Var(y), domain_b.name)), (fa, fb))
     leaf = Derivation(leaf_concl, RuleId.HYPOTHESIS)
-    x = _pred_bound_name(pred_a)
-    x2 = pick_bound_name([apply_pred(pred_b, Var(y))], x + "'")
+    x = _pred_bound_name(pred)
+    x2 = pick_bound_name([fb], x + "'")
 
     def forward(rule, node, **params):
         return _step(rule, (node,), params, FORWARD, cfg)

@@ -456,6 +456,25 @@ def test_f_subst_gated_by_singleton_axioms():
     assert not verdict.ok
 
 
+@pytest.mark.parametrize("plain,conclusion,accepted", [
+    # a binder of the substituted variable keeps its own occurrences
+    ("G, z in D |- A(z) & (forall z in D . B(z))",
+     "G, #t1 in D^f |- A^f(#t1) & (forall z in D . B(z))", True),
+    ("G, z in D |- forall z in D . A(z)",
+     "G, #t1 in D^f |- forall z in D . A^f(#t1)", False),
+])
+def test_f_subst_stops_at_a_binder_of_its_variable(plain, conclusion,
+                                                   accepted):
+    report = check_script(parse_script(
+        "domain D = { <t1, 1/2>, <t2, 1/2> }\n"
+        f"step 1 hypothesis :: {plain}\n"
+        f"step 2 f_subst var=z state=t1 from 1 :: {conclusion}\n"))
+    assert report.accepted == accepted
+    if not accepted:
+        assert report.first_failure.reason == \
+            "the sides of the step do not match f_subst"
+
+
 def test_ax_singleton_spec_example():
     verdict = rule_step(seq("z in {u} |- z = u"), RuleId.AX_SINGLETON, [])
     assert verdict.ok, verdict.reason
@@ -708,6 +727,14 @@ def test_a_parameter_a_script_cannot_carry_is_rejected(params, reason):
     assert report.first_failure.reason.startswith(reason)
 
 
+def test_the_writers_refuse_a_parameter_a_script_cannot_carry():
+    node = Derivation(seq("A(x) |- A(x)"), RuleId.IDENTITY,
+                      params={"foo": "bar"})
+    for write in (serialize_derivation, derivation_to_json):
+        with pytest.raises(RuleError, match="^unknown parameter foo$"):
+            write(node)
+
+
 def test_a_name_parameter_of_none_is_absent():
     hyp = Derivation(seq("G |- A"), RuleId.HYPOTHESIS)
     node = Derivation(seq("G |- A, bot"), RuleId.EQ_BOT_R, "forward",
@@ -729,6 +756,64 @@ def test_rule_functions_refuse_what_completion_filters_out():
         rules.weaken_l(s, {"position": 5, "formula": b})
     with pytest.raises(RuleError, match="exists_r concludes an existential"):
         rules.exists_r(seq("|- B(t)"), {"existential": b, "term": Var("t")})
+
+
+@pytest.mark.parametrize("s,eq,direction,params,reason", [
+    # _compose: where the parts are, what they are, the correlated slot
+    ("G, z in D |- A(z)", RuleId.EQ_FORALL_R, "forward", {"slot": 3},
+     "succedent position 3 out of range"),
+    (["G |- H", "G |- K"], RuleId.EQ_AND_R, "forward", None,
+     "the parts of a And must be formulas"),
+    ("G, z in DS |- A(z)", RuleId.EQ_BOWTIE_R, "forward", None,
+     "a bowtie closes a correlated slot"),
+    # decompose_equality: the term, its fresh variable, the placed equality
+    ("G |- A(<t1, 1/3>)", RuleId.EQ_EQUALITY, "backward", {"term": "t1"},
+     "term parameter must be a term"),
+    ("G |- A(w)", RuleId.EQ_EQUALITY, "backward",
+     {"term": Var("z"), "var": "z"},
+     "abstracted term and fresh variable coincide"),
+    ("G |- A(<t1, 1/3>)", RuleId.EQ_EQUALITY, "backward",
+     {"term": parse_term("<t1, 1/3>"), "index": 5}, "index 5 out of range"),
+    # equation_step's own arguments
+    ("G |- A", RuleId.CUT, "forward", None,
+     "cut is not a definitory equation"),
+    (["G |- A(x) & B(x)"], RuleId.EQ_AND_R, "backward", None,
+     "backward step takes one sequent"),
+    ("G |- A(x) & B(x)", RuleId.EQ_AND_R, "sideways", None,
+     "unknown direction 'sideways'"),
+    ("G |- A", RuleId.EQ_AND_R, "forward", None,
+     "eq_and_r composes from 2 sequent(s)"),
+])
+def test_equation_step_refuses_what_no_checked_step_hands_it(s, eq, direction,
+                                                           params, reason):
+    """Guards of the equation engine that no script step reaches, since
+    the checker hands it only completed steps, called directly."""
+    s = [seq(t) for t in s] if isinstance(s, list) else seq(s)
+    with pytest.raises(RuleError) as err:
+        equation_step(s, eq, direction, params)
+    assert str(err.value) == reason
+
+
+def test_is_focused_truth_table():
+    """Focused by the config or the table, or a singleton under the
+    singleton axioms: a {u} literal, declared with the singleton flag or
+    not, or a domain of kind singleton."""
+    table = DomainTable([
+        Domain("D", (Outcome("t1", HALF), Outcome("t2", HALF))),
+        Domain("F", (Outcome("t1", HALF), Outcome("t2", HALF)), focused=True),
+        Domain("{u}", (Sharp("u"),)),
+        Domain("S", (Sharp("v"),), kind="singleton"),
+    ])
+    focused = {"D": False, "F": True, "{u}": True, "{w}": True, "S": True,
+               "E": False}
+    for axioms in (True, False):
+        cfg = TheoryConfig(singleton_axioms=axioms)
+        assert {name: cfg.is_focused(name, table) for name in focused} == \
+            {name: f and (axioms or name == "F")
+             for name, f in focused.items()}
+        by_config = TheoryConfig(axioms, frozenset({"D", "E"}))
+        assert by_config.is_focused("D", table)
+        assert by_config.is_focused("E", table)
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +855,18 @@ def test_script_json_matches_text_content():
     assert doc["steps"][1]["premises"] == [1]
     assert doc["domains"][0]["name"] == "D"
     assert doc["domains"][0]["elements"] == [["t1", 1, 2], ["t2", 1, 2]]
+
+
+def test_predicate_declaration_round_trips():
+    script = parse_script("predicate A/2\nstep 1 identity :: A(x, y) |- "
+                          "A(x, y)\n")
+    assert script.predicates == {"A": 2}
+    text = serialize_derivation(script.root(),
+                                predicates=script.predicates)
+    assert text.splitlines()[0] == "predicate A/2"
+    assert parse_script(text).predicates == {"A": 2}
+    doc = derivation_to_json(script.root(), predicates=script.predicates)
+    assert doc["predicates"] == {"A": 2}
 
 
 def test_script_errors():
@@ -818,6 +915,10 @@ def test_golden_scripts_round_trip(path):
      "expected a term, found '|-'"),
     ("step 1 identity :: A(<t, 3/2>) |- A(<t, 3/2>)", 1, 22,
      "outcome probability must be in (0, 1], got 3/2"),
+    ("step 1 hypothesis :: G |- H ,_S A(x)", 1, 29,
+     "left side of a correlated comma must be a formula"),
+    ("step 1 hypothesis :: G |- A(x) ,_S H", 1, 32,
+     "right side of a correlated comma must be a formula"),
 ])
 def test_script_line_error_positions(text, line, column, message):
     with pytest.raises(DslSyntaxError) as err:

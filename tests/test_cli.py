@@ -372,6 +372,13 @@ def test_direction_on_a_rule_without_one_is_rejected(tmp_path, capsys, text,
      "step 2 eq_equality backward var=z positions=1 from 1 :: "
      "G, z = <t1, 1/3> |- A(z)\n",
      "equality abstraction needs term=<t>"),
+    ("step 1 hypothesis :: G |- A(x) & B(x)\n"
+     "step 2 eq_and_r pick=left from 1 :: G |- A(x)\n",
+     "eq_and_r needs direction forward|backward"),
+    ("step 1 identity :: G |- G\n", "identity holds between formulas"),
+    ("domain D = { <t1, 1/2>, <t2, 1/2> }\n"
+     "step 1 ax_member :: |- A(<t1, 1/2>)\n",
+     "membership fact concludes t in D"),
 ])
 def test_side_condition_rejects_the_step(tmp_path, capsys, text, reason):
     bad = tmp_path / "bad.seq"
@@ -458,6 +465,24 @@ def test_deep_parentheses_are_a_parse_error(tmp_path, capsys, levels,
         assert code == 2
         assert err == (f"error: 1:{len(prefix) + 101}: formula nested "
                        "deeper than 100 levels\n")
+
+
+@pytest.mark.parametrize("target", [t for t in ALL_TARGETS if t != "prop2"])
+def test_every_target_with_a_predicate_takes_pred(tmp_path, capsys, target):
+    """prop2 states no predicate; every other target writes --pred's
+    symbol, and distributivity its primed twin, in place of A."""
+    script = tmp_path / "pred.script"
+    focus = [] if target == "reflection" else ["--focused", "D"]
+    code, out, _ = run(capsys, "derive", target, "--pred", "Q", "--m", "3",
+                       *focus, "--out", str(script))
+    assert code == 0 and out.endswith("ACCEPTED\n")
+    text = script.read_text()
+    assert not re.search(r"\bA(\^f|')?\(", text)
+    code, out, _ = run(capsys, "check", str(script))
+    assert code == 0 and out.endswith("ACCEPTED\n")
+    if target == "distributivity":
+        assert "step 1 hypothesis :: G, z in D, y in D' |- Q(z), Q'(y)\n" \
+            in text
 
 
 def test_derive_distributivity_n_zero_is_not_m(capsys):

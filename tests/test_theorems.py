@@ -395,6 +395,24 @@ def test_distributivity_precondition():
     da, db = _dist_domains()
     with pytest.raises(PreconditionError):
         derive_distributivity(da, db, cfg=TheoryConfig())
+    with pytest.raises(PreconditionError, match="takes a predicate symbol"):
+        derive_distributivity(da, db, ("h", Atom("B", (Var("h"),))))
+
+
+def test_distributivity_primes_its_one_predicate():
+    """The second variable's predicate is the first one's, primed."""
+    da, db = _dist_domains()
+    table = table_for(da, db)
+    nested, split = derive_distributivity(da, db, "B")
+    leaf = split
+    while leaf.premises:
+        leaf = leaf.premises[0]
+    assert render(leaf.conclusion) == "G, z in DZ, y in DZ' |- B(z), B'(y)"
+    assert render(split.conclusion) == \
+        "G |- (forall x in DZ . B(x)) * (forall x' in DZ' . B'(x'))"
+    classical = TheoryConfig(right_contexts_in_forall=True)
+    assert check(nested, classical, table).accepted
+    assert check(split, classical, table).accepted
 
 
 def test_distributivity_shapes_outside_dual_fragment():
