@@ -28,7 +28,7 @@ from ..syntax.printer import render_sequent
 from .rules import (
     AXIOMS, BACKWARD, EQUATIONS, FORWARD, RuleId, TheoryConfig, Verdict,
     _CONNECTIVE_AT, _DECOMPOSE, _PARAM_KINDS, _TWO_PREMISES, _element_matches,
-    _lookup, _require, compose_equality, conclude, flatten_or,
+    _lookup, _require, conclude, flatten_or,
 )
 
 
@@ -118,28 +118,19 @@ def _validate_premised(c: Sequent, rule: RuleId, direction: Optional[str],
     """Recompute the step with its function in ``rules`` under each
     completion of its parameters, and compare up to alpha-equivalence.
 
-    ``conclude`` computes the conclusion of a rule that is not an equation
-    and of a backward equation step, so pick= means what it means to the
-    builders.  A forward equation step's conclusion is decomposed and
-    compared with its premises, except for the equality equation, whose
-    connective side (the one with the antecedent z = t) is composed, read
-    either way: a script need not record which occurrences of t were
-    abstracted (when positions= does, the plain side must decompose to it
-    as well).  When no completion can be computed, the first failure is
-    the reason.
+    An equation step whose conclusion is its connective side (a forward
+    step, or a backward one for equality, whose direction word reads the
+    other way) has the conclusion decomposed and compared with its
+    premises.  ``conclude`` computes the conclusion of any other step, so
+    pick= means what it means to the builders.  When no completion can be
+    computed, the first failure is the reason.
     """
     equation = rule in EQUATIONS
-    equality = rule is RuleId.EQ_EQUALITY
-    on_conclusion = (direction == FORWARD) != equality or not equation
+    on_conclusion = ((direction == FORWARD) != (rule is RuleId.EQ_EQUALITY)
+                     or not equation)
     connective, plain = (c, premises[0]) if on_conclusion else (premises[0], c)
 
     def matches(p: dict) -> bool:
-        if equality:
-            pieces = [compose_equality(connective, p)]
-            _require("positions" not in p or alpha_eq_all(
-                _DECOMPOSE[rule](plain, p, cfg), [connective]),
-                "positions= does not abstract the step's occurrences")
-            return alpha_eq_all(pieces, premises if on_conclusion else [c])
         if equation and on_conclusion:
             return alpha_eq_all(_DECOMPOSE[rule](connective, p, cfg), premises)
         return alpha_eq(conclude(rule, premises, p, cfg, table, direction), c)
@@ -357,8 +348,6 @@ _LEAVES = {
 #: a name that is None is absent, as the rules read label, bound and pick
 _KIND_READS_BACK = {
     "int": lambda v: type(v) is int and v >= 0,
-    "ints": lambda v: type(v) in (list, tuple) and len(v) > 0
-    and all(type(k) is int and k >= 0 for k in v),
     "term": lambda v: isinstance(v, Term),
     "formula": lambda v: isinstance(v, Formula),
     "name": lambda v: v is None or type(v) is str and name_fault(

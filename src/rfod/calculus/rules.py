@@ -5,17 +5,18 @@ step with these functions, and the theorem builders build with them
 through ``conclude``, so each parameter means the same thing in both.
 
 Each definitory equation is an "iff" between a sequent containing a
-connective and sequent(s) without it.  ``forward`` composes the connective
-(the conclusion carries it), ``backward`` decomposes.  The equality
-equation is the one exception to that reading: Leibniz rewriting consumes
-the equality, so its composed side is the equality-free sequent and
-``backward`` is the step that abstracts a term into a fresh variable.  The
-``decompose_*`` functions define the eight equations, and ``equation_step``
-reads each both ways: forward, it puts the connective together from the
-plain side and keeps the result only when the decomposition gives the
-plain side back, so every side condition is checked in one place.  The
-equality equation is read forward by ``compose_equality`` alone: its
-decomposition cannot say which occurrences of the term it abstracted.
+connective and sequent(s) without it.  The ``decompose_*`` functions
+define the eight equations, each going from the connective side to the
+plain side; equality's connective side is the one with the antecedent
+z = t, and decomposing it eliminates the equality, putting t back for z.
+``equation_step`` reads each both ways: composing, it puts the connective
+together from the plain side and keeps the result only when the
+decomposition gives the plain side back, so every side condition is
+checked in one place.  ``forward`` composes the connective (the conclusion
+carries it) and ``backward`` decomposes, except for equality, whose
+direction word reads the other way: Leibniz rewriting consumes the
+equality, so ``forward`` eliminates it and ``backward`` abstracts a term
+into a variable.
 The other rules with premises are ``cut``, ``substitute`` (plain and
 forgetful), ``exists_r``, ``weaken_l`` and ``dualize``.
 """
@@ -87,9 +88,8 @@ BACKWARD = "backward"
 #: and writes it; a step carries no other key
 _PARAM_KINDS = {
     **dict.fromkeys(("slot", "index", "member", "body", "position"), "int"),
-    "positions": "ints",
     "term": "term",
-    **dict.fromkeys(("cut", "formula"), "formula"),
+    "cut": "formula",
     **dict.fromkeys(("var", "bound", "label", "state", "domain", "pick"),
                     "name"),
 }
@@ -317,29 +317,8 @@ def decompose_exists(s: Sequent, params: Optional[dict]) -> list:
 
 
 def decompose_equality(s: Sequent, params: Optional[dict]) -> list:
-    _require(params is not None and "term" in params,
-             "equality abstraction needs term=<t>")
-    t = params["term"]
-    _require(isinstance(t, Term), "term parameter must be a term")
-    if "var" in params:
-        z = _fresh_choice(s, params)
-    else:
-        z = fresh_var(_var_names(s) | _var_names(t))
-    _require(not (isinstance(t, Var) and t.name == z),
-             "abstracted term and fresh variable coincide")
-    for k in params.get("positions", ()):  # a missing occurrence leaves s
-        _require(replace_term_occurrences(s, t, Var(z), (k,)) is not s,
-                 "positions= names no occurrence {} of the term", k)
-    abstracted = replace_term_occurrences(s, t, Var(z),
-                                          params.get("positions"))
-    ant = abstracted.antecedent
-    j = params.get("index", len(ant))  # where z = t goes; last by default
-    _require(0 <= j <= len(ant), "index {} out of range", j)
-    return [Sequent(ant[:j] + (Eq(Var(z), t),) + ant[j:],
-                    abstracted.succedent)]
-
-
-def compose_equality(s: Sequent, params: Optional[dict]) -> Sequent:
+    """Eliminate the antecedent z = t at ``index`` (by default the last one
+    that var= and term= allow), putting t back for z."""
     params = params or {}
     if "index" in params:
         candidates = [params["index"]]
@@ -355,7 +334,7 @@ def compose_equality(s: Sequent, params: Optional[dict]) -> Sequent:
                 or params.get("var", z) != z or params.get("term", t) != t):
             continue
         rest = Sequent(s.antecedent[:j] + s.antecedent[j + 1:], s.succedent)
-        return subst_sequent(rest, z, t)
+        return [subst_sequent(rest, z, t)]
     raise RuleError("no antecedent equality z = t to eliminate")
 
 
@@ -381,22 +360,33 @@ _DECOMPOSE = {
 }
 
 
-def _compose(plain: list, eq: RuleId, params: Optional[dict],
-             cfg: TheoryConfig) -> Sequent:
-    """The forward reading of an equation: its connective put together from
-    the parts on the plain side.
+def _compose(plain: list, eq: RuleId, p: dict) -> Sequent:
+    """An equation's connective side put together from the parts on its
+    plain side, completing the parameters ``p``.
 
     The parts are the membership z in D that a binder closes (``member``,
     by default the last one) and the items the connective takes: at
     ``slot``, at ``body`` for the existential, or where two premises
-    differ.  The result is kept only when the equation's ``decompose_*``
-    gives the plain side back, so freshness, capture, the right-context
-    guard, the correlation label and the agreement of two premises are
-    all checked there.
+    differ.  Equality abstracts ``term`` into ``var`` (or a fresh name) at
+    every occurrence, or at those ``positions`` names (1-based, in reading
+    order), and puts z = t at ``index`` of the antecedent, last by default.
     """
     key, side, cls = _CONNECTIVE_AT[eq]
-    p = dict(params or {})
     s = plain[0]
+    if cls is Eq:
+        _require("term" in p, "equality abstraction needs term=<t>")
+        t = p["term"]
+        _require(isinstance(t, Term), "term parameter must be a term")
+        z = p.get("var") or fresh_var(_var_names(s) | _var_names(t))
+        _require(not (isinstance(t, Var) and t.name == z),
+                 "abstracted term and fresh variable coincide")
+        for k in p.get("positions", ()):  # a missing occurrence leaves s
+            _require(replace_term_occurrences(s, t, Var(z), (k,)) is not s,
+                     "positions= names no occurrence {} of the term", k)
+        s = replace_term_occurrences(s, t, Var(z), p.get("positions"))
+        j = p.setdefault("index", len(s.antecedent))
+        return Sequent(s.antecedent[:j] + (Eq(Var(z), t),) + s.antecedent[j:],
+                       s.succedent)
     items = getattr(s, side)
     taken = set()  # (side, position) of the plain items the connective takes
     if cls in BINDERS:
@@ -449,11 +439,7 @@ def _compose(plain: list, eq: RuleId, params: Optional[dict],
     kept = {n: [f for i, f in enumerate(getattr(s, n)) if (n, i) not in taken]
             for n in ("antecedent", "succedent")}
     kept[side].insert(at, made)
-    composed = Sequent(kept["antecedent"], kept["succedent"])
-    if not alpha_eq_all(_DECOMPOSE[eq](composed, p, cfg), plain):
-        raise RuleError(f"{render_sequent(composed)} does not decompose back "
-                        f"to the plain side of {eq.value}")
-    return composed
+    return Sequent(kept["antecedent"], kept["succedent"])
 
 
 def equation_step(s, eq: RuleId, direction: str, params: Optional[dict] = None,
@@ -463,20 +449,30 @@ def equation_step(s, eq: RuleId, direction: str, params: Optional[dict] = None,
 
     ``backward`` decomposes the connective out of ``s``; ``forward``
     composes it (for the two-premise equations pass a list of sequents).
+    For equality the words swap: ``forward`` eliminates z = t and
+    ``backward`` abstracts the term.
     """
     cfg = cfg or TheoryConfig()
     _require(eq in EQUATIONS, "{.value} is not a definitory equation", eq)
-    if direction == BACKWARD:
-        _require(isinstance(s, Sequent), "backward step takes one sequent")
+    _require(direction in (FORWARD, BACKWARD), "unknown direction {!r}",
+             direction)
+    if (direction == BACKWARD) != (eq is RuleId.EQ_EQUALITY):
+        _require(isinstance(s, Sequent), "{} step takes one sequent",
+                 direction)
         return _DECOMPOSE[eq](s, params, cfg)
-    _require(direction == FORWARD, "unknown direction {!r}", direction)
     seqs = [s] if isinstance(s, Sequent) else list(s)
     count = 2 if eq in _TWO_PREMISES else 1
     _require(len(seqs) == count,
              "{.value} composes from {} sequent(s)", eq, count)
-    if eq is RuleId.EQ_EQUALITY:
-        return [compose_equality(seqs[0], params)]
-    return [_compose(seqs, eq, params, cfg)]
+    # kept only when the decomposition gives the plain side back, so
+    # freshness, capture, the right-context guard, the correlation label
+    # and the agreement of two premises are all checked there
+    p = dict(params or {})
+    composed = _compose(seqs, eq, p)
+    if not alpha_eq_all(_DECOMPOSE[eq](composed, p, cfg), seqs):
+        raise RuleError(f"{render_sequent(composed)} does not decompose back "
+                        f"to the plain side of {eq.value}")
+    return [composed]
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +634,8 @@ def conclude(rule: RuleId, premises: Sequence[Sequent], params: dict,
     complete parameters; a backward equation step with two pieces needs
     pick=left|right."""
     if rule in EQUATIONS:
-        if direction == FORWARD:
-            return equation_step(premises, rule, FORWARD, params, cfg)[0]
-        pieces = equation_step(premises[0], rule, direction, params, cfg)
+        lone = premises[0] if len(premises) == 1 else premises
+        pieces = equation_step(lone, rule, direction, params, cfg)
         pieces = pieces[_PICK.get(params.get("pick"), slice(0))]
         _require(len(pieces) == 1, "{.value} gives no single sequent", rule)
         return pieces[0]

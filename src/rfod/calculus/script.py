@@ -17,7 +17,7 @@ or the conclusion starts, so every error carries its real line and column:
            | "predicate" IDENT ["/" INT] | "config" KEY ("on" | "off")
            | "step" ID RULE DIRECTION? (KEY "=" value | "from" ID ("," ID)*)*
              "::" sequent
-    value := V | '"' V '"'   (V by the key: INT (";" INT)*, term, formula, DOM)
+    value := V | '"' V '"'   (V by the key: INT, term, formula, DOM)
     ID    := INT | RATIONAL ("1/2", ".5") | WORD (an identifier, no keyword)
 
 A comment runs from ``--`` to the end of the line, wherever it starts.
@@ -31,12 +31,14 @@ import re
 from functools import lru_cache
 from typing import Optional
 
-from ..errors import DslSyntaxError, RfodError, RuleError
+from ..errors import DslSyntaxError, LookupFailure, RfodError, RuleError
 from ..syntax.ast import (
     DOMAIN_KINDS, Domain, DomainTable, _Record, is_singleton_literal,
-    term_prob, term_state,
+    sharp_pred_name, term_prob, term_state,
 )
-from ..syntax.parser import _WORD, _Parser, _lexemes, _shown, name_fault
+from ..syntax.parser import (
+    _WORD, _Parser, _lexemes, _shown, _validate_names, name_fault,
+)
 from ..syntax.printer import render, render_domain, render_sequent
 from .checker import CheckReport, Derivation, TheoryConfig, check
 from .rules import _PARAM_KINDS, RuleId
@@ -69,18 +71,10 @@ def _integer(p: _Parser, owner: str) -> int:
     return int(tok.text)
 
 
-def _integers(p: _Parser, owner: str) -> list:
-    values = [_integer(p, owner)]
-    while p.accept(";"):
-        values.append(_integer(p, owner))
-    return values
-
-
 #: value kind -> (read a value off a step line, its text given the
 #: script's render memo)
 _KINDS = {
     "int": (_integer, lambda v, memo: str(v)),
-    "ints": (_integers, lambda v, memo: ";".join(map(str, v))),
     "term": (lambda p, owner: p.parse_term(),
              lambda v, memo: render(v, memo=memo)),
     "formula": (lambda p, owner: p.parse_formula(),
@@ -242,6 +236,14 @@ def parse_script(text: str) -> ProofScript:
             # an error of the line as a whole: a declaration it breaks or
             # a step it cannot place
             raise DslSyntaxError(str(exc), lineno, column) from exc
+    if script.predicates:  # each step keeps to them; A^f is A's sharp mark
+        arities = {sharp_pred_name(k): n for k, n in script.predicates.items()}
+        arities.update(script.predicates)
+        for step_id, *_, conclusion in script.steps:
+            try:
+                _validate_names(conclusion, None, arities)
+            except LookupFailure as exc:
+                raise DslSyntaxError(str(exc), *seen_ids[step_id]) from exc
     # every step must lead to the last one, which alone is checked as a tree
     used = {step[0] for step in script.steps[-1:]}
     for step_id, _, _, _, refs, _ in reversed(script.steps):

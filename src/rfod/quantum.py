@@ -397,10 +397,10 @@ def schmidt(psi: QState) -> SchmidtData:
 # sequent emission
 
 def emit_assertion(state: QState, basis: Optional[Basis] = None,
-                   bipartite: bool = False, gamma: str = "G",
-                   pred: str = "A", pred2: str = "A'",
-                   table: Optional[DomainTable] = None) -> Sequent:
-    """Translate a state into the matching assertion.
+                   bipartite: bool = False, gamma: str = "G", *,
+                   table: DomainTable) -> Sequent:
+    """Translate a state into the matching assertion, registering its
+    domains in ``table``.
 
     Single system: Gamma, z in D |- A(z).  Bipartite separable: the
     two-variable form over the local domains.  Bipartite entangled: the
@@ -411,10 +411,9 @@ def emit_assertion(state: QState, basis: Optional[Basis] = None,
         if basis is None:
             raise PreconditionError("single-system translation needs a basis")
         domain = measure(state, basis)
-        if table is not None:
-            table.register(domain)
+        table.register(domain)
         return Sequent((ctx, Member(Var("z"), domain.name)),
-                       (Atom(pred, (Var("z"),)),))
+                       (Atom("A", (Var("z"),)),))
     if state.dim != 4:
         raise DomainError("bipartite translation needs a dim-4 state")
     local = basis or _LOCAL_Z
@@ -426,20 +425,18 @@ def emit_assertion(state: QState, basis: Optional[Basis] = None,
         right = measure(QState(data.right[0]), local)
         primed = Domain(left.name + "'", right.elements, right.focused,
                         right.kind)
-        if table is not None:
-            table.register(left)
-            table.register(primed)
+        table.register(left)
+        table.register(primed)
         return Sequent((ctx, Member(Var("z"), left.name),
                         Member(Var("y"), primed.name)),
-                       (Atom(pred, (Var("z"),)), Atom(pred2, (Var("y"),))))
+                       (Atom("A", (Var("z"),)), Atom("A'", (Var("y"),))))
     probs = _rationalize([c ** 2 for c in data.coefficients])
     elements = tuple(Outcome(f"s{k + 1}", p) for k, p in enumerate(probs))
     ds = Domain("DS", elements, focused=True, kind=domain_kind(probs))
-    if table is not None:
-        table.register(ds)
+    table.register(ds)
     return Sequent((ctx, Member(Var("z"), ds.name)),
-                   (Correlated("S", Atom(pred, (Var("z"),)),
-                               Atom(pred2, (Var("z"),))),))
+                   (Correlated("S", Atom("A", (Var("z"),)),
+                               Atom("A'", (Var("z"),))),))
 
 
 # ---------------------------------------------------------------------------

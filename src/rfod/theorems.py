@@ -3,9 +3,9 @@
 Every builder returns plain `Derivation` trees that re-check under
 `calculus.check`.  Every rule with premises is one function in `rules`,
 which the checker recomputes a step with; a node built here gets its
-conclusion from the same function, except an equality abstraction, whose
-decomposition would also abstract the term inside the context.  Fresh
-variables follow the deterministic supply z, y, z1, z2, ... so the
+conclusion from the same function, except an equality abstraction: its
+composition abstracts every occurrence, including those in the context.
+Fresh variables follow the deterministic supply z, y, z1, z2, ... so the
 emitted scripts are reproducible.
 """
 from __future__ import annotations

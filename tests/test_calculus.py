@@ -16,9 +16,10 @@ from rfod.calculus import (
 )
 from rfod.syntax import (
     Atom, Bot, Domain, DomainTable, Eq, Member, Or, Outcome, Sequent, Sharp,
-    Term, Var, alpha_eq, alpha_eq_all, children, parse_sequent, parse_term,
-    render, replace_term_occurrences,
+    Term, Var, alpha_eq, alpha_eq_all, bound_vars, children, free_vars,
+    parse_sequent, parse_term, render, replace_term_occurrences,
 )
+from gen import make_rng, random_sequent
 from rfod.theorems import (
     check_reversibility, derive_collapse_and_repeat, derive_distributivity,
     derive_lemma1, derive_prop1, derive_prop2, derive_reflection,
@@ -583,43 +584,74 @@ def test_subst_inferred_pairs_agree_with_a_lone_parameter():
             report.first_failure.reason
 
 
-def test_eq_equality_reads_positions():
-    text = ("step 1 hypothesis :: G |- A(<t1, 1/3>), B(<t1, 1/3>)\n"
-            'step 2 eq_equality backward term="<t1, 1/3>" var=z '
-            "positions=%s from 1 :: G, z = <t1, 1/3> |- A(z), B(<t1, 1/3>)\n")
-    assert check_script(parse_script(text % "1")).accepted
-    for positions in ("2", "1;2", "7"):
-        report = check_script(parse_script(text % positions))
-        assert not report.accepted
-        assert "positions=" in report.first_failure.reason
-
-
-@pytest.mark.parametrize("positions", ["1;2", "0;1"])
-def test_eq_equality_positions_name_occurrences(tmp_path, positions):
-    # an entry naming no occurrence rejects the step, even when the other
-    # entries abstract the step's occurrences
-    script = tmp_path / "positions.script"
+@pytest.mark.parametrize("key", ["positions=1", 'formula="B(x)"'])
+def test_a_step_key_the_conclusion_shows_is_refused(tmp_path, capsys, key):
+    """positions= and formula= are no step keys: the conclusion shows which
+    occurrences an abstraction took and which formula a weakening put in."""
+    script = tmp_path / "keys.script"
     script.write_text(
         "step 1 hypothesis :: G |- A(<t1, 1/3>)\n"
-        'step 2 eq_equality backward term="<t1, 1/3>" var=z '
-        f"positions={positions} from 1 :: G, z = <t1, 1/3> |- A(z)\n")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli_main(["check", str(script)]) == 1
-    assert "REJECTED: positions= names no occurrence" in out.getvalue()
-    with pytest.raises(RuleError, match="no occurrence 2"):
+        f'step 2 eq_equality backward term="<t1, 1/3>" var=z {key} '
+        "from 1 :: G, z = <t1, 1/3> |- A(z)\n")
+    assert cli_main(["check", str(script)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: 2:52: unknown parameter {key.split('=')[0]}\n"
+
+
+@pytest.mark.parametrize("positions,missing", [("1;2", 2), ("0;1", 0)],
+                         ids=["1;2", "0;1"])
+def test_eq_equality_positions_name_occurrences(positions, missing):
+    # an entry naming no occurrence refuses the abstraction, even when the
+    # other entries name occurrences of the term
+    with pytest.raises(RuleError, match=f"no occurrence {missing} "):
         equation_step(seq("G |- A(<t1, 1/3>)"), RuleId.EQ_EQUALITY,
                       "backward", {"term": parse_term("<t1, 1/3>"),
-                                   "positions": [2]})
+                                   "positions": [int(k) for k in
+                                                 positions.split(";")]})
 
 
-@pytest.mark.parametrize("positions,accepted", [
-    ("", True), ("positions=1 ", True), ("positions=2 ", False)])
-def test_eq_equality_places_its_equality_at_index(positions, accepted):
+def test_eq_equality_places_its_equality_at_index():
     text = ("step 1 hypothesis :: G |- A(<t1, 1/3>)\n"
             'step 2 eq_equality backward term="<t1, 1/3>" var=z index=0 '
-            f"{positions}from 1 :: z = <t1, 1/3>, G |- A(z)\n")
-    assert check_script(parse_script(text)).accepted is accepted
+            "from 1 :: z = <t1, 1/3>, G |- A(z)\n")
+    assert check_script(parse_script(text)).accepted
+
+
+def test_eq_equality_abstraction_is_the_inverse_of_its_elimination():
+    """equation_step abstracts a term only where the checker accepts the
+    step and the elimination gives the plain side back; at a capture, or
+    into a variable free in the plain side, it refuses."""
+    capture = seq("|- forall z in D . A(<t1, 1/2>)")
+    with pytest.raises(RuleError, match="does not decompose back"):
+        equation_step(capture, RuleId.EQ_EQUALITY, "backward",
+                      {"term": parse_term("<t1, 1/2>"), "var": "z"})
+    rng = make_rng(25)
+    built = refused = 0
+    for _ in range(60):
+        s = random_sequent(rng)
+        names = (None, "q", *sorted(bound_vars(s))[:1],
+                 *sorted(free_vars(s))[:1])
+        for t in dict.fromkeys(_terms(s)):
+            for var in names:
+                for positions in (None, [1]):
+                    p = {"term": t, **({"var": var} if var else {}),
+                         **({"positions": positions} if positions else {})}
+                    try:
+                        [abstracted] = equation_step(
+                            s, RuleId.EQ_EQUALITY, "backward", p)
+                    except RuleError:
+                        refused += 1
+                        continue
+                    built += 1
+                    j = len(abstracted.antecedent) - 1
+                    z = abstracted.antecedent[j].left.name
+                    verdict = rule_step(abstracted, RuleId.EQ_EQUALITY, [s],
+                                        {"term": t, "var": z},
+                                        direction="backward")
+                    assert verdict.ok, (render(s), p, verdict.reason)
+                    assert equation_step(abstracted, RuleId.EQ_EQUALITY,
+                                         "forward", {"index": j}) == [s]
+    assert built > 100 and refused > 10
 
 
 _BOWTIE_DOMAIN = "domain DS = { <s1, 1/2>, <s2, 1/2> } focused\n"
@@ -712,7 +744,7 @@ def test_check_collects_assumptions_and_axioms():
     ({"foo": "bar"}, "unknown parameter foo"),
     ({"slot": "abc"}, "parameter slot: 'abc' would not read back"),
     ({"slot": -1}, "parameter slot: -1 would not read back"),
-    ({"positions": []}, "parameter positions: [] would not read back"),
+    ({"positions": []}, "unknown parameter positions"),
     ({"var": "x y"}, "parameter var: 'x y' would not read back"),
     ({"domain": "in"}, "parameter domain: 'in' would not read back"),
     ({"term": "t1"}, "parameter term: 't1' would not read back"),
@@ -766,7 +798,8 @@ def test_rule_functions_refuse_what_completion_filters_out():
      "the parts of a And must be formulas"),
     ("G, z in DS |- A(z)", RuleId.EQ_BOWTIE_R, "forward", None,
      "a bowtie closes a correlated slot"),
-    # decompose_equality: the term, its fresh variable, the placed equality
+    # the equality abstraction: the term, its fresh variable, the placed
+    # equality
     ("G |- A(<t1, 1/3>)", RuleId.EQ_EQUALITY, "backward", {"term": "t1"},
      "term parameter must be a term"),
     ("G |- A(w)", RuleId.EQ_EQUALITY, "backward",
@@ -783,6 +816,9 @@ def test_rule_functions_refuse_what_completion_filters_out():
      "unknown direction 'sideways'"),
     ("G |- A", RuleId.EQ_AND_R, "forward", None,
      "eq_and_r composes from 2 sequent(s)"),
+    # the equality abstraction without the term it abstracts
+    ("G |- A(<t1, 1/3>)", RuleId.EQ_EQUALITY, "backward",
+     {"var": "z", "positions": [1]}, "equality abstraction needs term=<t>"),
 ])
 def test_equation_step_refuses_what_no_checked_step_hands_it(s, eq, direction,
                                                            params, reason):
@@ -906,8 +942,8 @@ def test_golden_scripts_round_trip(path):
      "parameter slot: expected an integer, found 'abc'"),
     ("step 1 identity position=1;2 :: A(x) |- A(x)", 1, 27,
      "unexpected token ';' in step line"),
-    ("step 1 weaken_l positions=a :: A(x) |- A(x)", 1, 27,
-     "parameter positions: expected an integer, found 'a'"),
+    ("step 1 weaken_l position=a :: A(x) |- A(x)", 1, 26,
+     "parameter position: expected an integer, found 'a'"),
     ("-- header\npredicate A/x", 2, 13,
      "predicate A: expected an integer, found 'x'"),
     ("domain D = <t1, 1>", 1, 1, "domain D: expected '= { ... }'"),

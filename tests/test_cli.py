@@ -276,7 +276,7 @@ def test_bad_script_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "step 1 identity slot=abc :: A(x) |- A(x)",
     "step 1 identity position=1;2 :: A(x) |- A(x)",
-    "step 1 weaken_l positions=a :: A(x) |- A(x)",
+    "step 1 weaken_l position=a :: A(x) |- A(x)",
     "predicate A/x",
 ])
 def test_malformed_integer_is_usage_error(tmp_path, capsys, line):
@@ -287,6 +287,32 @@ def test_malformed_integer_is_usage_error(tmp_path, capsys, line):
     assert err.startswith("error: 2:")
     assert "Traceback" not in out + err
 
+
+
+@pytest.mark.parametrize("text,error", [
+    ("step 1 identity :: A(x, y) |- A(x, y)\n", None),
+    ("predicate A/2\nstep 1 identity :: A(x, y) |- A(x, y)\n", None),
+    ("predicate A/1\nstep 1 identity :: A(x, y) |- A(x, y)\n",
+     "2:1: predicate A declared with arity 1, used with 2"),
+    ("predicate B/2\nstep 1 identity :: A(x, y) |- A(x, y)\n",
+     "2:1: unknown predicate symbol A"),
+    ("predicate A/1\nstep 1 hypothesis :: G |- A(x)\n"
+     "step 2 weaken_l position=0 from 1 :: A(x, y), G |- A(x)\n",
+     "3:1: predicate A declared with arity 1, used with 2"),
+    # A^f is the sharp mark of A, and takes its arity
+    ("predicate A/2\nstep 1 identity :: A^f(x, y) |- A^f(x, y)\n", None),
+    ("predicate A/1\nstep 1 identity :: A^f(x, y) |- A^f(x, y)\n",
+     "2:1: predicate A^f declared with arity 1, used with 2"),
+])
+def test_predicate_declarations_bind_every_step(tmp_path, capsys, text,
+                                                error):
+    script = tmp_path / "p.script"
+    script.write_text(text)
+    code, out, err = run(capsys, "check", str(script))
+    if error is None:
+        assert (code, out.splitlines()[-1]) == (0, "ACCEPTED")
+    else:
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("value", ["yes", "ON", "", "on off"])
@@ -368,10 +394,6 @@ def test_direction_on_a_rule_without_one_is_rejected(tmp_path, capsys, text,
      "step 2 eq_equality backward term=\"<t1, 1/3>\" var=z index=7 from 1 :: "
      "G, z = <t1, 1/3> |- A(z)\n",
      "index 7 out of range"),
-    ("step 1 hypothesis :: G |- A(<t1, 1/3>)\n"
-     "step 2 eq_equality backward var=z positions=1 from 1 :: "
-     "G, z = <t1, 1/3> |- A(z)\n",
-     "equality abstraction needs term=<t>"),
     ("step 1 hypothesis :: G |- A(x) & B(x)\n"
      "step 2 eq_and_r pick=left from 1 :: G |- A(x)\n",
      "eq_and_r needs direction forward|backward"),

@@ -18,7 +18,7 @@ GOLDEN = Path(__file__).parent / "golden"
 #: two steps the last step of every case below builds on
 PREMISES = "step 1 hypothesis :: G |- A(x)\nstep 2 hypothesis :: G |- B(x)\n"
 CONCLUSION = " :: G |- A(x) & B(x)"
-CANONICAL = ('step 3 eq_forall_r forward bound=x slot=1 var=z positions=1;2 '
+CANONICAL = ('step 3 eq_forall_r forward bound=x slot=1 var=z '
              'term="<t1, 1/3>" cut="A(x) & B(y)" domain={u} from 1,2')
 
 
@@ -30,20 +30,18 @@ def _header(text):
 @pytest.mark.parametrize("header", [
     CANONICAL.replace(" ", "\t"),
     "  " + CANONICAL,
-    CANONICAL.replace("=", " = ").replace("positions = ", "positions=")
-    .replace("{u}", "{ u }"),
+    CANONICAL.replace("=", " = ").replace("{u}", "{ u }"),
     CANONICAL.replace("bound=x", 'bound="x"').replace("slot=1", 'slot="1"')
     .replace("var=z", 'var = " z "').replace("domain={u}", 'domain="{u}"'),
     CANONICAL.replace("from 1,2", "from 1 , 2"),
     CANONICAL.replace("from 1,2", "from 1 from 2"),
-    CANONICAL.replace("positions=1;2", "positions=1 ; 2"),
     CANONICAL.replace('cut="A(x) & B(y)"', "cut=A(x)&B(y)"),
     'step 3 eq_forall_r from 1,2 domain={u} cut="A(x) & B(y)" '
-    'term="<t1, 1/3>" positions=1;2 var=z slot=1 bound=x forward',
-    'step 3 eq_forall_r bound=x slot=1 from 1,2 forward var=z positions=1;2 '
+    'term="<t1, 1/3>" var=z slot=1 bound=x forward',
+    'step 3 eq_forall_r bound=x slot=1 from 1,2 forward var=z '
     'term="<t1, 1/3>" cut="A(x) & B(y)" domain={u}',
     'step\t3\teq_forall_r\tforward\tbound\t=\tx\tslot\t=\t1\tvar\t=\tz\t'
-    'positions\t=\t1;2\tterm\t=\t"<t1, 1/3>"\tcut\t=\t"A(x) & B(y)"\t'
+    'term\t=\t"<t1, 1/3>"\tcut\t=\t"A(x) & B(y)"\t'
     'domain\t=\t{u}\tfrom\t1\t,\t2',
 ])
 def test_header_spellings_read_alike(header):
