@@ -21,9 +21,9 @@ or the conclusion starts, so every error carries its real line and column:
     ID    := INT | RATIONAL ("1/2", ".5") | WORD (an identifier, no keyword)
 
 A comment runs from ``--`` to the end of the line, wherever it starts.
-``'`` is an identifier character (``x'``) and quotes nothing.  Every
-premise reference points to an earlier step, and every step leads to the
-last one.  The JSON export carries the same content as a tree.
+``'`` is an identifier character (``x'``) and quotes nothing.  A step
+repeats no KEY or direction, refers only to earlier steps, and leads to
+the last one.  The JSON export carries the same content as a tree.
 """
 from __future__ import annotations
 
@@ -327,8 +327,9 @@ def _parse_step_line(text: str, line: int, m, memo: dict,
         pos = m.end()
         key = m["key"]
         if key is not None:
-            if key not in _PARAMS:
-                raise DslSyntaxError(f"unknown parameter {key}", line,
+            if key not in _PARAMS or key in params:
+                fault = "repeated" if key in params else "unknown"
+                raise DslSyntaxError(f"{fault} parameter {key}", line,
                                      m.start("key") + 1)
             kind, read, _ = _PARAMS[key]
             if kind == "int" and m["int"]:
@@ -342,6 +343,9 @@ def _parse_step_line(text: str, line: int, m, memo: dict,
                     p.expect('"')
                 pos = p.peek().column - 1
         elif m["direction"]:
+            if direction is not None:
+                raise DslSyntaxError("repeated direction", line,
+                                     m.start("direction") + 1)
             direction = m["direction"]
         elif m["end"]:
             break

@@ -26,9 +26,9 @@ their own, and cached on it (``_free``), so substitution skips a subtree
 without free occurrences at once.
 ``rewrite`` returns a node itself when every child comes back identical,
 so an operation that changes nothing below a node keeps that subtree
-shared, and ``alpha_eq`` answers ``a is b`` at once wherever no bound
-variable is renamed.  The ``repr`` of a formula, item or sequent is its
-canonical text, from the printer's own explicit-stack loop.
+shared.  ``alpha_eq`` answers ``a is b`` at once wherever no bound variable
+is renamed, and two sequents with ``==`` items at once.  The ``repr`` of a
+formula, item or sequent is its canonical text, printed without recursion.
 """
 from __future__ import annotations
 
@@ -590,8 +590,12 @@ def alpha_eq(a, b, rename=True) -> bool:
     same name, which renames nothing.  Only under no renaming does one
     shared object compare equal to itself without a look inside:
     ``forall x in D . A(x)`` and ``forall y in D . A(x)`` can share the
-    very same ``A(x)``.
+    very same ``A(x)``.  Two sequents are compared by their items first.
     """
+    if type(a) is type(b) is Sequent:
+        same = a.antecedent == b.antecedent and a.succedent == b.succedent
+        if same or not rename:
+            return same
     stack = [(a, b, None)]
     pop = stack.pop
     push = stack.append

@@ -1,12 +1,14 @@
-"""Capture-avoiding substitution, forgetful substitution, freshness."""
+"""Capture-avoiding (item-wise) and forgetful substitution, freshness."""
 from __future__ import annotations
 
+from operator import is_
 from typing import Iterable, Optional
 
 from ..errors import SubstitutionError
 from .ast import (
     BINDERS, Atom, Formula, Member, Sequent, Sharp, Term, Var, _OVER_TERMS,
-    _free, children, is_closed, rewrite, sharp_domain_name, sharp_pred_name,
+    _free, children, is_closed, rebuild, rewrite, sharp_domain_name,
+    sharp_pred_name,
 )
 
 
@@ -25,17 +27,22 @@ def fresh_var(avoid: Iterable[str]) -> str:
 def subst_formula(f, v: str, t: Term):
     """Replace free occurrences of v by t in a term, formula, item or
     sequent, renaming binders that would capture.  Whatever holds no free
-    v comes back as the same object, not entered: every node but an atom
-    or a chain link caches its free names (``ast._free``)."""
+    v comes back as the same object: a sequent and a node over terms are
+    rebuilt part by part, any other node is not entered (``ast._free``)."""
+    cls = type(f)
+    if cls is Var:
+        return t if f.name == v else f
+    if cls is Sequent or cls in _OVER_TERMS:  # item by item, term by term
+        kids = children(f)
+        new = [subst_formula(k, v, t) for k in kids]
+        return f if all(map(is_, new, kids)) else rebuild(f, new)
     if v not in _free(f):
         return f
 
     def enter(node, _):
         cls = type(node)
-        if cls is Var:
-            return (t if node.name == v else node), None
         if cls in _OVER_TERMS:
-            return node, ()
+            return subst_formula(node, v, t), None
         free = getattr(node, "_var_cache", None)
         if free is not None and v not in free:
             return node, None

@@ -133,6 +133,19 @@ def test_forward_reading_side_conditions(eq, plain, params):
         _forward(plain, eq, params)
 
 
+@pytest.mark.parametrize("eq,plain,name", [
+    # no succedent item holds the membership variable z free
+    (RuleId.EQ_FORALL_R, "G, z in D |- A(x), B(x)", "Forall"),
+    # three succedent items, no slot to say which two
+    (RuleId.EQ_STAR_R, "G |- A(x), B(x), C(x)", "Star"),
+])
+def test_forward_reading_needs_the_slot(eq, plain, name):
+    with pytest.raises(RuleError) as err:
+        _forward(plain, eq)
+    assert str(err.value) == (f"cannot tell where the parts of the {name} "
+                              "are, pass slot=<index>")
+
+
 @pytest.mark.parametrize("eq,plain,params", [
     # bound= would capture a free variable
     (RuleId.EQ_EXISTS_L, "A(z), y in D |- C", {"bound": "z"}),

@@ -401,6 +401,9 @@ def test_direction_on_a_rule_without_one_is_rejected(tmp_path, capsys, text,
     ("domain D = { <t1, 1/2>, <t2, 1/2> }\n"
      "step 1 ax_member :: |- A(<t1, 1/2>)\n",
      "membership fact concludes t in D"),
+    ("domain D = { <t1, 1/2>, <t2, 1/2> }\n"
+     "step 1 ax_member :: B(x) |- <t1, 1/2> in D, C(x)\n",
+     "membership fact is |- t in D"),
 ])
 def test_side_condition_rejects_the_step(tmp_path, capsys, text, reason):
     bad = tmp_path / "bad.seq"

@@ -113,6 +113,12 @@ def test_identifier_ids_read_alike():
      "unexpected token '\"' in step line"),
     ("step 3 identity from 9 foo=1 :: G |- A(x)", 24,
      "unknown parameter foo"),
+    ("step 3 weaken_l position=9 position=0 from 1 :: G |- A(x)", 28,
+     "repeated parameter position"),
+    ('step 3 identity var=z slot=1 var = "z" from 1,2 :: G |- A(x)', 30,
+     "repeated parameter var"),
+    ("step 3 eq_or_l forward backward from 1,2 :: G |- A(x)", 24,
+     "repeated direction"),
     # then the ids
     ("step 1 identity from 9 :: G |- A(x)", 1, "duplicate step id 1"),
     ("step 3 identity from 1,9 :: G |- A(x)", 1,

@@ -15,8 +15,8 @@ from rfod.errors import (
 )
 from rfod.syntax import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, DomainTable, Eq,
-    Exists, Forall, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Var,
-    alpha_eq, bound_vars, children, free_vars, forgetful_formula,
+    Exists, Forall, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Term, Var,
+    alpha_eq, bound_vars, children, free_vars, forgetful_formula, fresh_var,
     map_children, parse_formula, parse_sequent, parse_term, render,
     render_sequent, replace_term_occurrences, subst_formula, substitute,
     walk,
@@ -212,6 +212,19 @@ def test_alpha_equivalence():
     assert a != b
     assert not alpha_eq(a, Forall("y", "E", Atom("A", (Var("y"),))))
     assert not alpha_eq(Atom("A", (Var("x"),)), Atom("A", (Var("y"),)))
+
+
+@pytest.mark.parametrize("antecedent,succedent", [
+    (("G", "G"), ()),
+    (("G", "G'", "G"), ("G",)),
+    (("G",), ("G", "Delta", "G")),
+])
+def test_a_context_variable_appears_once_on_a_side(antecedent, succedent):
+    with pytest.raises(DomainError) as err:
+        Sequent(tuple(map(ContextVar, antecedent)),
+                tuple(map(ContextVar, succedent)))
+    assert str(err.value) == "context variable G repeated on one side"
+    assert Sequent((ContextVar("G"), ContextVar("G'")), (ContextVar("G"),))
 
 
 def test_domain_invariants():
@@ -412,6 +425,10 @@ def test_substitution_renames_a_capturing_binder():
     assert out.var != "x"
     assert alpha_eq(out, Forall("w", "D", Atom("A", (Var("w"), Var("x")))))
     assert free_vars(out) == {"x"}
+    # a binder named like the fresh-name supply's first choice
+    f = Forall("z", "D", Atom("A", (Var("z"), Var("v"))))
+    out = subst_formula(f, "v", Var("z"))
+    assert out.var != "z" and free_vars(out) == {"z"}
 
 
 def test_shared_body_under_different_binders_is_not_alpha_equal():
@@ -553,3 +570,149 @@ def test_syntax_maps_take_deep_chains():
     dual = dualize(one_sided)
     assert isinstance(dual.antecedent[1], Or)
     assert alpha_eq(dualize(dual), one_sided)
+
+
+# -- the fast paths of alpha_eq and substitution against plain recursions --
+
+_BINDER_CLASSES = (Forall, Exists, Bowtie)
+
+
+def _parts(n):
+    """(class, the fields besides the children, the children) of a node, for
+    the reference recursions below; a binder's var is not among them."""
+    if isinstance(n, Atom):
+        return Atom, (n.pred, len(n.args)), n.args
+    if isinstance(n, Member):
+        return Member, (n.domain,), (n.term,)
+    if isinstance(n, (Eq, Neq, And, Or, Star)):
+        return type(n), (), (n.left, n.right)
+    if isinstance(n, (Forall, Exists)):
+        return type(n), (n.domain,), (n.body,)
+    if isinstance(n, Bowtie):
+        return Bowtie, (n.domain,), (n.left, n.right)
+    if isinstance(n, Correlated):
+        return Correlated, (n.label,), (n.left, n.right)
+    if isinstance(n, Sequent):
+        return Sequent, (len(n.antecedent), len(n.succedent)), \
+            n.antecedent + n.succedent
+    return type(n), (n.label if isinstance(n, Bot) else n.name,), ()
+
+
+def _ref_alpha(a, b, rename, env=()):
+    """Alpha-equivalence by plain recursion; ``env`` holds the pairs of bound
+    names, innermost last.  With ``rename`` off, binders bind one name."""
+    if isinstance(a, Var) or isinstance(b, Var):
+        if not (isinstance(a, Var) and isinstance(b, Var)):
+            return False
+        for x, y in reversed(env):
+            if x == a.name or y == b.name:
+                return x == a.name and y == b.name
+        return a.name == b.name
+    if isinstance(a, Term) or isinstance(b, Term):
+        return isinstance(a, Term) and isinstance(b, Term) and a == b
+    (ca, head_a, kids_a), (cb, head_b, kids_b) = _parts(a), _parts(b)
+    if ca is not cb or head_a != head_b:
+        return False
+    if ca in _BINDER_CLASSES:
+        if not rename and a.var != b.var:
+            return False
+        env = env + ((a.var, b.var),)
+    return all(_ref_alpha(x, y, rename, env) for x, y in zip(kids_a, kids_b))
+
+
+def _ref_subst(n, v, t):
+    """Capture-avoiding substitution by plain recursion, renaming a
+    capturing binder to the name the kernel's fresh-name supply gives."""
+    if isinstance(n, Var):
+        return t if n.name == v else n
+    if isinstance(n, Term):
+        return n
+    cls, _, kids = _parts(n)
+    if cls is Sequent:
+        items = [_ref_subst(k, v, t) for k in kids]
+        return Sequent(items[:len(n.antecedent)], items[len(n.antecedent):])
+    if cls in _BINDER_CLASSES:
+        if n.var == v:
+            return n
+        var = n.var
+        if isinstance(t, Var) and t.name == var and v in free_vars(n):
+            var = fresh_var(free_vars(n) | {v, t.name})
+            kids = [_ref_subst(k, n.var, Var(var)) for k in kids]
+        return cls(var, n.domain, *(_ref_subst(k, v, t) for k in kids))
+    kids = [_ref_subst(k, v, t) for k in kids]
+    if cls is Atom:
+        return Atom(n.pred, kids)
+    if cls is Member:
+        return Member(kids[0], n.domain)
+    if cls is Correlated:
+        return Correlated(n.label, *kids)
+    return cls(*kids) if kids else n
+
+
+def _sequent_pairs(rng):
+    """Pairs of sequents whose items are the same objects, equal rebuilt
+    ones, alpha-variants, all but one the same objects, or rotated."""
+    for _ in range(300):
+        s = random_sequent(rng)
+        items = list(s.antecedent + s.succedent)
+        k = len(s.antecedent)
+        yield s, s
+        yield s, Sequent(s.antecedent, s.succedent)
+        yield s, _ref_subst(s, "absent", Sharp("s0"))  # formulas rebuilt
+        yield s, _rename_bound(s, iter(range(10**6)))
+        if items:
+            i = rng.randrange(len(items))
+            changed = list(items)
+            if isinstance(items[i], ContextVar):
+                changed[i] = ContextVar(items[i].name + "'")
+            else:
+                changed[i] = random_formula(rng, 2)
+            yield s, Sequent(changed[:k], changed[k:])
+            moved = items[1:] + items[:1]
+            yield s, Sequent(moved[:k], moved[k:])
+
+
+def test_alpha_eq_and_equality_agree_with_a_plain_recursion():
+    rng = make_rng(41)
+    kinds = {True: 0, False: 0}
+    for a, b in _sequent_pairs(rng):
+        for x, y in ((a, b), (b, a)):
+            want = _ref_alpha(x, y, True)
+            assert alpha_eq(x, y) is want
+            assert (x == y) is _ref_alpha(x, y, False)
+            assert alpha_eq(x, y, rename=False) is (x == y)
+            kinds[want] += 1
+    assert min(kinds.values()) > 100  # both answers are well sampled
+
+
+def _shares_untouched(orig, out, v):
+    """Every subtree of ``orig`` without a free ``v`` is in ``out`` as the
+    very same object, down to a binder that substitution renamed."""
+    if v not in free_vars(orig):
+        return out is orig
+    if isinstance(orig, Term):
+        return True
+    _, _, kids = _parts(orig)
+    if type(orig) in _BINDER_CLASSES and out.var != orig.var:
+        return True
+    return all(_shares_untouched(k, o, v)
+               for k, o in zip(kids, _parts(out)[2]))
+
+
+def test_substitution_agrees_with_a_plain_recursion():
+    rng = make_rng(43)
+    names = ("z", "y", "w", "x", "x'", "q")
+    captured = 0
+    for _ in range(600):
+        f = random_sequent(rng) if rng.random() < 0.5 else random_formula(rng)
+        v = rng.choice(names)
+        t = Var(rng.choice(names)) if rng.random() < 0.5 else \
+            rng.choice((Sharp("s0"), Outcome("t1", Fraction(1, 3))))
+        out = subst_formula(f, v, t)
+        want = _ref_subst(f, v, t)
+        assert _ref_alpha(out, want, rename=False), (f, v, t)
+        assert _shares_untouched(f, out, v), (f, v, t)
+        if v in free_vars(f):  # nothing t brings in is captured
+            assert free_vars(out) == free_vars(f) - {v} | free_vars(t)
+        captured += bound_vars(out) != bound_vars(f)
+    assert captured > 0  # some binder was renamed away from capture
