@@ -60,7 +60,7 @@ assert report.accepted and not report.assumptions
 half = Fraction(1, 2)
 batch = [Judgement((ContextVar("G"),), (Atom("A", (t,)),), (t,))
          for t in (Outcome("t1", half), Outcome("t2", half))]
-sequent, derivation = generalize(batch, "single", table=DomainTable())
+sequent, derivation = generalize(batch, table=DomainTable())
 print(render(sequent))
 
 # Substitution is reversible exactly on focused domains.

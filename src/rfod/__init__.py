@@ -27,9 +27,8 @@ from .syntax import (
 )
 from .syntax import render as _render_syntax
 from .calculus import (
-    CheckReport, Derivation, ProofScript, RuleId, TheoryConfig, Verdict,
-    check, check_script, dualize, equation_step, parse_script, rule_step,
-    serialize_derivation,
+    CheckReport, Derivation, ProofScript, RuleId, TheoryConfig, check,
+    check_script, dualize, equation_step, parse_script, serialize_derivation,
 )
 from . import quantum
 
@@ -68,7 +67,7 @@ __all__ = [
     "Or", "Outcome", "Sequent", "Sharp", "Star", "Term", "Var", "alpha_eq",
     "free_vars", "parse_formula", "parse_sequent", "parse_term", "render",
     "substitute", "CheckReport", "Derivation", "ProofScript", "RuleId",
-    "TheoryConfig", "Verdict", "check", "check_script", "dualize",
-    "equation_step", "parse_script", "rule_step", "serialize_derivation",
+    "TheoryConfig", "check", "check_script", "dualize", "equation_step",
+    "parse_script", "serialize_derivation",
     *_THEOREMS, "quantum",
 ]

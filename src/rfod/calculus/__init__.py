@@ -1,12 +1,10 @@
 """Rule catalog, derivation checker, duality transform, proof scripts."""
 
-from .checker import (
-    CheckReport, Derivation, StepReport, check, rule_step, validate_step,
-)
+from .checker import CheckReport, Derivation, StepReport, check, validate_step
 from .rules import (
-    AXIOMS, BACKWARD, EQUATIONS, FORWARD, RuleId, TheoryConfig,
-    Verdict, bot_label, build_and, correlation_label, dualize,
-    equation_step, flatten_or, pick_bound_name,
+    AXIOMS, BACKWARD, EQUATIONS, FORWARD, RuleId, TheoryConfig, bot_label,
+    build_and, correlation_label, dualize, equation_step, flatten_or,
+    pick_bound_name,
 )
 from .script import (
     ProofScript, check_script, derivation_to_json, domain_to_json,
@@ -14,11 +12,10 @@ from .script import (
 )
 
 __all__ = [
-    "CheckReport", "Derivation", "StepReport", "check", "rule_step",
-    "validate_step", "AXIOMS", "BACKWARD", "EQUATIONS", "FORWARD",
-    "RuleId", "TheoryConfig", "Verdict", "bot_label", "build_and",
-    "correlation_label", "dualize", "equation_step",
-    "flatten_or", "pick_bound_name", "ProofScript", "check_script",
-    "derivation_to_json", "domain_to_json",
-    "parse_script", "script_to_derivation", "serialize_derivation",
+    "CheckReport", "Derivation", "StepReport", "check", "validate_step",
+    "AXIOMS", "BACKWARD", "EQUATIONS", "FORWARD", "RuleId", "TheoryConfig",
+    "bot_label", "build_and", "correlation_label", "dualize",
+    "equation_step", "flatten_or", "pick_bound_name", "ProofScript",
+    "check_script", "derivation_to_json", "domain_to_json", "parse_script",
+    "script_to_derivation", "serialize_derivation",
 ]

@@ -26,7 +26,7 @@ from ..syntax.ast import (
 from ..syntax.parser import name_fault
 from ..syntax.printer import render_sequent
 from .rules import (
-    AXIOMS, BACKWARD, EQUATIONS, FORWARD, RuleId, TheoryConfig, Verdict,
+    AXIOMS, BACKWARD, EQUATIONS, FORWARD, RuleId, TheoryConfig,
     _CONNECTIVE_AT, _DECOMPOSE, _PARAM_KINDS, _TWO_PREMISES, _element_matches,
     _lookup, _require, conclude, flatten_or,
 )
@@ -387,18 +387,6 @@ def validate_step(conclusion: Sequent, rule: RuleId, direction: Optional[str],
                         f"got {len(premises)}")
     _LEAVES.get(rule, _validate_premised)(conclusion, rule, direction,
                                           premises, params, cfg, table)
-
-
-def rule_step(conclusion: Sequent, rule: RuleId, premises: Sequence[Sequent],
-              params: Optional[dict] = None, cfg: Optional[TheoryConfig] = None,
-              table: Optional[DomainTable] = None,
-              direction: Optional[str] = None) -> Verdict:
-    """Validity verdict for one rule application (premises in script order)."""
-    try:
-        validate_step(conclusion, rule, direction, premises, params, cfg, table)
-        return Verdict(True)
-    except RuleError as exc:
-        return Verdict(False, str(exc))
 
 
 def check(derivation: Derivation, cfg: Optional[TheoryConfig] = None,

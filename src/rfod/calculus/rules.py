@@ -29,7 +29,7 @@ from ..errors import DomainError, FragmentError, RuleError
 from ..syntax.ast import (
     BINDERS, And, Atom, Bot, Bowtie, ContextVar, Correlated, DomainTable, Eq,
     Exists, Forall, Formula, Member, Neq, Or, Sequent, Sharp, Star, Term, Var,
-    _Frozen, _Record, _var_names, alpha_eq, alpha_eq_all, children,
+    _Frozen, _var_names, alpha_eq, alpha_eq_all, children,
     free_vars, is_closed, is_singleton_literal, rebuild, rewrite,
     sharp_domain_name, term_state,
 )
@@ -121,17 +121,6 @@ class TheoryConfig(_Frozen):
         return self.singleton_axioms and (
             is_singleton_literal(name)
             or domain is not None and domain.kind == "singleton")
-
-
-class Verdict(_Record):
-    __slots__ = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: Optional[str] = None):
-        self.ok = ok
-        self.reason = reason
-
-    def __bool__(self):
-        return self.ok
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +357,8 @@ def _compose(plain: list, eq: RuleId, p: dict) -> Sequent:
     by default the last one) and the items the connective takes: at
     ``slot``, at ``body`` for the existential, or where two premises
     differ.  Equality abstracts ``term`` into ``var`` (or a fresh name) at
-    every occurrence, or at those ``positions`` names (1-based, in reading
-    order), and puts z = t at ``index`` of the antecedent, last by default.
+    every occurrence and puts z = t at ``index`` of the antecedent, last by
+    default.
     """
     key, side, cls = _CONNECTIVE_AT[eq]
     s = plain[0]
@@ -380,10 +369,7 @@ def _compose(plain: list, eq: RuleId, p: dict) -> Sequent:
         z = p.get("var") or fresh_var(_var_names(s) | _var_names(t))
         _require(not (isinstance(t, Var) and t.name == z),
                  "abstracted term and fresh variable coincide")
-        for k in p.get("positions", ()):  # a missing occurrence leaves s
-            _require(replace_term_occurrences(s, t, Var(z), (k,)) is not s,
-                     "positions= names no occurrence {} of the term", k)
-        s = replace_term_occurrences(s, t, Var(z), p.get("positions"))
+        s = replace_term_occurrences(s, t, Var(z))
         j = p.setdefault("index", len(s.antecedent))
         return Sequent(s.antecedent[:j] + (Eq(Var(z), t),) + s.antecedent[j:],
                        s.succedent)

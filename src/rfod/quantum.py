@@ -311,18 +311,6 @@ def purity(rho: DensityOp) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
-def phase_equiv(x: QState, y: QState,
-                mode: IdentificationMode = IdentificationMode.DISREGARD_PHASES
-                ) -> bool:
-    if x.dim != y.dim:
-        raise DomainError("dimension mismatch")
-    if mode is IdentificationMode.STRICT:
-        return max(abs(a - b) for a, b in zip(x.amplitudes, y.amplitudes)) \
-            <= TOLERANCES["norm"]
-    return abs(abs(_vdot(x.amplitudes, y.amplitudes)) - 1.0) \
-        <= TOLERANCES["norm"]
-
-
 def focusing_status(psi: QState, basis: Basis,
                     mode: IdentificationMode) -> bool:
     """Whether the measured domain may be declared focused.

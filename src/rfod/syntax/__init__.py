@@ -4,9 +4,8 @@ from .ast import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, DomainTable,
     Eq, Exists, Forall, Formula, Member, Neq, Or, Outcome, Sequent, Sharp,
     Star, Term, Var, alpha_eq, alpha_eq_all, bound_vars, children,
-    free_vars, is_closed, is_singleton_literal, map_children,
-    sharp_domain_name, sharp_pred_name, singleton_literal_name, term_prob,
-    term_state, walk,
+    free_vars, is_closed, is_singleton_literal, sharp_domain_name,
+    sharp_pred_name, singleton_literal_name, term_prob, term_state, walk,
 )
 from .parser import parse_formula, parse_sequent, parse_term, tokenize
 from .printer import (
@@ -23,9 +22,9 @@ __all__ = [
     "DomainTable", "Eq", "Exists", "Forall", "Formula", "Member", "Neq",
     "Or", "Outcome", "Sequent", "Sharp", "Star", "Term",
     "Var", "alpha_eq", "alpha_eq_all", "bound_vars", "children",
-    "free_vars", "is_closed", "is_singleton_literal", "map_children",
-    "sharp_domain_name", "sharp_pred_name", "singleton_literal_name",
-    "term_prob", "term_state", "walk",
+    "free_vars", "is_closed", "is_singleton_literal", "sharp_domain_name",
+    "sharp_pred_name", "singleton_literal_name", "term_prob", "term_state",
+    "walk",
     "parse_formula", "parse_sequent", "parse_term", "tokenize",
     "render", "render_domain", "render_formula", "render_rational",
     "render_sequent", "render_term",

@@ -17,8 +17,8 @@ structural operation rides one of three loops over it, each on an
 explicit stack, so the depth of a formula costs none of them recursion:
 - ``walk`` yields every node in reading order: ``bound_vars``, ``hash``;
 - ``rewrite`` rebuilds a node bottom-up under a context it threads down:
-  ``map_children``, and substitution, occurrence replacement and
-  dualization elsewhere;
+  substitution and occurrence replacement (``subst``), dualization
+  (``calculus.rules``);
 - the pairwise loop of ``alpha_eq`` compares two nodes: ``alpha_eq``
   itself and, with renaming off, structural ``==``.
 The free variable names of a node are computed once, on a stack of
@@ -424,13 +424,6 @@ def rebuild(node, kids, cls=None):
     instead of node's own class when given, which must share its layout
     (``And``/``Or``, ``Forall``/``Exists``, ``Eq``/``Neq``)."""
     return _SHAPES[cls or type(node)][1](node, tuple(kids))
-
-
-def map_children(node, fn):
-    """``node`` with ``fn`` applied to each child, rebuilt as ``rewrite``
-    rebuilds it."""
-    return rewrite(node, lambda n, top: (n, False) if top else (fn(n), None),
-                   True)
 
 
 def rewrite(node, enter, ctx=()):

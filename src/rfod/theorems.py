@@ -17,10 +17,10 @@ from .errors import PreconditionError
 from .calculus.checker import Derivation
 from .calculus.rules import (
     BACKWARD, FORWARD, RuleId, TheoryConfig, bot_label, build_and,
-    conclude, correlation_label, equation_step, pick_bound_name,
+    conclude, equation_step, pick_bound_name,
 )
 from .syntax.ast import (
-    And, Atom, Bot, ContextVar, Correlated, Domain, DomainTable, Eq, Forall,
+    And, Atom, Bot, ContextVar, Domain, DomainTable, Eq, Forall,
     Formula, Member, Neq, Outcome, Sequent, Sharp, Term, Var, _Frozen,
     _var_names, alpha_eq, alpha_eq_all, domain_kind, free_vars, is_closed,
     sharp_domain_name, sharp_pred_name, singleton_literal_name, term_prob,
@@ -215,20 +215,20 @@ def _abstract_template(formula: Formula, term: Term, hole: str) -> Formula:
     return out.succedent[0]
 
 
-def _check_batch(batch: Sequence[Judgement], arity: int) -> None:
+def _check_batch(batch: Sequence[Judgement]) -> None:
     if not batch:
         raise PreconditionError("empty judgement batch")
     first = batch[0]
     for j in batch:
         if not alpha_eq_all(j.gamma, first.gamma):
             raise PreconditionError("judgements must share the same context")
-        if len(j.succedents) != arity:
+        if len(j.succedents) != 1 or len(j.terms) != 1:
             raise PreconditionError(
-                f"each judgement needs {arity} succedent formula(s)")
-        for t in j.terms:
-            if not is_closed(t):
-                raise PreconditionError(
-                    "indexing terms must be closed outcome terms")
+                "each judgement needs one succedent formula and one "
+                "indexing term")
+        if not is_closed(j.terms[0]):
+            raise PreconditionError(
+                "indexing terms must be closed outcome terms")
 
 
 def _domain_from_terms(name: str, terms: Sequence[Term]) -> Domain:
@@ -270,109 +270,34 @@ def _focus_cut(merged: Derivation, domain: Domain, var: str, index: int,
     return _step(RuleId.CUT, (focus, merged), {"cut": disj, "index": index})
 
 
-def generalize(batch: Sequence[Judgement], mode: str = "single",
-               names: Optional[Sequence[str]] = None,
+def generalize(batch: Sequence[Judgement], *, name: str = "D",
                table: Optional[DomainTable] = None):
-    """Generalize experienced judgements into a predicative assertion.
+    """Generalize experienced judgements, each one formula at one closed
+    outcome, into the predicative assertion over the domain ``name`` of
+    those outcomes.
 
     Returns (sequent, derivation).  The derivation closes with a cut
     against the focus axiom of the constructed domain, whose membership
     predicate is the disjunction of equalities with the experienced
-    outcomes; in correlated mode the returned sequent carries the labelled
-    comma while the derivation ends at the plain two-formula form.
+    outcomes.
     """
-    if mode == "single":
-        root = _generalize_shared(batch, (names or ["D"])[0], table, 1)
-        return root.conclusion, root
-    if mode == "two-variable":
-        names = names or ["D", "D'"]
-        return _generalize_two(batch, names[0], names[1], table)
-    if mode == "correlated":
-        name = (names or ["DS"])[0]
-        root = _generalize_shared(batch, name, table, 2)
-        labelled = Sequent(root.conclusion.antecedent, (Correlated(
-            correlation_label(name), *root.conclusion.succedent),))
-        return labelled, root
-    raise PreconditionError(f"unknown generalization mode {mode!r}")
-
-
-def _generalize_shared(batch, name, table, arity: int) -> Derivation:
-    """Judgements indexed by one term each, shared by their arity formulas."""
-    _check_batch(batch, arity)
-    for j in batch:
-        if len(j.terms) != 1:
-            raise PreconditionError(
-                "single and correlated modes take one indexing term per "
-                "judgement")
+    _check_batch(batch)
     gamma = batch[0].gamma
     terms = [j.terms[0] for j in batch]
     domain = _domain_from_terms(name, terms)
     if table is not None:
         table.register(domain)
-    z = _fresh(list(gamma) + [f for j in batch for f in j.succedents])
-    templates = tuple(_abstract_template(f, terms[0], z)
-                      for f in batch[0].succedents)
-    for j, t in zip(batch, terms):
-        want = [subst_formula(template, z, t) for template in templates]
-        if not alpha_eq_all(j.succedents, want):
-            raise PreconditionError(
-                "judgements do not instantiate the same formulas at their "
-                "terms")
+    z = _fresh(list(gamma) + [j.succedents[0] for j in batch])
+    template = _abstract_template(batch[0].succedents[0], terms[0], z)
     nodes = []
     for j, t in zip(batch, terms):
+        if not alpha_eq(j.succedents[0], subst_formula(template, z, t)):
+            raise PreconditionError(
+                "judgements do not instantiate the same formula at their "
+                "terms")
         leaf = Derivation(Sequent(gamma, j.succedents), RuleId.HYPOTHESIS)
-        nodes.append(_eq_abstraction(leaf, gamma, t, z, templates))
-    return _focus_cut(_or_merge(nodes, len(gamma)), domain, z, len(gamma))
-
-
-def _generalize_two(batch, name1, name2, table):
-    _check_batch(batch, 2)
-    for j in batch:
-        if len(j.terms) != 2:
-            raise PreconditionError(
-                "two-variable mode takes an indexing pair per judgement")
-    gamma = batch[0].gamma
-    ts = list(dict.fromkeys(j.terms[0] for j in batch))
-    ws = list(dict.fromkeys(j.terms[1] for j in batch))
-    m, n = len(ts), len(ws)
-    if len(batch) != m * n:
-        raise PreconditionError(
-            f"two-variable mode needs the full {m}x{n} grid of judgements")
-    for k, j in enumerate(batch):
-        if j.terms != (ts[k // n], ws[k % n]):
-            raise PreconditionError(
-                "judgements must enumerate the index grid row-major")
-    d1 = _domain_from_terms(name1, ts)
-    d2 = _domain_from_terms(name2, ws)
-    if table is not None:
-        table.register(d1)
-        table.register(d2)
-    if d1.name == d2.name:
-        raise PreconditionError("two-variable mode needs two domain names")
-    avoid = list(gamma) + [f for j in batch for f in j.succedents]
-    z = _fresh(avoid)
-    y = _fresh([Sequent(gamma, batch[0].succedents)], {z})
-    template1 = _abstract_template(batch[0].succedents[0], ts[0], z)
-    template2 = _abstract_template(batch[0].succedents[1], ws[0], y)
-    for k, j in enumerate(batch):
-        want = (subst_formula(template1, z, ts[k // n]),
-                subst_formula(template2, y, ws[k % n]))
-        if not alpha_eq_all(j.succedents, want):
-            raise PreconditionError(
-                "judgements do not instantiate the two formulas at the grid")
-    succ = (template1, template2)
-    L = len(gamma)
-    per_j = []
-    for k, j in enumerate(batch):
-        leaf = Derivation(Sequent(gamma, j.succedents), RuleId.HYPOTHESIS)
-        eq1 = _eq_abstraction(leaf, gamma, ts[k // n], z,
-                              (template1, subst_formula(template2, y, ws[k % n])))
-        per_j.append(_eq_abstraction(eq1, gamma + (Eq(Var(z), ts[k // n]),),
-                                     ws[k % n], y, succ))
-    rows = [_or_merge([per_j[i * n + jj] for i in range(m)], L)
-            for jj in range(n)]
-    cut1 = _focus_cut(_or_merge(rows, L + 1), d1, z, L)
-    root = _focus_cut(cut1, d2, y, L + 1)
+        nodes.append(_eq_abstraction(leaf, gamma, t, z, (template,)))
+    root = _focus_cut(_or_merge(nodes, len(gamma)), domain, z, len(gamma))
     return root.conclusion, root
 
 

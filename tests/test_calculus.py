@@ -1,6 +1,7 @@
 """Equation engine, rules, axioms, dualize, checker and scripts."""
 import contextlib
 import io
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from rfod.cli import DERIVE_TARGETS, main as cli_main
 from rfod.errors import DslSyntaxError, FragmentError, RuleError
 from rfod.calculus import (
     EQUATIONS, Derivation, ProofScript, RuleId, TheoryConfig, check,
-    check_script, dualize, equation_step, parse_script, rule_step,
+    check_script, dualize, equation_step, parse_script,
     serialize_derivation, derivation_to_json, validate_step,
 )
 from rfod.syntax import (
@@ -53,8 +54,7 @@ def test_and_backward_spec_example():
 
 def test_equality_backward_spec_example():
     out = equation_step(seq("G |- A(t1)"), RuleId.EQ_EQUALITY, "backward",
-                        {"term": parse_term("t1"), "var": "z",
-                         "positions": [1]})
+                        {"term": parse_term("t1"), "var": "z"})
     assert [render(s) for s in out] == ["G, z = t1 |- A(z)"]
 
 
@@ -209,19 +209,22 @@ def test_binder_var_must_match_plain_side():
     # membership the plain side happens to carry
     reflection = _reflection_derivation()
     identity = reflection.premises
-    for var, ok in (("z", True), ("y", False)):
-        verdict = rule_step(reflection.conclusion, RuleId.EQ_FORALL_R,
-                            identity, {"var": var}, direction="backward")
-        assert verdict.ok is ok, verdict.reason
+    assert validate_step(reflection.conclusion, RuleId.EQ_FORALL_R,
+                         "backward", identity, {"var": "z"}) is None
+    with pytest.raises(RuleError, match="do not match eq_forall_r"):
+        validate_step(reflection.conclusion, RuleId.EQ_FORALL_R, "backward",
+                      identity, {"var": "y"})
     opened = seq("y in D, z = y |- z = t1 \\/ z = t2")
     closed = seq("exists x in D . z = x |- z = t1 \\/ z = t2")
-    for var, ok in ((None, True), ("y", True), ("w", False)):
+    for var in (None, "y"):
         params = {"index": 0, "member": 0, "body": 1}
         if var:
             params["var"] = var
-        verdict = rule_step(closed, RuleId.EQ_EXISTS_L, [opened], params,
-                            direction="forward")
-        assert verdict.ok is ok, verdict.reason
+        assert validate_step(closed, RuleId.EQ_EXISTS_L, "forward",
+                             [opened], params) is None
+    with pytest.raises(RuleError, match="do not match eq_exists_l"):
+        validate_step(closed, RuleId.EQ_EXISTS_L, "forward", [opened],
+                      {"index": 0, "member": 0, "body": 1, "var": "w"})
 
 
 def _steps_with_premises(m):
@@ -451,23 +454,22 @@ def test_dualize_fragment_errors():
 def test_f_subst_spec_example():
     table = DomainTable([Domain("D", (Outcome("s1", HALF),
                                       Outcome("s2", HALF)))])
-    verdict = rule_step(
+    assert validate_step(
         seq("(forall x in D.A(x)), <s1,1> in D^f |- A^f(#s1)"),
-        RuleId.F_SUBST,
+        RuleId.F_SUBST, None,
         [seq("(forall x in D.A(x)), z in D |- A(z)")],
-        table=table)
-    assert verdict.ok, verdict.reason
+        table=table) is None
 
 
 def test_f_subst_gated_by_singleton_axioms():
     table = DomainTable([Domain("D", (Outcome("s1", HALF),
                                       Outcome("s2", HALF)))])
-    verdict = rule_step(
-        seq("(forall x in D.A(x)), <s1,1> in D^f |- A^f(#s1)"),
-        RuleId.F_SUBST,
-        [seq("(forall x in D.A(x)), z in D |- A(z)")],
-        cfg=TheoryConfig(singleton_axioms=False), table=table)
-    assert not verdict.ok
+    with pytest.raises(RuleError, match="forgetful substitution is disabled"):
+        validate_step(
+            seq("(forall x in D.A(x)), <s1,1> in D^f |- A^f(#s1)"),
+            RuleId.F_SUBST, None,
+            [seq("(forall x in D.A(x)), z in D |- A(z)")],
+            cfg=TheoryConfig(singleton_axioms=False), table=table)
 
 
 @pytest.mark.parametrize("plain,conclusion,accepted", [
@@ -490,13 +492,13 @@ def test_f_subst_stops_at_a_binder_of_its_variable(plain, conclusion,
 
 
 def test_ax_singleton_spec_example():
-    verdict = rule_step(seq("z in {u} |- z = u"), RuleId.AX_SINGLETON, [])
-    assert verdict.ok, verdict.reason
-    off = rule_step(seq("z in {u} |- z = u"), RuleId.AX_SINGLETON, [],
-                    cfg=TheoryConfig(singleton_axioms=False))
-    assert not off.ok
-    sharp_form = rule_step(seq("z in {u} |- z = #u"), RuleId.AX_SINGLETON, [])
-    assert sharp_form.ok
+    assert validate_step(seq("z in {u} |- z = u"), RuleId.AX_SINGLETON, None,
+                         []) is None
+    with pytest.raises(RuleError, match="singleton axiom is disabled"):
+        validate_step(seq("z in {u} |- z = u"), RuleId.AX_SINGLETON, None,
+                      [], cfg=TheoryConfig(singleton_axioms=False))
+    assert validate_step(seq("z in {u} |- z = #u"), RuleId.AX_SINGLETON,
+                         None, []) is None
 
 
 def test_axiom_schemas():
@@ -507,72 +509,83 @@ def test_axiom_schemas():
     cfg = TheoryConfig(focused_domains=frozenset({"D"}))
     cases = [
         # the singleton axiom is the focus schema with one disjunct
-        ("z in E |- z = a", RuleId.AX_SINGLETON, {"domain": "E"}, True),
-        ("z in D |- z = <a, 1/2>", RuleId.AX_SINGLETON, {}, False),
-        ("z in {u} |- z = u", RuleId.AX_SINGLETON, {"domain": "{v}"}, False),
+        ("z in E |- z = a", RuleId.AX_SINGLETON, {"domain": "E"}, None),
+        ("z in D |- z = <a, 1/2>", RuleId.AX_SINGLETON, {},
+         "must list the 2 element"),
+        ("z in {u} |- z = u", RuleId.AX_SINGLETON, {"domain": "{v}"},
+         "not in {v}"),
         # the sharp fact is the membership schema on the companion set
-        ("|- #a in D^f", RuleId.AX_SHARP_MEMBER, {"domain": "D"}, True),
-        ("|- <a, 1> in D^f", RuleId.AX_SHARP_MEMBER, {}, True),
-        ("|- <a, 1/2> in D^f", RuleId.AX_SHARP_MEMBER, {}, False),
-        ("|- #a in D^f", RuleId.AX_SHARP_MEMBER, {"domain": "E"}, False),
-        ("|- #u in {u}", RuleId.AX_SHARP_MEMBER, {}, True),
-        ("|- #a in D", RuleId.AX_SHARP_MEMBER, {}, False),
-        ("|- <a, 1/2> in D", RuleId.AX_MEMBER, {"domain": "E"}, False),
+        ("|- #a in D^f", RuleId.AX_SHARP_MEMBER, {"domain": "D"}, None),
+        ("|- <a, 1> in D^f", RuleId.AX_SHARP_MEMBER, {}, None),
+        ("|- <a, 1/2> in D^f", RuleId.AX_SHARP_MEMBER, {},
+         "does not name an element of D^f"),
+        ("|- #a in D^f", RuleId.AX_SHARP_MEMBER, {"domain": "E"},
+         "not in E^f"),
+        ("|- #u in {u}", RuleId.AX_SHARP_MEMBER, {}, None),
+        ("|- #a in D", RuleId.AX_SHARP_MEMBER, {},
+         "D is not a sharp companion set"),
+        ("|- <a, 1/2> in D", RuleId.AX_MEMBER, {"domain": "E"}, "not in E"),
     ]
-    for text, rule, params, ok in cases:
-        verdict = rule_step(seq(text), rule, [], params, cfg, table)
-        assert verdict.ok is ok, (text, verdict.reason)
+    for text, rule, params, reason in cases:
+        if reason is None:
+            assert validate_step(seq(text), rule, None, [], params, cfg,
+                                 table) is None
+        else:
+            with pytest.raises(RuleError, match=re.escape(reason)):
+                validate_step(seq(text), rule, None, [], params, cfg, table)
     off = TheoryConfig(singleton_axioms=False)
     for text, rule in (("z in E |- z = a", RuleId.AX_SINGLETON),
                        ("|- #a in D^f", RuleId.AX_SHARP_MEMBER)):
-        assert "singleton_axioms off" in rule_step(
-            seq(text), rule, [], cfg=off, table=table).reason
+        with pytest.raises(RuleError, match=r"\(singleton_axioms off\)"):
+            validate_step(seq(text), rule, None, [], cfg=off, table=table)
 
 
 def test_exists_r_spec_example():
-    verdict = rule_step(seq("z in D |- exists x in D . z = x"),
-                        RuleId.EXISTS_R, [seq("z in D |- z = z")])
-    assert verdict.ok, verdict.reason
+    assert validate_step(seq("z in D |- exists x in D . z = x"),
+                         RuleId.EXISTS_R, None,
+                         [seq("z in D |- z = z")]) is None
 
 
 def test_identity_shape_reject():
-    assert not rule_step(seq("G |- A(t1)"), RuleId.IDENTITY, []).ok
-    assert rule_step(seq("A(t1) |- A(t1)"), RuleId.IDENTITY, []).ok
+    with pytest.raises(RuleError, match="identity holds between formulas"):
+        validate_step(seq("G |- A(t1)"), RuleId.IDENTITY, None, [])
+    assert validate_step(seq("A(t1) |- A(t1)"), RuleId.IDENTITY, None,
+                         []) is None
 
 
 def test_reflexivity():
-    assert rule_step(seq("|- t = t"), RuleId.REFLEXIVITY, []).ok
-    assert not rule_step(seq("|- t = u"), RuleId.REFLEXIVITY, []).ok
-    assert not rule_step(seq("G |- t = t"), RuleId.REFLEXIVITY, []).ok
+    assert validate_step(seq("|- t = t"), RuleId.REFLEXIVITY, None,
+                         []) is None
+    with pytest.raises(RuleError, match="needs both sides equal"):
+        validate_step(seq("|- t = u"), RuleId.REFLEXIVITY, None, [])
+    with pytest.raises(RuleError, match="has no premises on the left"):
+        validate_step(seq("G |- t = t"), RuleId.REFLEXIVITY, None, [])
 
 
 def test_ax_focus_respects_declared_order():
     table = DomainTable([domain_D()])
     cfg = TheoryConfig(focused_domains=frozenset({"D"}))
-    good = rule_step(seq("z in D |- z = <t1, 1/2> \\/ z = <t2, 1/2>"),
-                     RuleId.AX_FOCUS, [], cfg=cfg, table=table)
-    assert good.ok, good.reason
-    swapped = rule_step(seq("z in D |- z = <t2, 1/2> \\/ z = <t1, 1/2>"),
-                        RuleId.AX_FOCUS, [], cfg=cfg, table=table)
-    assert not swapped.ok
-    schematic = rule_step(seq("z in D |- z = t1 \\/ z = t2"),
-                          RuleId.AX_FOCUS, [], cfg=cfg, table=table)
-    assert schematic.ok
-    unfocused = rule_step(seq("z in D |- z = t1 \\/ z = t2"),
-                          RuleId.AX_FOCUS, [], table=table)
-    assert not unfocused.ok
+    assert validate_step(seq("z in D |- z = <t1, 1/2> \\/ z = <t2, 1/2>"),
+                         RuleId.AX_FOCUS, None, [], cfg=cfg,
+                         table=table) is None
+    with pytest.raises(RuleError, match="in declared order"):
+        validate_step(seq("z in D |- z = <t2, 1/2> \\/ z = <t1, 1/2>"),
+                      RuleId.AX_FOCUS, None, [], cfg=cfg, table=table)
+    assert validate_step(seq("z in D |- z = t1 \\/ z = t2"), RuleId.AX_FOCUS,
+                         None, [], cfg=cfg, table=table) is None
+    with pytest.raises(RuleError, match="D is not declared focused"):
+        validate_step(seq("z in D |- z = t1 \\/ z = t2"), RuleId.AX_FOCUS,
+                      None, [], table=table)
 
 
 def test_subst_rejects_context_metavariable_collision():
     premise = seq("z, x in D |- A(x)")  # context metavariable named z
     conclusion = seq("z, #u in D |- A(#u)")
-    verdict = rule_step(conclusion, RuleId.SUBST, [premise],
-                        params={"var": "x", "term": Sharp("u")})
-    assert verdict.ok
-    bad = rule_step(seq("z, x in D |- A(x)"), RuleId.SUBST,
-                    [premise], params={"var": "z", "term": Sharp("u")})
-    assert not bad.ok
-    assert "metavariable" in bad.reason
+    assert validate_step(conclusion, RuleId.SUBST, None, [premise],
+                         params={"var": "x", "term": Sharp("u")}) is None
+    with pytest.raises(RuleError, match="metavariable"):
+        validate_step(seq("z, x in D |- A(x)"), RuleId.SUBST, None,
+                      [premise], params={"var": "z", "term": Sharp("u")})
 
 
 def test_f_subst_rejects_context_metavariable_collision():
@@ -611,18 +624,6 @@ def test_a_step_key_the_conclusion_shows_is_refused(tmp_path, capsys, key):
         f"error: 2:52: unknown parameter {key.split('=')[0]}\n"
 
 
-@pytest.mark.parametrize("positions,missing", [("1;2", 2), ("0;1", 0)],
-                         ids=["1;2", "0;1"])
-def test_eq_equality_positions_name_occurrences(positions, missing):
-    # an entry naming no occurrence refuses the abstraction, even when the
-    # other entries name occurrences of the term
-    with pytest.raises(RuleError, match=f"no occurrence {missing} "):
-        equation_step(seq("G |- A(<t1, 1/3>)"), RuleId.EQ_EQUALITY,
-                      "backward", {"term": parse_term("<t1, 1/3>"),
-                                   "positions": [int(k) for k in
-                                                 positions.split(";")]})
-
-
 def test_eq_equality_places_its_equality_at_index():
     text = ("step 1 hypothesis :: G |- A(<t1, 1/3>)\n"
             'step 2 eq_equality backward term="<t1, 1/3>" var=z index=0 '
@@ -646,24 +647,21 @@ def test_eq_equality_abstraction_is_the_inverse_of_its_elimination():
                  *sorted(free_vars(s))[:1])
         for t in dict.fromkeys(_terms(s)):
             for var in names:
-                for positions in (None, [1]):
-                    p = {"term": t, **({"var": var} if var else {}),
-                         **({"positions": positions} if positions else {})}
-                    try:
-                        [abstracted] = equation_step(
-                            s, RuleId.EQ_EQUALITY, "backward", p)
-                    except RuleError:
-                        refused += 1
-                        continue
-                    built += 1
-                    j = len(abstracted.antecedent) - 1
-                    z = abstracted.antecedent[j].left.name
-                    verdict = rule_step(abstracted, RuleId.EQ_EQUALITY, [s],
-                                        {"term": t, "var": z},
-                                        direction="backward")
-                    assert verdict.ok, (render(s), p, verdict.reason)
-                    assert equation_step(abstracted, RuleId.EQ_EQUALITY,
-                                         "forward", {"index": j}) == [s]
+                p = {"term": t, **({"var": var} if var else {})}
+                try:
+                    [abstracted] = equation_step(
+                        s, RuleId.EQ_EQUALITY, "backward", p)
+                except RuleError:
+                    refused += 1
+                    continue
+                built += 1
+                j = len(abstracted.antecedent) - 1
+                z = abstracted.antecedent[j].left.name
+                assert validate_step(abstracted, RuleId.EQ_EQUALITY,
+                                     "backward", [s],
+                                     {"term": t, "var": z}) is None
+                assert equation_step(abstracted, RuleId.EQ_EQUALITY,
+                                     "forward", {"index": j}) == [s]
     assert built > 100 and refused > 10
 
 
@@ -696,27 +694,28 @@ def test_and_and_bowtie_take_a_lone_succedent_item(text):
 
 def test_subst_requires_closed_term():
     premise = seq("G, x in D |- A(x)")
-    bad = rule_step(seq("G, y in D |- A(y)"), RuleId.SUBST, [premise],
-                    params={"var": "x", "term": Var("y")})
-    assert not bad.ok
+    with pytest.raises(RuleError, match="is not closed"):
+        validate_step(seq("G, y in D |- A(y)"), RuleId.SUBST, None,
+                      [premise], params={"var": "x", "term": Var("y")})
 
 
 def test_weaken_l():
-    verdict = rule_step(seq("z in D |- z = z"), RuleId.WEAKEN_L,
-                        [seq("|- z = z")])
-    assert verdict.ok
+    assert validate_step(seq("z in D |- z = z"), RuleId.WEAKEN_L, None,
+                         [seq("|- z = z")]) is None
 
 
 def test_cut_splices_contexts():
     left = seq("z in D |- z = t1 \\/ z = t2")
     right = seq("G, z = t1 \\/ z = t2 |- A(z)")
-    verdict = rule_step(seq("G, z in D |- A(z)"), RuleId.CUT, [left, right])
-    assert verdict.ok, verdict.reason
-    assert not rule_step(seq("G |- A(z)"), RuleId.CUT, [left, right]).ok
+    assert validate_step(seq("G, z in D |- A(z)"), RuleId.CUT, None,
+                         [left, right]) is None
+    with pytest.raises(RuleError, match="do not match cut"):
+        validate_step(seq("G |- A(z)"), RuleId.CUT, None, [left, right])
     # a fact cut away at the last position leaves a shorter antecedent
     fact = seq("|- #a in D^f")
     used = seq("B(t), #a in D^f |- C(t)")
-    assert rule_step(seq("B(t) |- C(t)"), RuleId.CUT, [fact, used]).ok
+    assert validate_step(seq("B(t) |- C(t)"), RuleId.CUT, None,
+                         [fact, used]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +830,7 @@ def test_rule_functions_refuse_what_completion_filters_out():
      "eq_and_r composes from 2 sequent(s)"),
     # the equality abstraction without the term it abstracts
     ("G |- A(<t1, 1/3>)", RuleId.EQ_EQUALITY, "backward",
-     {"var": "z", "positions": [1]}, "equality abstraction needs term=<t>"),
+     {"var": "z"}, "equality abstraction needs term=<t>"),
 ])
 def test_equation_step_refuses_what_no_checked_step_hands_it(s, eq, direction,
                                                            params, reason):
@@ -1004,14 +1003,13 @@ def test_subst_never_accepted_in_reverse():
     # into a variable is not an instance of the rule
     instance = seq("G, <t1, 1/2> in D |- A(<t1, 1/2>)")
     general = seq("G, z in D |- A(z)")
-    forward = rule_step(instance, RuleId.SUBST, [general],
-                        params={"var": "z", "term": parse_term("<t1, 1/2>")})
-    assert forward.ok
-    reverse = rule_step(general, RuleId.SUBST, [instance])
-    assert not reverse.ok
-    reverse_explicit = rule_step(general, RuleId.SUBST, [instance],
-                                 params={"var": "z", "term": Var("z")})
-    assert not reverse_explicit.ok
+    assert validate_step(instance, RuleId.SUBST, None, [general], params={
+        "var": "z", "term": parse_term("<t1, 1/2>")}) is None
+    with pytest.raises(RuleError, match="cannot determine the substitution"):
+        validate_step(general, RuleId.SUBST, None, [instance])
+    with pytest.raises(RuleError, match="is not closed"):
+        validate_step(general, RuleId.SUBST, None, [instance],
+                      params={"var": "z", "term": Var("z")})
 
 
 def test_render_covers_derivations():

@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rfod.errors import DomainError
 from rfod.quantum import (
     Basis, DensityOp, IdentificationMode, QState, TOLERANCES, basis_from_json,
     basis_x, basis_y, basis_z, born_weights, density_of, emit_assertion,
-    focusing_status, measure, named_state, phase_equiv, purity, schmidt,
+    focusing_status, measure, named_state, purity, schmidt,
     state_from_json, state_to_json,
 )
 from rfod.syntax import Correlated, DomainTable, Outcome, render
@@ -122,30 +120,6 @@ def test_density_op_invariants():
         DensityOp(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(DomainError):
         DensityOp(np.array([[1.5, 0], [0, -0.5]]))  # negative eigenvalue
-
-
-def test_phase_equiv_examples():
-    zero = named_state("zero")
-    rotated = QState(np.exp(1j * np.pi / 3) * np.asarray(zero.amplitudes))
-    assert phase_equiv(zero, rotated, IdentificationMode.DISREGARD_PHASES)
-    assert not phase_equiv(zero, rotated, IdentificationMode.STRICT)
-    assert not phase_equiv(zero, named_state("one"),
-                           IdentificationMode.DISREGARD_PHASES)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi),
-       st.floats(0, 2 * math.pi), st.floats(0.01, math.pi / 2 - 0.01))
-def test_phase_equiv_is_equivalence_relation(p1, p2, p3, angle):
-    base = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
-    a = QState(np.exp(1j * p1) * base)
-    b = QState(np.exp(1j * p2) * base)
-    c = QState(np.exp(1j * p3) * base)
-    mode = IdentificationMode.DISREGARD_PHASES
-    assert phase_equiv(a, a, mode)
-    assert phase_equiv(a, b, mode) == phase_equiv(b, a, mode)
-    if phase_equiv(a, b, mode) and phase_equiv(b, c, mode):
-        assert phase_equiv(a, c, mode)
 
 
 def test_focusing_status():
@@ -316,7 +290,7 @@ def test_json_round_trips():
     doc = state_to_json(psi)
     assert doc[1] == [0.0, pytest.approx(1 / math.sqrt(2))]
     again = state_from_json(doc)
-    assert phase_equiv(psi, again, IdentificationMode.STRICT)
+    assert again.amplitudes == psi.amplitudes
     basis = basis_from_json({"name": "W", "labels": ["a", "b"],
                              "vectors": [[1, 0], [0, [0.0, 1.0]]]})
     assert basis.labels == ("a", "b")

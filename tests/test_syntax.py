@@ -17,10 +17,10 @@ from rfod.syntax import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, DomainTable, Eq,
     Exists, Forall, Member, Neq, Or, Outcome, Sequent, Sharp, Star, Term, Var,
     alpha_eq, bound_vars, children, free_vars, forgetful_formula, fresh_var,
-    map_children, parse_formula, parse_sequent, parse_term, render,
-    render_sequent, replace_term_occurrences, subst_formula, substitute,
-    walk,
+    parse_formula, parse_sequent, parse_term, render, render_sequent,
+    replace_term_occurrences, subst_formula, substitute, walk,
 )
+from rfod.syntax.ast import rewrite
 from rfod.calculus import TheoryConfig, dualize
 from rfod.theorems import derive_lemma1, schematic_domain
 
@@ -386,7 +386,8 @@ def _binder_sequents(draw):
 
 def _rename_bound(node, fresh):
     """node with every binder renamed to a name never used before."""
-    node = map_children(node, lambda c: _rename_bound(c, fresh))
+    node = rewrite(node, lambda n, top: (n, False) if top else
+                   (_rename_bound(n, fresh), None), True)
     if isinstance(node, (Forall, Exists, Bowtie)):
         new = f"r{next(fresh)}"
         return type(node)(new, node.domain, *(

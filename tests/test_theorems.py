@@ -6,7 +6,7 @@ import pytest
 from rfod.errors import PreconditionError
 from rfod.calculus import RuleId, TheoryConfig, check, dualize
 from rfod.syntax import (
-    Atom, ContextVar, Correlated, Domain, DomainTable, Member, Neq, Outcome,
+    Atom, ContextVar, Domain, DomainTable, Member, Neq, Outcome,
     Sequent, Sharp, Var, alpha_eq, parse_sequent, render,
 )
 from rfod.theorems import (
@@ -201,50 +201,27 @@ def _batch_single():
 
 def test_generalize_single():
     table = DomainTable()
-    sequent, derivation = generalize(_batch_single(), "single", table=table)
+    sequent, derivation = generalize(_batch_single(), table=table)
     assert render(sequent) == "G, z in D |- A(z)"
     assert check(derivation, TheoryConfig(), table).accepted
     assert table.resolve("D").focused
-
-
-def test_generalize_two_variable():
-    g = ContextVar("G")
-    ts = (Outcome("t1", HALF), Outcome("t2", HALF))
-    ws = (Outcome("w1", HALF), Outcome("w2", HALF))
-    batch = [Judgement((g,), (Atom("A", (t,)), Atom("A'", (w,))), (t, w))
-             for t in ts for w in ws]
-    table = DomainTable()
-    sequent, derivation = generalize(batch, "two-variable", table=table)
-    assert render(sequent) == "G, z in D, y in D' |- A(z), A'(y)"
-    assert check(derivation, TheoryConfig(), table).accepted
-
-
-def test_generalize_correlated():
-    g = ContextVar("G")
-    ts = (Outcome("s1", HALF), Outcome("s2", HALF))
-    batch = [Judgement((g,), (Atom("A", (t,)), Atom("A'", (t,))), (t,))
-             for t in ts]
-    table = DomainTable()
-    sequent, derivation = generalize(batch, "correlated", names=["DS"],
-                                     table=table)
-    assert render(sequent) == "G, z in DS |- A(z) ,_S A'(z)"
-    assert isinstance(sequent.succedent[0], Correlated)
-    assert render(derivation.conclusion) == "G, z in DS |- A(z), A'(z)"
-    assert check(derivation, TheoryConfig(), table).accepted
 
 
 def test_generalize_shape_errors():
     g = ContextVar("G")
     t = Outcome("t1", Fraction(1))
     with pytest.raises(PreconditionError):
-        generalize([], "single")
+        generalize([])
     with pytest.raises(PreconditionError):
-        generalize([Judgement((g,), (Atom("A", (t,)),), (Var("x"),))],
-                   "single")
+        generalize([Judgement((g,), (Atom("A", (t,)),), (Var("x"),))])
     mixed = [Judgement((g,), (Atom("A", (t,)),), (t,)),
              Judgement((ContextVar("H"),), (Atom("A", (t,)),), (t,))]
     with pytest.raises(PreconditionError):
-        generalize(mixed, "single")
+        generalize(mixed)
+    # two formulas at one term: the shape of a correlated judgement
+    with pytest.raises(PreconditionError):
+        generalize([Judgement((g,), (Atom("A", (t,)), Atom("A'", (t,))),
+                              (t,))])
 
 
 # ---------------------------------------------------------------------------

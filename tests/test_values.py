@@ -8,7 +8,6 @@ import pytest
 
 from rfod.calculus import (
     CheckReport, Derivation, ProofScript, RuleId, StepReport, TheoryConfig,
-    Verdict,
 )
 from rfod.syntax import (
     And, Atom, Bot, Bowtie, ContextVar, Correlated, Domain, DomainTable, Eq,
@@ -68,7 +67,6 @@ def test_record_reprs_name_their_fields():
     assert repr(TheoryConfig()) == (
         "TheoryConfig(singleton_axioms=True, focused_domains=frozenset(), "
         "right_contexts_in_forall=False)")
-    assert repr(Verdict(False, "no")) == "Verdict(ok=False, reason='no')"
     s = parse_sequent("|- A(x)")
     assert repr(StepReport(1, RuleId.CUT, None, s, True)) == (
         "StepReport(index=1, rule=<RuleId.CUT: 'cut'>, direction=None, "
@@ -97,8 +95,6 @@ def test_value_records_compare_and_hash_by_value():
 
 def test_mutable_records_compare_by_value_and_do_not_hash():
     s = parse_sequent("|- A(x)")
-    assert Verdict(True) == Verdict(True, None)
-    assert Verdict(True) != Verdict(False)
     assert StepReport(1, RuleId.CUT, None, s, True) == \
         StepReport(1, RuleId.CUT, None, parse_sequent("|- A(x)"), True)
     assert StepReport(1, RuleId.CUT, None, s, True) != \
@@ -108,14 +104,13 @@ def test_mutable_records_compare_by_value_and_do_not_hash():
     table = DomainTable()
     assert ProofScript(table) == ProofScript(table)
     assert ProofScript() != ProofScript()  # two tables, compared by identity
-    for value in (Verdict(True), StepReport(1, RuleId.CUT, None, s, True),
+    for value in (StepReport(1, RuleId.CUT, None, s, True),
                   report, ProofScript()):
         with pytest.raises(TypeError):
             hash(value)
-    verdict = Verdict(True)
-    verdict.reason = "set"
-    assert verdict == Verdict(True, "set")
-    assert not Verdict(False) and Verdict(True)
+    step = StepReport(1, RuleId.CUT, None, s, True)
+    step.reason = "set"
+    assert step == StepReport(1, RuleId.CUT, None, s, True, "set")
 
 
 def test_derivations_compare_by_identity():
@@ -173,7 +168,8 @@ def test_keyword_construction():
     lambda: Bot("a", "b"), lambda: Forall("x", "D"),
     lambda: Sequent(()), lambda: Atom("A"), lambda: ContextVar(),
     lambda: Domain("D"), lambda: TheoryConfig(True, (), False, 1),
-    lambda: Verdict(), lambda: Derivation(parse_sequent("|- A(x)")),
+    lambda: StepReport(1, RuleId.CUT),
+    lambda: Derivation(parse_sequent("|- A(x)")),
     lambda: Judgement((), ()), lambda: Var(nome="x"),
 ])
 def test_wrong_arity_is_a_type_error(make):
@@ -188,7 +184,7 @@ def test_copy_and_pickle_rebuild_equal_values():
     for value in (s, Var("x"), Eq(Var("x"), Sharp("s")), _domain(),
                   TheoryConfig(focused_domains={"D"}),
                   Judgement((ContextVar("G"),), (), (Var("x"),)),
-                  ReversibilityVerdict("D", False), Verdict(True, "r")):
+                  ReversibilityVerdict("D", False)):
         for twin in (copy.copy(value), copy.deepcopy(value),
                      pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value
